@@ -18,10 +18,16 @@ import (
 // load to competing traffic on shared NICs.
 
 // RunRingFluid places one flow of perEdgeBytes on every directed ring edge
-// and fires onDone when the slowest completes.
+// and fires onDone when the slowest completes. A strictly increasing
+// group — every group the trainer builds — is already valid and in ring
+// order, so it is used as is; any other group is validated and sorted
+// into a copy.
 func RunRingFluid(eng *sim.Engine, fab *netsim.Fabric, ranks []int, perEdgeBytes float64, class netsim.Class, onDone func()) {
-	validate(ranks)
-	r := ring(ranks)
+	r := ranks
+	if !strictlyIncreasing(ranks) {
+		validate(ranks)
+		r = ring(ranks)
+	}
 	n := len(r)
 	if n == 1 || perEdgeBytes <= 0 {
 		eng.After(0, onDone)
@@ -29,11 +35,23 @@ func RunRingFluid(eng *sim.Engine, fab *netsim.Fabric, ranks []int, perEdgeBytes
 	}
 	var wg sim.WaitGroup
 	wg.Add(n)
+	done := wg.Done // one callback for every edge, not one per edge
 	for i := 0; i < n; i++ {
 		src, dst := r[i], r[(i+1)%n]
-		fab.StartFlow(src, dst, perEdgeBytes, class, wg.Done)
+		fab.StartFlow(src, dst, perEdgeBytes, class, done)
 	}
 	wg.OnZero(onDone)
+}
+
+// strictlyIncreasing reports whether a group is non-empty, sorted and
+// free of duplicates.
+func strictlyIncreasing(ranks []int) bool {
+	for i := 1; i < len(ranks); i++ {
+		if ranks[i] <= ranks[i-1] {
+			return false
+		}
+	}
+	return len(ranks) > 0
 }
 
 // RunAllReduceFluid executes a ring all-reduce of a `bytes` payload: each

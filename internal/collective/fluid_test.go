@@ -115,3 +115,31 @@ func TestFluidCrossClusterRidesEthernet(t *testing.T) {
 		t.Fatalf("cross-cluster fluid ring %v beat the Ethernet bound %v", end, minTime)
 	}
 }
+
+// RunRingFluid uses a strictly increasing group as its ring directly and
+// validates and sorts anything else: an unsorted group times exactly like
+// its sorted twin, and a degenerate one still panics.
+func TestFluidRingOrderAndValidation(t *testing.T) {
+	topo := topology.HybridEnv(4)
+	run := func(ranks []int) sim.Time {
+		eng := sim.NewEngine()
+		fab := netsim.New(eng, topo, netsim.DefaultParams())
+		var end sim.Time
+		RunAllReduceFluid(eng, fab, ranks, 1e9, netsim.RDMA, func() { end = eng.Now() })
+		eng.Run()
+		return end
+	}
+	if sorted, unsorted := run([]int{0, 8, 16, 24}), run([]int{24, 0, 16, 8}); sorted != unsorted {
+		t.Fatalf("sorted ring %v, unsorted %v", sorted, unsorted)
+	}
+	for name, ranks := range map[string][]int{"empty": nil, "duplicate": {3, 1, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s group did not panic", name)
+				}
+			}()
+			run(ranks)
+		}()
+	}
+}

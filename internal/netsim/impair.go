@@ -287,10 +287,7 @@ func (f *Fabric) AbortFlow(fl *Flow) {
 	}
 	fl.aborted = true
 	fl.onDone = nil
-	if fl.doneEv != nil {
-		fl.doneEv.Cancel()
-		fl.doneEv = nil
-	}
+	f.disarm(fl)
 	if fl.admitted {
 		for i := 0; i < fl.nPath; i++ {
 			f.unlink(fl.path[i], fl.pathPos[i])

@@ -149,9 +149,9 @@ type Flow struct {
 	rate      float64
 	cap       float64 // per-flow rate ceiling (Inf when uncapped)
 	updatedAt sim.Time
-	doneEv    *sim.Event
+	doneEv    sim.Event // pending completion; the zero Event when none
+	fire      func()    // admits the flow, then finishes it; bound once
 	onDone    func()
-	fab       *Fabric
 	started   bool
 	admitted  bool // currently occupying links
 
@@ -189,9 +189,11 @@ type Fabric struct {
 
 	// Rebalance machinery: seed links accumulated since the last pass,
 	// whether a coalesced pass is already scheduled at the current
-	// instant, and reusable region scratch.
+	// instant (flushFn, bound once, is its callback), and reusable region
+	// scratch.
 	dirtySeeds   []*Link
 	rebalPending bool
+	flushFn      func()
 	epoch        int
 	regionLinks  []*Link
 	regionFlows  []*Flow
@@ -205,6 +207,7 @@ func New(eng *sim.Engine, topo *topology.Topology, p Params) *Fabric {
 		eng:    eng,
 		trunks: make(map[[2]int]*Link),
 	}
+	f.flushFn = f.flushRebalance
 	for _, n := range topo.Nodes() {
 		rdmaBps := n.RDMAGbps() / 8 * 1e9 * f.rdmaEff(n.RDMAType())
 		ethBps := n.EthNIC.Gbps / 8 * 1e9 * p.EthEff
@@ -344,8 +347,17 @@ func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func
 	}
 	fl := &Flow{
 		Src: src, Dst: dst, Class: f.EffectiveClass(src, dst, class),
-		Bytes: bytes, remaining: bytes, onDone: onDone, fab: f,
+		Bytes: bytes, remaining: bytes, onDone: onDone,
 		cap: math.Inf(1),
+	}
+	// One callback serves every event of the flow: the admission at the
+	// end of the latency term, then each (re-armed) completion.
+	fl.fire = func() {
+		if fl.started {
+			f.finish(fl)
+		} else {
+			f.admit(fl)
+		}
 	}
 	if fl.Class == Ether && f.Params.EthPerFlowBytesPerSec > 0 {
 		fl.cap = f.Params.EthPerFlowBytesPerSec
@@ -359,7 +371,7 @@ func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func
 	}
 	// The flow occupies links only after its latency term elapses; for
 	// zero-byte control messages it completes then.
-	f.eng.After(lat, func() { f.admit(fl) })
+	f.eng.After(lat, fl.fire)
 	return fl
 }
 
@@ -407,10 +419,7 @@ func (f *Fabric) admit(fl *Flow) {
 }
 
 func (f *Fabric) finish(fl *Flow) {
-	if fl.doneEv != nil {
-		fl.doneEv.Cancel()
-		fl.doneEv = nil
-	}
+	f.disarm(fl)
 	if fl.admitted {
 		for i := 0; i < fl.nPath; i++ {
 			f.unlink(fl.path[i], fl.pathPos[i])
@@ -425,6 +434,12 @@ func (f *Fabric) finish(fl *Flow) {
 	if done != nil {
 		done()
 	}
+}
+
+// disarm cancels the flow's pending completion event, if any.
+func (f *Fabric) disarm(fl *Flow) {
+	f.eng.Cancel(fl.doneEv)
+	fl.doneEv = sim.Event{}
 }
 
 // unlink swap-removes the flow at pos from the link's flow list, fixing
@@ -466,7 +481,7 @@ func (f *Fabric) scheduleLinkRebalance(links ...*Link) {
 	}
 	if !f.rebalPending {
 		f.rebalPending = true
-		f.eng.After(0, f.flushRebalance)
+		f.eng.After(0, f.flushFn)
 	}
 }
 
@@ -626,7 +641,9 @@ func (f *Fabric) freeze(fl *Flow, rate float64) {
 // reschedule re-arms completion events after a filling pass. A flow whose
 // rate did not change keeps both its event and its progress bookkeeping —
 // the absolute completion time computed when the rate was set is still
-// exact. Progress drains lazily, in one multiply over the whole
+// exact. A changed rate re-keys the flow's one pending completion in
+// place, which fires exactly where cancelling it and scheduling anew
+// would. Progress drains lazily, in one multiply over the whole
 // constant-rate interval, only when the rate actually changes; besides
 // being cheaper, this makes the incremental and full-recompute modes
 // bit-identical (piecewise drains would differ in final-ulp noise that a
@@ -634,7 +651,7 @@ func (f *Fabric) freeze(fl *Flow, rate float64) {
 func (f *Fabric) reschedule(flows []*Flow) {
 	now := f.eng.Now()
 	for _, fl := range flows {
-		if fl.doneEv != nil && fl.rate == fl.prevRate {
+		if fl.doneEv != (sim.Event{}) && fl.rate == fl.prevRate {
 			continue
 		}
 		fl.remaining -= fl.prevRate * (now - fl.updatedAt)
@@ -642,21 +659,19 @@ func (f *Fabric) reschedule(flows []*Flow) {
 			fl.remaining = 0
 		}
 		fl.updatedAt = now
-		if fl.doneEv != nil {
-			fl.doneEv.Cancel()
-			fl.doneEv = nil
-		}
 		var eta float64
 		switch {
 		case fl.remaining <= 0:
 			eta = 0
 		case fl.rate <= 0:
-			continue // starved; rescheduled at the next rebalance it joins
+			f.disarm(fl) // starved; rescheduled at the next rebalance it joins
+			continue
 		default:
 			eta = fl.remaining / fl.rate
 		}
-		fl := fl
-		fl.doneEv = f.eng.After(eta, func() { f.finish(fl) })
+		if at := now + eta; !f.eng.Reschedule(fl.doneEv, at) {
+			fl.doneEv = f.eng.At(at, fl.fire)
+		}
 	}
 }
 

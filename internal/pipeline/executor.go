@@ -46,6 +46,8 @@ type Executor struct {
 	pos      []int    // index of the first unexecuted op per stage
 	executed [][]bool // per stage, per op index: already run out of order
 	busy     []bool   // stage compute engine in use
+	running  []Op     // the op a busy stage is computing
+	opDone   []func() // per stage, completes running[s]; bound once
 	remF     []int    // forwards not yet completed, per stage
 	remB     []int    // backwards not yet completed, per stage
 	fReady   [][]bool // activation for F_{s,i} arrived
@@ -79,6 +81,8 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 		pos:      make([]int, p),
 		executed: make([][]bool, p),
 		busy:     make([]bool, p),
+		running:  make([]Op, p),
+		opDone:   make([]func(), p),
 		remF:     make([]int, p),
 		remB:     make([]int, p),
 		total:    p * 2 * sched.Micro,
@@ -86,6 +90,9 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 	for s := 0; s < p; s++ {
 		e.remF[s] = sched.Micro
 		e.remB[s] = sched.Micro
+		// A stage computes one op at a time, so one callback per stage
+		// completes whichever op it is running.
+		e.opDone[s] = func() { e.complete(s, e.running[s]) }
 	}
 	e.fReady = make([][]bool, p)
 	e.bReady = make([][]bool, p)
@@ -166,11 +173,12 @@ func (e *Executor) launch(s, idx int, op Op) {
 		e.pos[s]++
 	}
 	e.busy[s] = true
+	e.running[s] = op
 	dur := e.cfg.ForwardTime[s]
 	if op.Kind == Backward {
 		dur = e.cfg.BackwardTime[s]
 	}
-	e.eng.After(dur, func() { e.complete(s, op) })
+	e.eng.After(dur, e.opDone[s])
 }
 
 func (e *Executor) complete(s int, op Op) {

@@ -25,7 +25,7 @@ type Runtime struct {
 	be      Backend
 	sc      *Scenario
 	stopped bool
-	pending []*sim.Event
+	pending []sim.Event
 	applied int
 }
 
@@ -238,14 +238,16 @@ func (rt *Runtime) Applied() int {
 
 // Stop cancels all pending timeline events and halts background-traffic
 // generation; chunks already on the wire drain normally. Safe to call on
-// a nil runtime and idempotent.
+// a nil runtime and idempotent. It cancels every handle the runtime ever
+// took: the engine ignores those whose events already fired, even when
+// their records now carry other events.
 func (rt *Runtime) Stop() {
 	if rt == nil || rt.stopped {
 		return
 	}
 	rt.stopped = true
 	for _, ev := range rt.pending {
-		ev.Cancel()
+		rt.eng.Cancel(ev)
 	}
 	rt.pending = nil
 }

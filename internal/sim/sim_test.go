@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -65,7 +67,7 @@ func TestEngineCancel(t *testing.T) {
 	eng := NewEngine()
 	fired := false
 	ev := eng.At(1, func() { fired = true })
-	ev.Cancel()
+	eng.Cancel(ev)
 	eng.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -79,12 +81,21 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	eng := NewEngine()
 	eng.At(5, func() {})
 	eng.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	eng.At(1, func() {})
+	ev := eng.At(6, func() {})
+	for name, bad := range map[string]func(){
+		"At in the past":         func() { eng.At(1, func() {}) },
+		"At NaN":                 func() { eng.At(math.NaN(), func() {}) },
+		"Reschedule in the past": func() { eng.Reschedule(ev, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -157,13 +168,13 @@ func TestEventCountProperty(t *testing.T) {
 		n := rng.Intn(200)
 		cancelled := 0
 		count := 0
-		events := make([]*Event, 0, n)
+		events := make([]Event, 0, n)
 		for i := 0; i < n; i++ {
 			events = append(events, eng.At(rng.Float64()*100, func() { count++ }))
 		}
 		for _, ev := range events {
 			if rng.Float64() < 0.3 {
-				ev.Cancel()
+				eng.Cancel(ev)
 				cancelled++
 			}
 		}
@@ -172,37 +183,6 @@ func TestEventCountProperty(t *testing.T) {
 			t.Fatalf("trial %d: fired %d, want %d", trial, count, n-cancelled)
 		}
 	}
-}
-
-func TestProcessCompletion(t *testing.T) {
-	eng := NewEngine()
-	p := NewProcess(eng, "p")
-	ran := 0
-	p.OnComplete(func() { ran++ })
-	if p.Done() {
-		t.Fatal("fresh process already done")
-	}
-	eng.At(3, func() { p.Complete() })
-	eng.Run()
-	if !p.Done() || ran != 1 {
-		t.Fatalf("done=%v ran=%d", p.Done(), ran)
-	}
-	// Late waiter fires immediately.
-	p.OnComplete(func() { ran++ })
-	if ran != 2 {
-		t.Fatalf("late waiter did not fire: ran=%d", ran)
-	}
-}
-
-func TestProcessDoubleCompletePanics(t *testing.T) {
-	p := NewProcess(NewEngine(), "p")
-	p.Complete()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Complete did not panic")
-		}
-	}()
-	p.Complete()
 }
 
 func TestWaitGroup(t *testing.T) {
@@ -225,75 +205,88 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestResourceExclusive(t *testing.T) {
+func TestEngineReschedule(t *testing.T) {
 	eng := NewEngine()
-	res := NewResource(eng, 1)
-	var order []string
-	start := func(name string, dur float64) {
-		res.Acquire(func() {
-			order = append(order, name+"+")
-			eng.After(dur, func() {
-				order = append(order, name+"-")
-				res.Release()
-			})
-		})
+	var got []string
+	a := eng.At(1, func() { got = append(got, "a") })
+	eng.At(2, func() { got = append(got, "b") })
+	eng.At(3, func() { got = append(got, "c") })
+	// Re-keyed to a tie with c, a fires after it: the fresh sequence
+	// number is the order cancel-then-At would give.
+	if !eng.Reschedule(a, 3) {
+		t.Fatal("Reschedule of a pending event reported false")
 	}
-	eng.At(0, func() { start("a", 2) })
-	eng.At(1, func() { start("b", 2) })
-	end := eng.Run()
-	want := []string{"a+", "a-", "b+", "b-"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if eng.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3", eng.Pending())
 	}
-	if end != 4 {
-		t.Fatalf("end = %v, want 4 (serialized)", end)
+	eng.Run()
+	if fmt.Sprint(got) != "[b c a]" {
+		t.Fatalf("order %v, want [b c a]", got)
+	}
+	if eng.Reschedule(a, 5) || eng.Reschedule(Event{}, 5) {
+		t.Fatal("Reschedule of a fired or zero handle reported true")
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("stale Reschedule left %d pending", eng.Pending())
 	}
 }
 
-func TestResourceCapacityTwo(t *testing.T) {
+// A handle outlives its record: once the event fires, the slot is reused
+// by the next At, and cancelling the old handle must not touch the new
+// event — the case scenario.Runtime.Stop hits, since it cancels every
+// handle it ever took.
+func TestStaleHandleAfterReuse(t *testing.T) {
 	eng := NewEngine()
-	res := NewResource(eng, 2)
-	done := 0
-	for i := 0; i < 4; i++ {
-		res.Use(1, func() { done++ })
+	old := eng.At(1, func() {})
+	eng.Run()
+	fired := false
+	fresh := eng.At(2, func() { fired = true })
+	if fresh.slot != old.slot {
+		t.Fatalf("slot not reused: old %d, fresh %d", old.slot, fresh.slot)
 	}
-	end := eng.Run()
-	if done != 4 {
-		t.Fatalf("done = %d, want 4", done)
+	eng.Cancel(old)
+	eng.Cancel(Event{})
+	if eng.Reschedule(old, 9) {
+		t.Fatal("stale handle rescheduled")
 	}
-	if end != 2 {
-		t.Fatalf("end = %v, want 2 (4 jobs, capacity 2, 1s each)", end)
+	eng.Run()
+	if !fired || eng.Now() != 2 {
+		t.Fatalf("fired=%v now=%v: a stale handle reached the reused record", fired, eng.Now())
+	}
+	// Reset invalidates every outstanding handle the same way.
+	pending := eng.At(5, func() { t.Fatal("event from before Reset fired") })
+	eng.Reset()
+	eng.At(1, func() {})
+	eng.Cancel(pending)
+	if eng.Pending() != 1 {
+		t.Fatalf("pre-Reset handle cancelled a new event: pending %d", eng.Pending())
 	}
 }
 
-func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
-	res := NewResource(NewEngine(), 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
+// A warmed engine schedules, reschedules, cancels and fires without
+// allocating: records and heap entries come back from the engine's own
+// free list and slices.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	eng := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	loop := func() {
+		var evs [16]Event
+		for i := range evs {
+			evs[i] = eng.After(float64(i%5), fn)
 		}
-	}()
-	res.Release()
-}
-
-// Property: with capacity c and n unit jobs of duration d, makespan is
-// ceil(n/c)*d.
-func TestResourceMakespanProperty(t *testing.T) {
-	f := func(nRaw, cRaw uint8) bool {
-		n := int(nRaw%40) + 1
-		c := int(cRaw%8) + 1
-		eng := NewEngine()
-		res := NewResource(eng, c)
-		for i := 0; i < n; i++ {
-			res.Use(1, nil)
+		for i := 0; i < len(evs); i += 3 {
+			eng.Reschedule(evs[i], eng.Now()+7)
 		}
-		end := eng.Run()
-		want := float64((n + c - 1) / c)
-		return end == want
+		eng.Cancel(evs[1])
+		eng.RunUntil(eng.Now() + 2)
+		eng.Run()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	loop()
+	if allocs := testing.AllocsPerRun(100, loop); allocs != 0 {
+		t.Fatalf("warm schedule/fire/reschedule loop allocated %v times per run", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no event fired")
 	}
 }
