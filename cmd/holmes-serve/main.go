@@ -13,17 +13,18 @@
 // answers the same corpus hot. The same file is loaded at startup and
 // rewritten every -snapshot-interval.
 //
-// With -operator, /v1/jobs becomes an always-on durable fleet layer:
-// each fleet is a wall-clock-driven operator behind an fsync'd journal
-// in -journal-dir (submits stamped with real time, finished work
-// retired automatically, -fleet-policy / per-request "policy" selecting
-// the scheduling policy), and a restarted daemon recovers every fleet
-// from its journal and resumes scheduling bit-identically to a process
-// that never died.
+// /v1/jobs runs every fleet as an always-on wall-clock operator:
+// submits are stamped with real time, finished work retires on its own,
+// and -fleet-policy / a per-request "policy" selects the scheduling
+// policy. Durability is where the journal goes: with -journal-dir each
+// fleet writes an fsync'd journal there, and a restarted daemon
+// recovers every fleet from its journal and resumes scheduling
+// bit-identically to a process that never died; without it the fleets
+// live in memory.
 //
 // The daemon is observable live: GET / serves an embedded dashboard
 // (go:embed, zero build step — fleet timeline, topology health,
-// endpoint latency) and GET /v1/events streams operator transitions as
+// endpoint latency) and GET /v1/events streams fleet transitions as
 // Server-Sent Events. Both ride outside admission, so they keep
 // answering while the server is saturated. -dashboard=false unmounts
 // the page (the stream stays).
@@ -33,7 +34,7 @@
 //	holmes-serve -addr :8080
 //	holmes-serve -addr :8080 -shards 4 -workers 4 -cache 1024 -max-inflight 64 -max-queue 512
 //	holmes-serve -addr :8080 -cache-snapshot /var/lib/holmes/cache.json -snapshot-interval 5m
-//	holmes-serve -addr :8080 -operator -journal-dir /var/lib/holmes/fleet -fleet-policy priority
+//	holmes-serve -addr :8080 -journal-dir /var/lib/holmes/fleet -fleet-policy priority
 //	holmes-serve -addr :8080 -pprof   # mounts /debug/pprof/
 //
 //	curl -s localhost:8080/healthz
@@ -124,20 +125,11 @@ func main() {
 		interval = flag.Duration("snapshot-interval", 0, "also rewrite -cache-snapshot periodically (0 = only on shutdown)")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (admission-exempt)")
-		operator = flag.Bool("operator", false, "run /v1/jobs as an always-on durable fleet operator: wall-clock submits, auto-retirement, journaled crash recovery (requires -journal-dir)")
-		jdir     = flag.String("journal-dir", "", "directory for per-fleet journals and snapshots (operator mode); existing journals are recovered at boot")
+		jdir     = flag.String("journal-dir", "", "directory for per-fleet journals and snapshots, recovered at boot (empty = fleets live in memory)")
 		policy   = flag.String("fleet-policy", "", "default scheduling policy for freshly created fleets: "+strings.Join(fleet.PolicyNames(), ", ")+" (default "+fleet.DefaultPolicy+")")
 		dash     = flag.Bool("dashboard", true, "serve the embedded live dashboard at / (admission-exempt, no build step)")
 	)
 	flag.Parse()
-	if *policy != "" {
-		if _, err := fleet.PolicyByName(*policy); err != nil {
-			log.Fatalf("holmes-serve: %v", err)
-		}
-	}
-	if *operator && *jdir == "" {
-		log.Fatal("holmes-serve: -operator requires -journal-dir")
-	}
 
 	pool := serve.New(serve.Config{
 		Shards:           *shards,
@@ -152,12 +144,12 @@ func main() {
 	apiSrv := api.NewServerPool(pool)
 	apiSrv.EnablePprof(*pprofOn)
 	apiSrv.EnableDashboard(*dash)
-	if *operator {
-		recovered, err := apiSrv.EnableOperator(api.OperatorMode{JournalDir: *jdir, Policy: *policy})
-		if err != nil {
-			log.Fatalf("holmes-serve: operator mode: %v", err)
-		}
-		log.Printf("holmes-serve: operator mode on %s (%d fleet(s) recovered, default policy %s)",
+	recovered, err := apiSrv.ConfigureOperators(api.OperatorMode{JournalDir: *jdir, Policy: *policy})
+	if err != nil {
+		log.Fatalf("holmes-serve: fleets: %v", err)
+	}
+	if *jdir != "" {
+		log.Printf("holmes-serve: durable fleets in %s (%d recovered, default policy %s)",
 			*jdir, recovered, firstNonEmpty(*policy, fleet.DefaultPolicy))
 	}
 	if *snapshot != "" {
@@ -214,12 +206,10 @@ func main() {
 	if *snapshot != "" {
 		writeSnapshot(apiSrv, *snapshot)
 	}
-	if *operator {
-		// Retire what is retirable, cut final snapshots, close the
-		// journals. A crash skips this — that is what recovery replays.
-		if err := apiSrv.CloseOperators(); err != nil {
-			log.Printf("holmes-serve: operator shutdown: %v", err)
-		}
+	// Retire what is retirable, cut final snapshots, close the journals.
+	// A crash skips this — that is what recovery replays.
+	if err := apiSrv.CloseOperators(); err != nil {
+		log.Printf("holmes-serve: fleet shutdown: %v", err)
 	}
 	log.Printf("holmes-serve: shutdown complete")
 }

@@ -348,7 +348,7 @@ func NewFleetManager(eng *Engine, topo *Topology) (*FleetManager, error) {
 // cfg.Journal: submits are stamped with wall time, finished work is
 // retired at idle barriers, and every mutation is journaled so a
 // restart resumes the fleet bit-identically (nil engine = the shared
-// default).
+// default). An empty cfg.Journal runs the same operator in memory.
 func NewFleetOperator(eng *Engine, spec FleetSpec, cfg FleetOperatorConfig) (*FleetOperator, error) {
 	return fleet.NewOperator(eng, spec, cfg)
 }

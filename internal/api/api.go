@@ -50,7 +50,7 @@ import (
 )
 
 // Version identifies the API release (mirrors the facade version).
-const Version = "1.6.0"
+const Version = "1.7.0"
 
 // Server serves the Holmes planning API on a pool of engine shards.
 type Server struct {

@@ -11,12 +11,33 @@ import (
 	"testing"
 
 	"holmes/internal/engine"
+	"holmes/internal/fleet"
 )
 
+// newTestServer starts a single-engine server whose fleets run in
+// memory on a stopped fake clock: /v1/jobs then answers the
+// virtual-replay view (a zero submit stays at instant 0, nothing
+// finishes or retires on its own).
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewServer(engine.New(engine.Config{})).Handler())
-	t.Cleanup(srv.Close)
+	return startServer(t, NewServer(engine.New(engine.Config{})), "", fleet.NewFakeClock())
+}
+
+// startServer points s's fleets at dir ("" = in memory) and clock and
+// serves it. Cleanup closes the listener, then the operators, so no
+// operator loop outlives the test.
+func startServer(t *testing.T, s *Server, dir string, clock fleet.Clock) *httptest.Server {
+	t.Helper()
+	if _, err := s.ConfigureOperators(OperatorMode{JournalDir: dir, Clock: clock}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		if err := s.CloseOperators(); err != nil {
+			t.Error(err)
+		}
+	})
 	return srv
 }
 

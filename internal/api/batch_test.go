@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"holmes/internal/fleet"
 	"holmes/internal/serve"
 )
 
@@ -208,9 +209,7 @@ func TestBackpressure429(t *testing.T) {
 
 func newPoolServer(t *testing.T, pool *serve.Pool) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewServerPool(pool).Handler())
-	t.Cleanup(srv.Close)
-	return srv
+	return startServer(t, NewServerPool(pool), "", fleet.NewFakeClock())
 }
 
 func getJSON(t *testing.T, srv *httptest.Server, path string, v any) {

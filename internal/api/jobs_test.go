@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -123,24 +125,113 @@ func TestJobsLifecycle(t *testing.T) {
 		t.Fatalf("resubmit after cancel: %d %s", code, body)
 	}
 
-	// Cancelling a fleet's last job retires the fleet entirely: it stops
-	// counting against the daemon's fleet limit and disappears from the
-	// listing.
+	// A drained fleet stays listed with no live jobs; it gives up its
+	// slot only when a new topology needs one (TestJobsBounds).
 	for _, id := range []string{"alpha", "beta"} {
 		if code, body = do(t, http.MethodDelete, srv.URL+"/v1/jobs/"+id, ""); code != http.StatusOK {
 			t.Fatalf("drain cancel %s: %d %s", id, code, body)
 		}
 	}
-	code, list = do(t, http.MethodGet, srv.URL+"/v1/jobs", "")
-	if code != http.StatusOK {
-		t.Fatalf("list after drain: %d %s", code, list)
+	fr = listFleets(t, srv)
+	if len(fr.Fleets) != 1 || fr.Fleets[0].Jobs != 0 {
+		t.Fatalf("drained fleet: %+v", fr.Fleets)
 	}
-	fr = FleetsResponse{}
+}
+
+func listFleets(t *testing.T, srv *httptest.Server) FleetsResponse {
+	t.Helper()
+	code, list := do(t, http.MethodGet, srv.URL+"/v1/jobs", "")
+	if code != http.StatusOK {
+		t.Fatalf("list: %d %s", code, list)
+	}
+	var fr FleetsResponse
 	if err := json.Unmarshal(list, &fr); err != nil {
 		t.Fatal(err)
 	}
-	if len(fr.Fleets) != 0 {
-		t.Fatalf("drained fleet still registered: %s", list)
+	return fr
+}
+
+// TestJobsBounds feeds both /v1/jobs limits at bound and bound+1. A
+// fleet admits fleet.MaxJobs jobs and refuses the next with 429. The
+// daemon opens maxFleets fleets and refuses a new topology with 429
+// while every fleet holds live jobs; once fleets drain, the new
+// topology evicts the drained one with the lowest fingerprint, whose
+// journal and snapshot go with it, and a restart recovers exactly the
+// fleets that remain.
+func TestJobsBounds(t *testing.T) {
+	pool := serve.New(serve.Config{})
+	dir := t.TempDir()
+	s, srv := newOperatorServer(t, pool, dir, fleet.NewFakeClock())
+	submit := func(spec, id string) (int, []byte) {
+		return post(t, srv, "/v1/jobs",
+			fmt.Sprintf(`{"fleet":%s,"job":{"id":%q,"gpus":8,"iterations":1,"model":{"group":1}}}`, spec, id))
+	}
+	mustSubmit := func(spec, id string) {
+		t.Helper()
+		if code, body := submit(spec, id); code != http.StatusOK {
+			t.Fatalf("submit %s: %d %s", id, code, body)
+		}
+	}
+
+	for i := 0; i < fleet.MaxJobs; i++ {
+		mustSubmit(jobFleet, fmt.Sprintf("j%02d", i))
+	}
+	if code, body := submit(jobFleet, "j-over"); code != http.StatusTooManyRequests {
+		t.Fatalf("job %d in one fleet: %d %s, want 429", fleet.MaxJobs+1, code, body)
+	}
+
+	ib := func(nodes int) string { return fmt.Sprintf(`{"env":"InfiniBand","nodes":%d}`, nodes) }
+	for n := 1; n < maxFleets; n++ {
+		mustSubmit(ib(n), fmt.Sprintf("f%02d", n))
+	}
+	if code, body := submit(ib(maxFleets), "f-over"); code != http.StatusTooManyRequests {
+		t.Fatalf("fleet %d while all hold live jobs: %d %s, want 429", maxFleets+1, code, body)
+	}
+
+	for _, id := range []string{"f01", "f02"} {
+		if code, body := do(t, http.MethodDelete, srv.URL+"/v1/jobs/"+id, ""); code != http.StatusOK {
+			t.Fatalf("drain %s: %d %s", id, code, body)
+		}
+	}
+	var drained []string
+	for _, f := range listFleets(t, srv).Fleets {
+		if f.Jobs == 0 {
+			drained = append(drained, f.Fleet)
+		}
+	}
+	if len(drained) != 2 {
+		t.Fatalf("%d drained fleets listed, want 2", len(drained))
+	}
+	victim, survivor := drained[0], drained[1] // listing is fingerprint-ordered
+	mustSubmit(ib(maxFleets), "f-over")
+
+	listed := map[string]int{}
+	for _, f := range listFleets(t, srv).Fleets {
+		listed[f.Fleet] = f.Jobs
+	}
+	if _, ok := listed[victim]; ok || len(listed) != maxFleets {
+		t.Fatalf("after eviction: %d fleets, victim listed %v", len(listed), ok)
+	}
+	if jobs, ok := listed[survivor]; !ok || jobs != 0 {
+		t.Fatalf("the higher-fingerprint drained fleet was not kept: %v", listed)
+	}
+	journal := s.fleets.journalPath(victim)
+	for _, path := range []string{journal, journal + ".snap"} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("evicted fleet left %s behind (stat: %v)", path, err)
+		}
+	}
+	if _, err := os.Stat(s.fleets.journalPath(survivor)); err != nil {
+		t.Fatalf("the kept drained fleet lost its journal: %v", err)
+	}
+
+	srv.Close()
+	if err := s.AbortOperators(); err != nil {
+		t.Fatal(err)
+	}
+	_, srv2 := newOperatorServer(t, pool, dir, fleet.NewFakeClock())
+	if got := len(listFleets(t, srv2).Fleets); got != maxFleets {
+		t.Fatalf("restart recovered %d fleets, want %d", got, maxFleets)
 	}
 }
 

@@ -14,17 +14,12 @@ import (
 	"holmes/internal/serve"
 )
 
-// newOperatorServer builds an operator-mode test server over dir driven
-// by a fake clock, sharing one pool across restarts of the same dir.
+// newOperatorServer builds a test server whose fleets journal under dir
+// on the given clock, sharing one pool across restarts of the same dir.
 func newOperatorServer(t *testing.T, pool *serve.Pool, dir string, clock fleet.Clock) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServerPool(pool)
-	if _, err := s.EnableOperator(OperatorMode{JournalDir: dir, Clock: clock}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-	return s, srv
+	return s, startServer(t, s, dir, clock)
 }
 
 func opJobBody(id string, gpus int, policy string) string {

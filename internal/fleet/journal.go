@@ -161,17 +161,24 @@ func PeekSpec(journalPath, snapshotPath string) (Spec, bool, error) {
 }
 
 // Journal is the fsync'd append-only mutation log of one operator.
+// An in-memory journal (empty path) only numbers its records: it keeps
+// no bytes, for a fleet that need not outlive its process.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	seq  uint64
+	mu     sync.Mutex
+	f      *os.File // nil for an in-memory journal
+	path   string
+	seq    uint64
+	closed bool
 }
 
 // OpenJournal opens (or creates) the journal at path, decodes the
 // surviving records, truncates any torn tail in place, and positions
-// for appending. The returned records are what recovery replays.
+// for appending. The returned records are what recovery replays. An
+// empty path opens an in-memory journal with nothing to recover.
 func OpenJournal(path string) (*Journal, []Record, error) {
+	if path == "" {
+		return &Journal{}, nil, nil
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -236,19 +243,21 @@ func (j *Journal) SeedSeq(seq uint64) {
 func (j *Journal) Append(rec Record) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.closed {
 		return 0, fmt.Errorf("fleet: journal %s is closed", j.path)
 	}
 	rec.Seq = j.seq + 1
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return 0, err
-	}
-	if err := j.f.Sync(); err != nil {
-		return 0, err
+	if j.f != nil {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := j.f.Write(append(line, '\n')); err != nil {
+			return 0, err
+		}
+		if err := j.f.Sync(); err != nil {
+			return 0, err
+		}
 	}
 	j.seq = rec.Seq
 	return rec.Seq, nil
@@ -260,17 +269,19 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 func (j *Journal) Reset(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.closed {
 		return fmt.Errorf("fleet: journal %s is closed", j.path)
 	}
-	if err := j.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := j.f.Seek(0, 0); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
+	if j.f != nil {
+		if err := j.f.Truncate(0); err != nil {
+			return err
+		}
+		if _, err := j.f.Seek(0, 0); err != nil {
+			return err
+		}
+		if err := j.f.Sync(); err != nil {
+			return err
+		}
 	}
 	if seq > j.seq {
 		j.seq = seq
@@ -282,6 +293,10 @@ func (j *Journal) Reset(seq uint64) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return nil
+	}
+	j.closed = true
 	if j.f == nil {
 		return nil
 	}

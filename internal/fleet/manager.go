@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -15,6 +16,15 @@ import (
 // the full set on demand, so an unbounded set would let one tenant make
 // every poll arbitrarily expensive.
 const MaxJobs = 64
+
+// Submit refusals callers classify with errors.Is.
+var (
+	// ErrJobExists: the fleet already holds the job ID, or has already
+	// run it to completion.
+	ErrJobExists = errors.New("job already exists")
+	// ErrFleetFull: the fleet already holds MaxJobs live jobs.
+	ErrFleetFull = errors.New("fleet is full")
+)
 
 // Manager is the concurrent face of the scheduler for the serve API:
 // jobs are submitted, polled, and cancelled from any number of
@@ -122,10 +132,10 @@ func (m *Manager) Submit(j Job) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.jobs[j.ID]; dup {
-		return fmt.Errorf("fleet: job %q already exists", j.ID)
+		return fmt.Errorf("fleet: %w: %q", ErrJobExists, j.ID)
 	}
 	if len(m.jobs) >= MaxJobs {
-		return fmt.Errorf("fleet: fleet already holds %d jobs (the per-fleet limit)", MaxJobs)
+		return fmt.Errorf("fleet: %w (%d jobs, the per-fleet limit)", ErrFleetFull, MaxJobs)
 	}
 	m.jobs[j.ID] = j
 	m.invalidateFrom(j.Submit)

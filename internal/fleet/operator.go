@@ -21,7 +21,9 @@ import (
 // event loop wakes exactly at the next placement edge or scenario
 // instant, completed work is retired at idle barriers — and every
 // mutation is journaled so a restarted process recovers its fleet and
-// resumes scheduling bit-identically to a process that never died.
+// resumes scheduling bit-identically to a process that never died. With
+// no journal path the same operator runs in memory: it schedules and
+// publishes identically but keeps nothing across a restart.
 //
 // Determinism across a crash is the design center:
 //
@@ -41,11 +43,11 @@ type Operator struct {
 	clock Clock
 	j     *Journal
 
-	mu       sync.Mutex
-	spec     Spec
-	snapPath string
-	base     float64 // operator wall instant at construction (recovery resumes here)
-	epoch    float64 // clock reading at construction
+	mu        sync.Mutex
+	spec      Spec
+	snapPath  string
+	base      float64 // operator wall instant at construction (recovery resumes here)
+	epoch     float64 // clock reading at construction
 	done      map[string]Placement
 	doneIDs   []string // retirement order, for stable snapshots
 	sinceSnp  int      // journal records since the last snapshot
@@ -72,7 +74,9 @@ type OperatorConfig struct {
 	// Clock drives the operator (nil = NewRealClock). Tests inject a
 	// FakeClock to make whole operator lifetimes deterministic.
 	Clock Clock
-	// Journal is the path of the fsync'd mutation log (required).
+	// Journal is the path of the fsync'd mutation log. Empty means an
+	// in-memory fleet: records are only numbered (events still carry
+	// journal_seq), and no snapshot is read or written.
 	Journal string
 	// Snapshot is the snapshot document path ("" = Journal + ".snap").
 	Snapshot string
@@ -97,13 +101,13 @@ type OperatorConfig struct {
 // match the recorded one — and resumes the wall clock from the
 // recovered instant.
 func NewOperator(eng *engine.Engine, spec Spec, cfg OperatorConfig) (*Operator, error) {
-	if cfg.Journal == "" {
-		return nil, fmt.Errorf("fleet: operator needs a journal path")
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = NewRealClock()
 	}
-	if cfg.Snapshot == "" {
+	switch {
+	case cfg.Journal == "":
+		cfg.Snapshot = "" // in-memory: no durable state at all
+	case cfg.Snapshot == "":
 		cfg.Snapshot = cfg.Journal + ".snap"
 	}
 	if cfg.SnapshotEvery <= 0 {
@@ -111,14 +115,16 @@ func NewOperator(eng *engine.Engine, spec Spec, cfg OperatorConfig) (*Operator, 
 	}
 
 	var snap *FleetSnapshot
-	if data, err := os.ReadFile(cfg.Snapshot); err == nil {
-		s, err := DecodeFleetSnapshot(data)
-		if err != nil {
-			return nil, err // reject-all: a corrupt snapshot never half-loads
+	if cfg.Snapshot != "" {
+		if data, err := os.ReadFile(cfg.Snapshot); err == nil {
+			s, err := DecodeFleetSnapshot(data)
+			if err != nil {
+				return nil, err // reject-all: a corrupt snapshot never half-loads
+			}
+			snap = &s
+		} else if !os.IsNotExist(err) {
+			return nil, err
 		}
-		snap = &s
-	} else if !os.IsNotExist(err) {
-		return nil, err
 	}
 	j, recs, err := OpenJournal(cfg.Journal)
 	if err != nil {
@@ -449,7 +455,7 @@ func (o *Operator) Submit(j Job) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, dup := o.done[j.ID]; dup {
-		return fmt.Errorf("fleet: job %q already ran to completion", j.ID)
+		return fmt.Errorf("fleet: job %q already ran to completion (%w)", j.ID, ErrJobExists)
 	}
 	at := o.now()
 	if j.Submit == 0 {
@@ -687,11 +693,14 @@ func (o *Operator) nextEdge() float64 {
 // the re-arm (nextEdge then sees only the past and returns +Inf), and
 // a tick is the only thing that processes an edge already behind us.
 // Ticking is idempotent, so ticking on a wake that has nothing due is
-// harmless.
+// harmless. Edges are operator instants while the timer counts clock
+// time, so the edge is converted before arming (base and epoch are
+// fixed at construction); arming the raw edge would fire early on any
+// operator born after its clock's epoch and spin until the edge.
 func (o *Operator) loop() {
 	defer o.wg.Done()
 	for {
-		timer := o.clock.After(o.nextEdge())
+		timer := o.clock.After(o.nextEdge() - o.base + o.epoch)
 		select {
 		case <-o.stop:
 			return
@@ -738,6 +747,10 @@ func (o *Operator) tryRetireLocked() error {
 		ids = append(ids, p.JobID)
 	}
 	sort.Strings(ids)
+	// Publish final states first: the clock may have crossed a finish
+	// edge since the caller's last scan, and a job must never retire
+	// without its "done".
+	o.publishLocked()
 	// Capture the jobs before retiring: if the retire record cannot be
 	// journaled, the retirement is undone (jobs resubmitted, done
 	// entries dropped) so memory never runs ahead of durable state.
@@ -780,6 +793,10 @@ func (o *Operator) tryRetireLocked() error {
 // elsewhere. On any failure the journal is left intact, so recovery
 // still replays the full record set.
 func (o *Operator) snapshotLocked() error {
+	if o.snapPath == "" {
+		o.sinceSnp = 0 // in-memory: there is nothing to make durable
+		return nil
+	}
 	snap := FleetSnapshot{
 		Seq:      o.j.Seq(),
 		Now:      o.now(),

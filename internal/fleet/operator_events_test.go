@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,11 +18,11 @@ import (
 // loop already stopped: the test is the only driver, so every tick
 // happens at a scripted instant and the stream has exactly one
 // possible interleaving.
-func eventOp(t *testing.T, eng *engine.Engine, dir string, clock Clock, hub *events.Hub) *Operator {
+func eventOp(t *testing.T, eng *engine.Engine, journal string, clock Clock, hub *events.Hub) *Operator {
 	t.Helper()
 	op, err := NewOperator(eng, Spec{Env: "Hybrid", Nodes: 4}, OperatorConfig{
 		Clock:         clock,
-		Journal:       filepath.Join(dir, "fleet.journal"),
+		Journal:       journal,
 		SnapshotEvery: 1000,
 		Events:        hub,
 	})
@@ -32,14 +33,15 @@ func eventOp(t *testing.T, eng *engine.Engine, dir string, clock Clock, hub *eve
 	return op
 }
 
-// scriptedStream drives the shared soak script on a fresh operator and
-// returns its full event stream as NDJSON bytes.
-func scriptedStream(t *testing.T) []byte {
+// scriptedStream drives the shared soak script on a fresh operator
+// journaling at journal ("" = in memory) and returns its full event
+// stream as NDJSON bytes.
+func scriptedStream(t *testing.T, journal string) []byte {
 	t.Helper()
 	eng := engine.New(engine.Config{})
 	clock := NewFakeClock()
 	hub := events.NewHub()
-	op := eventOp(t, eng, t.TempDir(), clock, hub)
+	op := eventOp(t, eng, journal, clock, hub)
 	sub := hub.Subscribe(4096)
 
 	opScript(t, op, clock, 0, opScriptLen)
@@ -62,12 +64,14 @@ func scriptedStream(t *testing.T) []byte {
 // the determinism contract: two runs of the same script (explicit
 // clock instants, explicit ticks) publish byte-identical streams —
 // job transitions stamped with their schedule edges, scenario edges
-// with their own instants, mutations with their journal sequence.
+// with their own instants, mutations with their journal sequence. Run
+// B keeps its fleet in memory: without a journal file the operator
+// must still number, schedule and publish exactly as a durable one.
 func TestOperatorEventStreamDeterministic(t *testing.T) {
-	a := scriptedStream(t)
-	b := scriptedStream(t)
+	a := scriptedStream(t, filepath.Join(t.TempDir(), "fleet.journal"))
+	b := scriptedStream(t, "")
 	if !bytes.Equal(a, b) {
-		t.Fatalf("event streams differ across identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", a, b)
+		t.Fatalf("event streams differ across identical runs:\n--- run A (durable) ---\n%s\n--- run B (in memory) ---\n%s", a, b)
 	}
 	if len(a) == 0 {
 		t.Fatal("scripted run published no events")
@@ -111,6 +115,51 @@ func TestOperatorEventStreamDeterministic(t *testing.T) {
 	}
 }
 
+// scriptClock serves scripted readings in order, then repeats the last.
+// Its timers never fire: tests using it drive ticks by hand.
+type scriptClock struct {
+	mu       sync.Mutex
+	readings []float64
+	last     float64
+}
+
+func (c *scriptClock) Now() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.readings) > 0 {
+		c.last, c.readings = c.readings[0], c.readings[1:]
+	}
+	return c.last
+}
+
+func (c *scriptClock) After(float64) <-chan struct{} { return make(chan struct{}) }
+
+// TestOperatorRetirePublishesDone: a tick whose first clock reading
+// lands just short of the finish edge and whose retire check lands past
+// it must still publish "done" before the retire event.
+func TestOperatorRetirePublishesDone(t *testing.T) {
+	clock := &scriptClock{}
+	hub := events.NewHub()
+	op := eventOp(t, engine.New(engine.Config{}), "", clock, hub)
+	sub := hub.Subscribe(64)
+	must(t, op.Submit(Job{ID: "solo", GPUs: 8, Iterations: 1, Model: pg1()}))
+	st, _, err := op.Job("solo")
+	must(t, err)
+	clock.mu.Lock()
+	clock.readings = []float64{st.Finish - 1, st.Finish + 1} // the tick's scan, then its retire check
+	clock.mu.Unlock()
+	op.tick()
+	must(t, op.Abort())
+	hub.Close()
+	var got []string
+	for ev := range sub.Events() {
+		got = append(got, ev.Kind+":"+ev.State)
+	}
+	if want := "job:queued job:running job:done retire:"; strings.Join(got, " ") != want {
+		t.Fatalf("stream %v, want %s", got, want)
+	}
+}
+
 // TestOperatorEventStreamMatchesJournal pins the stream to the
 // journal: every mutation event carries the sequence of the record
 // that made it durable, in exactly the journal's record order.
@@ -119,7 +168,7 @@ func TestOperatorEventStreamMatchesJournal(t *testing.T) {
 	clock := NewFakeClock()
 	hub := events.NewHub()
 	dir := t.TempDir()
-	op := eventOp(t, eng, dir, clock, hub)
+	op := eventOp(t, eng, filepath.Join(dir, "fleet.journal"), clock, hub)
 	sub := hub.Subscribe(4096)
 
 	opScript(t, op, clock, 0, opScriptLen) // no retirement: journal keeps every record
@@ -218,8 +267,8 @@ func TestOperatorHasRetireRace(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		must(t, op.Submit(Job{ID: ids[i], GPUs: 8, Iterations: 1, Model: pg1()}))
 		submitted.Store(int32(i + 1))
-		clock.Advance(2000)       // past the finish edge
-		for op.Len() > 0 {        // idle barrier: this tick retires
+		clock.Advance(2000) // past the finish edge
+		for op.Len() > 0 {  // idle barrier: this tick retires
 			op.tick()
 		}
 	}

@@ -145,8 +145,14 @@ func TestOperatorLifecycle(t *testing.T) {
 func opScript(t *testing.T, op *Operator, clock *FakeClock, from, to int) {
 	t.Helper()
 	steps := []func(){
-		func() { at(op, clock, 1); must(t, op.Submit(Job{ID: "w1", GPUs: 16, Iterations: 3, Model: pg1(), Tenant: "t1"})) },
-		func() { at(op, clock, 2); must(t, op.Submit(Job{ID: "w2", GPUs: 16, Iterations: 3, Model: pg1(), Priority: 1})) },
+		func() {
+			at(op, clock, 1)
+			must(t, op.Submit(Job{ID: "w1", GPUs: 16, Iterations: 3, Model: pg1(), Tenant: "t1"}))
+		},
+		func() {
+			at(op, clock, 2)
+			must(t, op.Submit(Job{ID: "w2", GPUs: 16, Iterations: 3, Model: pg1(), Priority: 1}))
+		},
 		func() { at(op, clock, 3); must(t, op.SetPolicy("priority")) },
 		func() {
 			at(op, clock, 4)
@@ -156,14 +162,20 @@ func opScript(t *testing.T, op *Operator, clock *FakeClock, from, to int) {
 			at(op, clock, 5)
 			must(t, op.Submit(Job{ID: "w3", GPUs: 32, Iterations: 1, Model: pg1(), Priority: 3, Deadline: 900}))
 		},
-		func() { at(op, clock, 6); must(t, op.Submit(Job{ID: "w4", GPUs: 8, Iterations: 2, Model: pg1(), Tenant: "t1"})) },
+		func() {
+			at(op, clock, 6)
+			must(t, op.Submit(Job{ID: "w4", GPUs: 8, Iterations: 2, Model: pg1(), Tenant: "t1"}))
+		},
 		func() {
 			at(op, clock, 8)
 			if _, err := op.Cancel("w4"); err != nil {
 				t.Fatal(err)
 			}
 		},
-		func() { at(op, clock, 9); must(t, op.Submit(Job{ID: "w5", GPUs: 8, Iterations: 1, Model: pg1(), Weight: 2})) },
+		func() {
+			at(op, clock, 9)
+			must(t, op.Submit(Job{ID: "w5", GPUs: 8, Iterations: 1, Model: pg1(), Weight: 2}))
+		},
 	}
 	for i := from; i < to; i++ {
 		steps[i]()
@@ -446,4 +458,37 @@ func TestOperatorEventLoopRetires(t *testing.T) {
 	if got := op.Done(); len(got) != 1 || got[0].JobID != "solo" {
 		t.Fatalf("done = %+v, want the solo job", got)
 	}
+}
+
+// TestOperatorLoopArmsClockTime: the loop arms its timer in clock time.
+// An operator born at clock instant 1e4 counts its own time from 0, so
+// a finish edge at operator instant F must arm the clock at 1e4+F;
+// arming F itself fires at once and spins until the edge.
+func TestOperatorLoopArmsClockTime(t *testing.T) {
+	clock := NewFakeClock()
+	clock.Set(1e4)
+	op := testOp(t, engine.New(engine.Config{}), t.TempDir(), clock, 1000)
+	defer op.Abort()
+	must(t, op.Submit(Job{ID: "solo", GPUs: 8, Iterations: 1, Model: pg1()}))
+	st, _, err := op.Job("solo")
+	must(t, err)
+	deadline := time.Now().Add(10 * time.Second)
+	for !clock.armed(1e4 + st.Finish) {
+		if time.Now().After(deadline) {
+			t.Fatalf("loop never armed clock instant %g", 1e4+st.Finish)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// armed reports whether a waiter is pending at clock instant at.
+func (c *FakeClock) armed(at float64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.waiters {
+		if w.at == at {
+			return true
+		}
+	}
+	return false
 }
