@@ -132,9 +132,10 @@ type (
 	FleetSchedule = fleet.Schedule
 	// FleetPlacement is one job's slot in a fleet schedule.
 	FleetPlacement = fleet.Placement
-	// FleetManager is the concurrent fleet front end the serve API uses:
-	// submit, poll, and cancel jobs; every observer reads the
-	// deterministic schedule of the live job set.
+	// FleetManager is the concurrent fleet front end every FleetOperator
+	// drives: submit, poll, and cancel jobs; every observer reads the
+	// deterministic schedule of the live job set. A manager on an engine
+	// with FullRecompute set replays every schedule from scratch.
 	FleetManager = fleet.Manager
 	// FleetOperator is the always-on face of one fleet: a FleetManager
 	// driven by a wall clock and backed by an fsync'd mutation journal,
@@ -382,7 +383,7 @@ func Experiments() []string { return append([]string(nil), experiments.Names...)
 func DefaultOptions(fw Framework) Options { return trainer.DefaultOptions(fw) }
 
 // Version identifies the reproduction release.
-const Version = "1.4.0"
+const Version = "1.5.0"
 
 // Describe renders a short summary of a topology (clusters, NICs, GPUs).
 func Describe(topo *Topology) string {

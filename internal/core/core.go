@@ -41,14 +41,10 @@ type Planner struct {
 	Framework trainer.Framework
 	// Opt overrides the framework profile (nil = profile defaults).
 	Opt *trainer.Options
-	// Engine supplies the communicator cache and the search worker pool.
-	// Nil falls back to the shared default engine.
+	// Engine supplies the communicator cache and the search worker pool;
+	// its FullRecompute knob selects the exhaustive search oracle. Nil
+	// falls back to the shared default engine.
 	Engine *engine.Engine
-	// Exhaustive disables lower-bound pruning and the search-winner memo:
-	// every feasible cell is event-simulated, as the historical search
-	// did. The engine's FullRecompute knob implies it, so the oracle arm
-	// of the differential tests stays one switch.
-	Exhaustive bool
 }
 
 // Plan is one concrete scheduling decision.
@@ -192,17 +188,17 @@ func (pl *Planner) SearchSpace() []parallel.Degrees {
 // whose bound cannot beat the incumbent; the winner of a successful
 // search is memoized on the engine's plan cache so identical searches
 // replay with one simulation. The exhaustive scan stays behind the
-// engine's FullRecompute knob (and Planner.Exhaustive) as the
-// bit-identical oracle: winner, Report, and error semantics are
-// identical because the bound is admissible (a pruned cell's true
-// throughput can never exceed its bound, hence never beat the final
-// incumbent), pruning only begins once an incumbent exists (the all-fail
-// case still simulates every cell, so the first-by-input-order error is
-// preserved), and the incumbent fold — better throughput, or equal
-// throughput at a smaller input index — is order-independent.
+// engine's FullRecompute knob as the bit-identical oracle: winner,
+// Report, and error semantics are identical because the bound is
+// admissible (a pruned cell's true throughput can never exceed its
+// bound, hence never beat the final incumbent), pruning only begins once
+// an incumbent exists (the all-fail case still simulates every cell, so
+// the first-by-input-order error is preserved), and the incumbent fold —
+// better throughput, or equal throughput at a smaller input index — is
+// order-independent.
 func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, error) {
 	eng := pl.engine()
-	if eng.FullRecompute() || pl.Exhaustive {
+	if eng.FullRecompute() {
 		return pl.searchExhaustive(cells)
 	}
 	memoKey := pl.searchMemoKey(space)

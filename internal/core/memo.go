@@ -16,8 +16,8 @@ import (
 // identical search replays the winner with a single Plan simulation
 // instead of walking the space again; because planning is deterministic,
 // the replayed Plan (and its Report) is bit-identical to the one the
-// original search returned. The oracle arms (engine FullRecompute,
-// Planner.Exhaustive) bypass the memo entirely.
+// original search returned. The oracle arm (engine FullRecompute)
+// bypasses the memo entirely.
 //
 // Unlike the fleet scheduler's plan-cache entries — live planner
 // pointers, inherently process-local — the memo entry is a pair of small

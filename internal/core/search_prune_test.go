@@ -1,35 +1,44 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"holmes/internal/engine"
 	"holmes/internal/model"
+	"holmes/internal/scenario"
 	"holmes/internal/topology"
 	"holmes/internal/trainer"
 )
 
 // The pruned joint search is a pure performance change: its winner, the
 // winner's full report, and its error behaviour must be bit-identical to
-// the exhaustive scan it replaced (Planner.Exhaustive, the reference
-// arm). These tests run both arms on fresh engines — fresh so neither
-// the winner memo nor the communicator cache lets one arm see the
-// other's work — and compare everything observable.
+// the exhaustive scan it replaced (the reference arm, selected by the
+// engine's FullRecompute knob). The pruned arm runs on a fresh engine
+// per search, so neither the winner memo nor the communicator cache lets
+// it see earlier work; the oracle arm never reads or writes the memo, so
+// one oracle engine serves a whole test.
 
-// newArm builds a planner on its own engine.
-func newArm(t *testing.T, env topology.EnvName, nodes, group int, exhaustive bool) *Planner {
+// newOracle builds the engine every oracle arm of one test shares.
+func newOracle() *engine.Engine { return engine.New(engine.Config{FullRecompute: true}) }
+
+// newArm builds a planner on the given engine (nil = a fresh default
+// engine, the pruned arm).
+func newArm(t *testing.T, eng *engine.Engine, env topology.EnvName, nodes, group int) *Planner {
 	t.Helper()
 	topo, err := topology.Env(env, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPlannerOn(engine.New(engine.Config{}), topo, model.Group(group).Spec)
+	if eng == nil {
+		eng = engine.New(engine.Config{})
+	}
+	pl, err := NewPlannerOn(eng, topo, model.Group(group).Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.Exhaustive = exhaustive
 	return pl
 }
 
@@ -60,13 +69,14 @@ func comparePlans(t *testing.T, label string, got, want *Plan, gotErr, wantErr e
 // TestSearchPlanMatchesExhaustive is the Table-3-shaped differential:
 // every environment, both node counts, two parameter groups.
 func TestSearchPlanMatchesExhaustive(t *testing.T) {
+	oracleEng := newOracle()
 	for _, env := range []topology.EnvName{
 		topology.EnvInfiniBand, topology.EnvRoCE, topology.EnvEthernet, topology.EnvHybrid,
 	} {
 		for _, nodes := range []int{4, 8} {
 			for _, group := range []int{1, 3} {
-				pruned := newArm(t, env, nodes, group, false)
-				oracle := newArm(t, env, nodes, group, true)
+				pruned := newArm(t, nil, env, nodes, group)
+				oracle := newArm(t, oracleEng, env, nodes, group)
 				got, gotErr := pruned.SearchPlan()
 				want, wantErr := oracle.SearchPlan()
 				label := string(env) + "/" + string(rune('0'+nodes)) + "n/group" + string(rune('0'+group))
@@ -91,7 +101,7 @@ func TestSearchPlanMatchesExhaustive(t *testing.T) {
 // on at least one representative cell the bound must rule out candidates
 // without simulating them.
 func TestSearchPlanPrunesSomething(t *testing.T) {
-	pl := newArm(t, topology.EnvHybrid, 8, 1, false)
+	pl := newArm(t, nil, topology.EnvHybrid, 8, 1)
 	if _, err := pl.SearchPlan(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +115,10 @@ func TestSearchPlanPrunesSomething(t *testing.T) {
 // TestSearchPipelineMatchesExhaustive covers the single-axis restriction
 // of the same code path.
 func TestSearchPipelineMatchesExhaustive(t *testing.T) {
+	oracleEng := newOracle()
 	for _, tile := range []int{1, 2} {
-		pruned := newArm(t, topology.EnvRoCE, 4, 1, false)
-		oracle := newArm(t, topology.EnvRoCE, 4, 1, true)
+		pruned := newArm(t, nil, topology.EnvRoCE, 4, 1)
+		oracle := newArm(t, oracleEng, topology.EnvRoCE, 4, 1)
 		got, gotErr := pruned.SearchPipeline(tile)
 		want, wantErr := oracle.SearchPipeline(tile)
 		comparePlans(t, "t="+string(rune('0'+tile)), got, want, gotErr, wantErr)
@@ -119,6 +130,7 @@ func TestSearchPipelineMatchesExhaustive(t *testing.T) {
 // in CI like every test.
 func TestSearchPlanMatchesExhaustiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	oracleEng := newOracle()
 	envs := []topology.EnvName{
 		topology.EnvInfiniBand, topology.EnvRoCE, topology.EnvEthernet, topology.EnvHybrid,
 	}
@@ -132,9 +144,9 @@ func TestSearchPlanMatchesExhaustiveRandomized(t *testing.T) {
 		opt.SelfAdaptingPartition = rng.Intn(2) == 0
 		opt.ExtraDPTraffic = 1 + rng.Float64()
 
-		pruned := newArm(t, env, nodes, group, false)
+		pruned := newArm(t, nil, env, nodes, group)
 		pruned.Framework, pruned.Opt = fw, &opt
-		oracle := newArm(t, env, nodes, group, true)
+		oracle := newArm(t, oracleEng, env, nodes, group)
 		oracle.Framework, oracle.Opt = fw, &opt
 
 		got, gotErr := pruned.SearchPlan()
@@ -147,7 +159,7 @@ func TestSearchPlanMatchesExhaustiveRandomized(t *testing.T) {
 // engine: the second run must be answered by the winner memo (one replay
 // simulation) and return a bit-identical plan.
 func TestSearchMemoReplaysIdentically(t *testing.T) {
-	pl := newArm(t, topology.EnvHybrid, 4, 1, false)
+	pl := newArm(t, nil, topology.EnvHybrid, 4, 1)
 	first, err := pl.SearchPlan()
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +186,10 @@ func TestSearchMemoReplaysIdentically(t *testing.T) {
 	}
 }
 
-// TestExhaustiveArmSkipsMemo: the oracle arms must not read or write the
-// winner memo, or they would stop being independent evidence.
+// TestExhaustiveArmSkipsMemo: the oracle arm must not read or write the
+// winner memo, or it would stop being independent evidence.
 func TestExhaustiveArmSkipsMemo(t *testing.T) {
-	pl := newArm(t, topology.EnvRoCE, 4, 1, true)
+	pl := newArm(t, newOracle(), topology.EnvRoCE, 4, 1)
 	for i := 0; i < 2; i++ {
 		if _, err := pl.SearchPlan(); err != nil {
 			t.Fatal(err)
@@ -190,26 +202,41 @@ func TestExhaustiveArmSkipsMemo(t *testing.T) {
 }
 
 // TestFullRecomputeEngineImpliesExhaustive: the engine-level oracle knob
-// must route searches down the exhaustive path without touching the
-// planner flag.
+// alone must route a search down the exhaustive path — every candidate
+// cell simulated to completion, none pruned, aborted or memoized.
 func TestFullRecomputeEngineImpliesExhaustive(t *testing.T) {
-	topo, err := topology.Env(topology.EnvRoCE, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewPlannerOn(engine.New(engine.Config{FullRecompute: true}), topo, model.Group(1).Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := newArm(t, newOracle(), topology.EnvRoCE, 4, 1)
 	if _, err := pl.SearchPlan(); err != nil {
 		t.Fatal(err)
 	}
 	st := pl.Engine.SearchStats()
-	if st.Pruned != 0 || st.MemoHits != 0 {
-		t.Fatalf("full-recompute engine still pruned or memoized: %+v", st)
+	if st.Pruned != 0 || st.Aborted != 0 || st.MemoHits != 0 {
+		t.Fatalf("full-recompute engine still pruned, aborted or memoized: %+v", st)
 	}
-	if st.Simulated == 0 {
-		t.Fatalf("no cells simulated: %+v", st)
+	if cells := len(pl.SearchSpace()); st.Simulated != uint64(cells) {
+		t.Fatalf("simulated %d of %d cells: %+v", st.Simulated, cells, st)
+	}
+}
+
+// TestReplanOnOracleEngineStaysExhaustive: both searches of a replan —
+// the pristine baseline and the one on the effective topology — must
+// take the oracle path. ReplanFrom builds the second search's planner
+// itself, so the oracle can only reach it through the shared engine.
+func TestReplanOnOracleEngineStaysExhaustive(t *testing.T) {
+	pl := newArm(t, newOracle(), topology.EnvHybrid, 8, 1)
+	sc := &scenario.Scenario{
+		Name:   "node-0-down",
+		Events: []scenario.Event{{Kind: scenario.FailNode, At: 0, Node: 0}},
+	}
+	if _, err := pl.ReplanOn(sc, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	st := pl.Engine.SearchStats()
+	if st.Searches != 2 {
+		t.Fatalf("replan ran %d searches, want 2: %+v", st.Searches, st)
+	}
+	if st.Pruned != 0 || st.Aborted != 0 || st.MemoHits != 0 {
+		t.Fatalf("replan on an oracle engine left the exhaustive path: %+v", st)
 	}
 }
 
@@ -226,11 +253,10 @@ func TestSearchErrorIdenticalWhenNothingFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := NewPlannerOn(engine.New(engine.Config{}), topo, spec)
+	oracle, err := NewPlannerOn(newOracle(), topo, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle.Exhaustive = true
 	_, prunedErr := pruned.SearchPlan()
 	_, oracleErr := oracle.SearchPlan()
 	if prunedErr == nil || oracleErr == nil {

@@ -1,7 +1,7 @@
 // Package engine owns the process-wide resources the Holmes stack used to
 // keep in package-level mutable state: the communicator (assignment +
 // world) cache, the slice-plan cache, the bounded worker pool, and the
-// netsim execution knobs.
+// oracle switch.
 //
 // An Engine is immutable after construction — its configuration cannot
 // change, and its caches are internally synchronized — so any number of
@@ -35,10 +35,12 @@ type Config struct {
 	// PlanCacheSize bounds the shared slice-plan cache (entries). 0 means
 	// DefaultPlanCacheSize; negative disables caching.
 	PlanCacheSize int
-	// FullRecompute makes every simulation run on the netsim
-	// full-recompute oracle instead of the incremental rebalancer — the
-	// reference arm of the equivalence tests and of
-	// `holmes-bench -mode=baseline`.
+	// FullRecompute selects every reference arm at once: simulations
+	// rebalance the whole netsim fabric from scratch, searches simulate
+	// every candidate (no pruning, no winner memo), and fleet managers
+	// replay every schedule from virtual time zero. It is the oracle the
+	// differential tests compare each fast path against, and the mode of
+	// `holmes-bench -mode=baseline` and `holmes-serve -full-recompute`.
 	FullRecompute bool
 }
 
@@ -90,9 +92,9 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// defaultEngine backs the deprecated package-level entry points
-// (core.NewPlanner with a nil engine, experiments.Run, holmes.Plan, ...).
-// It is constructed once and never mutated, so sharing it is safe.
+// defaultEngine backs every entry point handed a nil engine
+// (core.NewPlanner, experiments.NewSuite, fleet.NewScheduler, holmes.Plan,
+// ...). It is constructed once and never mutated, so sharing it is safe.
 var defaultEngine = sync.OnceValue(func() *Engine { return New(Config{}) })
 
 // Default returns the shared process-wide Engine with default settings.
@@ -101,8 +103,8 @@ func Default() *Engine { return defaultEngine() }
 // Concurrency reports the worker-pool bound.
 func (e *Engine) Concurrency() int { return e.concurrency }
 
-// FullRecompute reports whether simulations must use the netsim
-// full-recompute oracle.
+// FullRecompute reports whether the engine runs every reference arm
+// (see Config.FullRecompute).
 func (e *Engine) FullRecompute() bool { return e.fullRecompute }
 
 // Go executes fn(i) for every i in [0, n) on the engine's bounded worker

@@ -13,8 +13,8 @@ import (
 
 // The incremental scheduler's contract is bit-identity with the
 // from-scratch replay: the tests here drive both paths — the recorded
-// checkpoint/resume Manager and a SetFullRecompute(true) oracle Manager
-// — through identical mutation sequences and require byte-equal
+// checkpoint/resume Manager and an oracle Manager on a FullRecompute
+// engine — through identical mutation sequences and require byte-equal
 // schedules after every step.
 
 func marshalSched(t *testing.T, s *Schedule) string {
@@ -64,6 +64,7 @@ func joinLog(log []string) string {
 func TestIncrementalMatchesOracleRandomized(t *testing.T) {
 	topo := hybridTopo(t)
 	eng := engine.New(engine.Config{})
+	oracleEng := engine.New(engine.Config{FullRecompute: true})
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -72,11 +73,10 @@ func TestIncrementalMatchesOracleRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := NewManager(eng, topo)
+			oracle, err := NewManager(oracleEng, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.SetFullRecompute(true)
 			var log []string
 			var ids []string
 			nextID := 0
@@ -218,11 +218,10 @@ func TestIncrementalFleet12MatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := NewManager(eng, topo)
+	oracle, err := NewManager(engine.New(engine.Config{FullRecompute: true}), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle.SetFullRecompute(true)
 	var log []string
 	step := func(desc string, f func(m *Manager) error) {
 		log = append(log, desc)

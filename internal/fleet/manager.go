@@ -39,10 +39,10 @@ var (
 // invalidates only the checkpoints at or after its change point (the
 // submit time of an added or cancelled job, the timestamp of a scenario
 // event). The next Schedule call resumes from the newest surviving
-// checkpoint instead of replaying from virtual time zero.
-// SetFullRecompute(true) disables the checkpoint path entirely — the
-// from-scratch replay is the differential oracle the incremental path is
-// tested against, and by construction both produce bit-identical
+// checkpoint instead of replaying from virtual time zero. A manager on
+// an engine with FullRecompute set keeps no checkpoints and replays
+// every schedule from scratch — the differential oracle the incremental
+// path is tested against; by construction both produce bit-identical
 // schedules.
 type Manager struct {
 	sch *Scheduler
@@ -55,8 +55,7 @@ type Manager struct {
 	cached  *Schedule
 	cachedV uint64
 
-	rec           recorder
-	fullRecompute bool
+	rec recorder
 }
 
 // NewManager builds a manager over one shared fleet topology on the
@@ -99,21 +98,6 @@ func (m *Manager) Policy() string {
 		return DefaultPolicy
 	}
 	return m.policy
-}
-
-// SetFullRecompute toggles the from-scratch oracle: when on, every
-// Schedule call replays the whole trace from virtual time zero and no
-// checkpoints are kept. The differential tests run one manager in each
-// mode and assert bit-identical schedules.
-func (m *Manager) SetFullRecompute(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fullRecompute == on {
-		return
-	}
-	m.fullRecompute = on
-	m.rec.reset()
-	m.cached = nil
 }
 
 // invalidateFrom records that a mutation's earliest observable effect is
@@ -249,7 +233,7 @@ func (m *Manager) Schedule() (*Schedule, error) {
 	tr := m.trace()
 	var sched *Schedule
 	var err error
-	if m.fullRecompute {
+	if m.sch.eng.FullRecompute() {
 		sched, err = m.sch.Replay(tr)
 	} else {
 		sched, err = m.sch.resume(tr, &m.rec)

@@ -25,11 +25,10 @@ func TestSetScenarioAliasingDoesNotDesync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := NewManager(eng, topo)
+	oracle, err := NewManager(engine.New(engine.Config{FullRecompute: true}), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle.SetFullRecompute(true)
 
 	jobs := []Job{
 		{ID: "a", Submit: 0, GPUs: 16, Iterations: 2, Model: pg1()},
@@ -106,5 +105,30 @@ func TestSetScenarioAliasingDoesNotDesync(t *testing.T) {
 		t.Fatal(err)
 	} else if marshalSched(t, got) != baseline {
 		t.Fatal("mutating the Scenario() return value changed the manager's schedule")
+	}
+}
+
+// TestOracleEngineKeepsNoCheckpoints pins the path Schedule takes: a
+// manager on a FullRecompute engine replays from scratch and records no
+// checkpoint, while one on a default engine records its instants for the
+// next resume. The differential tests cannot see this — both paths give
+// the same schedule — so without it an oracle arm that silently ran the
+// incremental path would still pass them.
+func TestOracleEngineKeepsNoCheckpoints(t *testing.T) {
+	topo := hybridTopo(t)
+	for _, oracle := range []bool{false, true} {
+		m, err := NewManager(engine.New(engine.Config{FullRecompute: oracle}), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Submit(Job{ID: "a", GPUs: 8, Iterations: 1, Model: pg1()}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Schedule(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(m.rec.checks); (n == 0) != oracle {
+			t.Fatalf("FullRecompute=%v: %d checkpoints after Schedule", oracle, n)
+		}
 	}
 }

@@ -188,6 +188,7 @@ func TestPolicyNeverDropsUnplaceableJob(t *testing.T) {
 func TestPolicyIncrementalMatchesOracle(t *testing.T) {
 	topo := hybridTopo(t)
 	eng := engine.New(engine.Config{})
+	oracleEng := engine.New(engine.Config{FullRecompute: true})
 	for _, name := range PolicyNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -196,11 +197,10 @@ func TestPolicyIncrementalMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := NewManager(eng, topo)
+			oracle, err := NewManager(oracleEng, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.SetFullRecompute(true)
 			if err := inc.SetPolicy(name); err != nil {
 				t.Fatal(err)
 			}
@@ -265,11 +265,10 @@ func TestPolicySwitchIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := NewManager(eng, topo)
+	oracle, err := NewManager(engine.New(engine.Config{FullRecompute: true}), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle.SetFullRecompute(true)
 	jobs := []Job{
 		{ID: "s1", Submit: 0, GPUs: 16, Iterations: 2, Model: pg1(), Tenant: "t1"},
 		{ID: "s2", Submit: 0, GPUs: 16, Iterations: 2, Model: pg1(), Tenant: "t2", Priority: 1},

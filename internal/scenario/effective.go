@@ -170,8 +170,8 @@ type impairTarget struct {
 // instant into absolute per-side impairments, in (At, declaration)
 // order: delays and jitter amplitudes sum, loss/corrupt efficiencies
 // multiply, and the latest active jitter event's distribution wins. The
-// runtime pushes exactly these values to its backend, so the folded
-// view and the live network agree by construction.
+// runtime pushes exactly these values into the fabric, so the folded
+// view and the live fabric agree by construction.
 func (s *Scenario) foldImpair(at float64) map[impairTarget]netsim.Impairment {
 	m := make(map[impairTarget]netsim.Impairment)
 	if s.Empty() {

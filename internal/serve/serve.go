@@ -43,7 +43,9 @@ type Config struct {
 	// ShardCacheSize bounds each shard's communicator cache (0 = engine
 	// default, negative = disabled).
 	ShardCacheSize int
-	// FullRecompute runs every shard on the netsim full-recompute oracle.
+	// FullRecompute runs every shard's engine in oracle mode
+	// (engine.Config.FullRecompute): full-recompute netsim, exhaustive
+	// search, and from-scratch fleet replay.
 	FullRecompute bool
 	// MaxInFlight bounds concurrently admitted requests
 	// (0 = max(8, 2×CPU count)).

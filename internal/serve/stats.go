@@ -57,9 +57,9 @@ const rateWindowSeconds = 30
 // average this replaces read near zero during a live storm after an
 // idle hour; the window reads the storm.
 type rateWindow struct {
-	mu    sync.Mutex
-	secs  [rateWindowSeconds]int64  // absolute second each bucket counts
-	hits  [rateWindowSeconds]uint64 // completions in that second
+	mu   sync.Mutex
+	secs [rateWindowSeconds]int64  // absolute second each bucket counts
+	hits [rateWindowSeconds]uint64 // completions in that second
 }
 
 // observe counts one completion at the given instant.

@@ -65,9 +65,6 @@ func LowerBound(cfg Config) (float64, error) {
 		opt = *cfg.Opt
 	}
 	calib := DefaultCalibration()
-	if cfg.Calib != nil {
-		calib = *cfg.Calib
-	}
 
 	n := cfg.Topo.NumDevices()
 	t, p := cfg.TensorSize, cfg.PipelineSize

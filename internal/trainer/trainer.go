@@ -39,8 +39,6 @@ type Config struct {
 	Framework    Framework
 	// Opt overrides the framework profile when non-nil (ablations).
 	Opt *Options
-	// Calib overrides calibration constants when non-nil.
-	Calib *Calibration
 	// World supplies prebuilt communicators (with their Assignment) so
 	// callers that already constructed them — the planner, the pipeline
 	// search — do not pay for a rebuild per simulation. It must match the
@@ -49,9 +47,9 @@ type Config struct {
 	World *comm.World
 	// Engine supplies the shared execution resources: when World is nil
 	// the communicators come from (and land in) the engine's LRU cache,
-	// and the engine's FullRecompute knob selects the netsim oracle
-	// unless an explicit Calib overrides it. Nil means build communicators
-	// ad hoc and use the incremental rebalancer.
+	// and the engine's FullRecompute knob selects the netsim oracle. Nil
+	// means build communicators ad hoc and use the incremental
+	// rebalancer.
 	Engine *engine.Engine
 	// AbortAbove, when positive, stops the event simulation as soon as
 	// the virtual clock strictly exceeds it and returns ErrAboveBound:
@@ -123,11 +121,7 @@ func Simulate(cfg Config) (Report, error) {
 		opt = *cfg.Opt
 	}
 	calib := DefaultCalibration()
-	if cfg.Calib != nil {
-		calib = *cfg.Calib
-	} else if cfg.Engine != nil && cfg.Engine.FullRecompute() {
-		calib.Net.FullRecompute = true
-	}
+	calib.Net.FullRecompute = cfg.Engine != nil && cfg.Engine.FullRecompute()
 
 	n := cfg.Topo.NumDevices()
 	t, p := cfg.TensorSize, cfg.PipelineSize
@@ -210,7 +204,7 @@ func Simulate(cfg Config) (Report, error) {
 	}
 
 	eng := sim.NewEngine()
-	fab := netsim.New(eng, cfg.Topo, calib.Net)
+	fab := newFabric(eng, cfg.Topo, calib.Net)
 
 	// Bind the scenario before the pipelines so that, at equal instants,
 	// scripted events apply ahead of training events — deterministically.
@@ -398,6 +392,10 @@ func makePartition(cfg Config, opt Options, calib Calibration, assign *parallel.
 	}
 	return partition.SelfAdapting(cfg.Spec.Layers, stages, opt.Alpha)
 }
+
+// newFabric builds the fabric an iteration runs on. It is a variable so
+// the package tests can check the parameters Simulate hands down.
+var newFabric = netsim.New
 
 // tpRingSeconds returns the wall time of one tensor-parallel ring
 // all-reduce of a micro-batch's activation tensor on the stage's

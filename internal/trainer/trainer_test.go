@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"holmes/internal/engine"
 	"holmes/internal/model"
+	"holmes/internal/netsim"
+	"holmes/internal/sim"
 	"holmes/internal/topology"
 )
 
@@ -20,6 +23,35 @@ func simulate(t *testing.T, topo *topology.Topology, groupID, p int, fw Framewor
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// TestSimulateHandsEngineOracleToFabric: the engine's FullRecompute knob
+// must reach the iteration's fabric. The two rebalancers produce
+// bit-identical reports, so only the parameters the fabric is built with
+// show which one ran.
+func TestSimulateHandsEngineOracleToFabric(t *testing.T) {
+	orig := newFabric
+	t.Cleanup(func() { newFabric = orig })
+	var got []bool
+	newFabric = func(eng *sim.Engine, topo *topology.Topology, p netsim.Params) *netsim.Fabric {
+		got = append(got, p.FullRecompute)
+		return orig(eng, topo, p)
+	}
+	pg := model.Group(1)
+	for _, oracle := range []bool{false, true} {
+		got = got[:0]
+		_, err := Simulate(Config{
+			Topo: topology.IBEnv(2), Spec: pg.Spec,
+			TensorSize: pg.TensorSize, PipelineSize: 2, Framework: Holmes,
+			Engine: engine.New(engine.Config{FullRecompute: oracle}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != oracle {
+			t.Fatalf("engine FullRecompute=%v: fabrics built with FullRecompute %v", oracle, got)
+		}
+	}
 }
 
 func TestSimulateTable1Calibration(t *testing.T) {
