@@ -456,6 +456,12 @@ const maxNodes = 512
 // scripts are a handful of events.
 const maxScenarioEvents = 256
 
+// maxMicroBatches bounds global_batch / micro_batch, the micro-batches a
+// request's data-parallel replicas share. A simulation's cost is linear
+// in micro-batches, so without it one small body could hold a shard for
+// hours; 4096 is 5x the largest in-repo use (GPT-39B, 1536 / 2 = 768).
+const maxMicroBatches = 4096
+
 // checkBounds applies the server-side resource limits to a parsed
 // config; single requests and batch items share it.
 func checkBounds(c *config.Config) error {
@@ -468,6 +474,19 @@ func checkBounds(c *config.Config) error {
 	}
 	if c.Scenario != nil && len(c.Scenario.Events) > maxScenarioEvents {
 		return fmt.Errorf("api: %d scenario events exceeds the per-request limit of %d", len(c.Scenario.Events), maxScenarioEvents)
+	}
+	if err := checkModel(c.Model); err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	return nil
+}
+
+// checkModel bounds the micro-batches a model asks for; /v1/jobs applies
+// it to each submitted job's model. It reads only the batch sizes: the
+// rest of the model is validated where the spec is resolved.
+func checkModel(m config.ModelConfig) error {
+	if n := m.MicroBatches(); n > maxMicroBatches {
+		return fmt.Errorf("model asks for %d micro-batches, over the per-request limit of %d", n, maxMicroBatches)
 	}
 	return nil
 }

@@ -362,6 +362,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), "jobs: %v", err)
 		return
 	}
+	if err := checkModel(req.Job.Model); err != nil {
+		writeError(w, http.StatusBadRequest, "jobs: %v", err)
+		return
+	}
 	topo, err := req.Fleet.Topology()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "jobs: %v", err)

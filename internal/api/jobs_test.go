@@ -425,3 +425,24 @@ func TestJobsDeterminismSoak(t *testing.T) {
 	t.Logf("soak: %d clients, schedule of %d jobs bit-identical to sequential replay (makespan %.2fs, utilization %.1f%%)",
 		clients, len(sched.Jobs), sched.Makespan, 100*sched.Utilization)
 }
+
+// A job's model is held to the same micro-batch bound as a simulation's:
+// at the bound it is scheduled, one above it is refused before any
+// fleet is touched.
+func TestJobsMicroBatchBound(t *testing.T) {
+	_, srv := newOperatorServer(t, serve.New(serve.Config{}), t.TempDir(), fleet.NewFakeClock())
+	for _, tc := range []struct{ batch, want int }{
+		{maxMicroBatches, http.StatusOK},
+		{maxMicroBatches + 1, http.StatusBadRequest},
+	} {
+		code, body := post(t, srv, "/v1/jobs", fmt.Sprintf(
+			`{"fleet":%s,"job":{"id":"b%d","gpus":8,"iterations":1,"model":{"layers":4,"hidden":1024,"heads":8,"global_batch":%d,"micro_batch":1}}}`,
+			jobFleet, tc.batch, tc.batch))
+		if code != tc.want {
+			t.Errorf("global batch %d: status %d, want %d (%s)", tc.batch, code, tc.want, body)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(body), "micro-batches") {
+			t.Errorf("global batch %d: rejected for another reason: %s", tc.batch, body)
+		}
+	}
+}

@@ -145,6 +145,9 @@ func TestSimulateEndpointRejectsBadRequests(t *testing.T) {
 			"scenario":{"events":[{"kind":"degrade_nic","at":0,"factor":9}]}}`},
 		{"unknown scenario field", `{"env":"Hybrid","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2,
 			"scenario":{"events":[{"kind":"fail_node","at":0,"frobnicate":true}]}}`},
+		// 12·h² wraps int64 negative and used to slip under the memory check.
+		{"parameter count wrapping int64", `{"env":"InfiniBand","nodes":2,"model":{"layers":4,"hidden":1000000000,"heads":8,"global_batch":64},
+			"tensor_size":1,"pipeline_size":2}`},
 	}
 	for _, tc := range cases {
 		code, body := post(t, srv, "/v1/simulate", tc.body)
@@ -182,5 +185,31 @@ func TestSimulateEndpointRejectsBadRequests(t *testing.T) {
 		"scenario":{"events":[{"kind":"fail_node","at":0,"node":0}]}}`
 	if code, body := post(t, srv, "/v1/search", searchSc); code != http.StatusBadRequest {
 		t.Errorf("search accepted a scenario: status %d (%s)", code, body)
+	}
+}
+
+// A model asking for more micro-batches than maxMicroBatches is refused
+// at decode, with micro_batch given or defaulted; one at the bound runs.
+func TestSimulateMicroBatchBound(t *testing.T) {
+	srv := newTestServer(t)
+	body := func(model string) string {
+		return fmt.Sprintf(`{"env":"InfiniBand","nodes":2,"model":%s,"tensor_size":1,"pipeline_size":2}`, model)
+	}
+	for _, tc := range []struct {
+		name, model string
+		want        int
+	}{
+		{"explicit micro-batch at the bound", fmt.Sprintf(`{"layers":4,"hidden":1024,"heads":8,"global_batch":%d,"micro_batch":1}`, maxMicroBatches), http.StatusOK},
+		{"explicit micro-batch above the bound", fmt.Sprintf(`{"layers":4,"hidden":1024,"heads":8,"global_batch":%d,"micro_batch":1}`, maxMicroBatches+1), http.StatusBadRequest},
+		{"default micro-batch at the bound", fmt.Sprintf(`{"layers":4,"hidden":1024,"heads":8,"global_batch":%d}`, 4*maxMicroBatches), http.StatusOK},
+		{"default micro-batch above the bound", fmt.Sprintf(`{"layers":4,"hidden":1024,"heads":8,"global_batch":%d}`, 4*(maxMicroBatches+1)), http.StatusBadRequest},
+	} {
+		code, resp := post(t, srv, "/v1/simulate", body(tc.model))
+		if code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, code, tc.want, resp)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(resp), "micro-batches") {
+			t.Errorf("%s: rejected for another reason: %s", tc.name, resp)
+		}
 	}
 }

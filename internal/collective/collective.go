@@ -6,9 +6,10 @@
 //   - Analytic α–β cost models (Cost*), used by the Holmes planner to
 //     compare candidate schedules quickly. These follow Patarasuk & Yuan's
 //     bandwidth-optimal ring analysis cited by the paper.
-//   - Discrete-event executions (Run*), which issue real flows on the
-//     netsim fabric so that contention between concurrent groups (e.g.
-//     many data-parallel rings sharing one NIC) emerges naturally.
+//   - Discrete-event executions (the stepped Run* rings and the fluid
+//     Ring), which issue real flows on the netsim fabric so that
+//     contention between concurrent groups (e.g. many data-parallel rings
+//     sharing one NIC) emerges naturally.
 //
 // The numerically real implementations (moving actual float32 data between
 // goroutine ranks) live in internal/runtime; they share the semantics

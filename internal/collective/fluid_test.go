@@ -26,7 +26,7 @@ func TestFluidMatchesSteppedLoneAllReduce(t *testing.T) {
 	eng.Reset()
 	fab = netsim.New(eng, topo, netsim.DefaultParams())
 	var fluid sim.Time
-	RunAllReduceFluid(eng, fab, g, bytes, netsim.RDMA, func() { fluid = eng.Now() })
+	NewRing(eng, fab, g, netsim.RDMA).AllReduce(bytes, func() { fluid = eng.Now() })
 	eng.Run()
 
 	if math.Abs(fluid-stepped)/stepped > 0.05 {
@@ -40,17 +40,17 @@ func TestFluidMatchesSteppedLoneAllReduce(t *testing.T) {
 func TestFluidReduceScatterHalfOfAllReduce(t *testing.T) {
 	topo := topology.RoCEEnv(4)
 	g := groupOfNodeLeads(topo, 4)
-	run := func(f func(*sim.Engine, *netsim.Fabric, []int, float64, netsim.Class, func())) sim.Time {
+	run := func(op func(*Ring, float64, func())) sim.Time {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
 		var end sim.Time
-		f(eng, fab, g, 1e9, netsim.RDMA, func() { end = eng.Now() })
+		op(NewRing(eng, fab, g, netsim.RDMA), 1e9, func() { end = eng.Now() })
 		eng.Run()
 		return end
 	}
-	rs := run(RunReduceScatterFluid)
-	ar := run(RunAllReduceFluid)
-	ag := run(RunAllGatherFluid)
+	rs := run((*Ring).ReduceScatter)
+	ar := run((*Ring).AllReduce)
+	ag := run((*Ring).AllGather)
 	if math.Abs(rs/ar-0.5) > 0.02 {
 		t.Fatalf("fluid RS/AR = %v, want ~0.5", rs/ar)
 	}
@@ -64,8 +64,8 @@ func TestFluidSingletonAndZeroComplete(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := netsim.New(eng, topo, netsim.DefaultParams())
 	calls := 0
-	RunAllReduceFluid(eng, fab, []int{2}, 1e9, netsim.RDMA, func() { calls++ })
-	RunRingFluid(eng, fab, []int{0, 1}, 0, netsim.Intra, func() { calls++ })
+	NewRing(eng, fab, []int{2}, netsim.RDMA).AllReduce(1e9, func() { calls++ })
+	NewRing(eng, fab, []int{0, 1}, netsim.Intra).ReduceScatter(0, func() { calls++ })
 	eng.Run()
 	if calls != 2 {
 		t.Fatalf("degenerate fluid collectives completed %d/2", calls)
@@ -79,7 +79,7 @@ func TestFluidRingsShareFairly(t *testing.T) {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
 		var end sim.Time
-		RunAllReduceFluid(eng, fab, []int{0, 8}, 1e9, netsim.RDMA, func() { end = eng.Now() })
+		NewRing(eng, fab, []int{0, 8}, netsim.RDMA).AllReduce(1e9, func() { end = eng.Now() })
 		eng.Run()
 		return end
 	}()
@@ -89,8 +89,8 @@ func TestFluidRingsShareFairly(t *testing.T) {
 		var wg sim.WaitGroup
 		wg.Add(2)
 		var end sim.Time
-		RunAllReduceFluid(eng, fab, []int{0, 8}, 1e9, netsim.RDMA, wg.Done)
-		RunAllReduceFluid(eng, fab, []int{1, 9}, 1e9, netsim.RDMA, wg.Done)
+		NewRing(eng, fab, []int{0, 8}, netsim.RDMA).AllReduce(1e9, wg.Done)
+		NewRing(eng, fab, []int{1, 9}, netsim.RDMA).AllReduce(1e9, wg.Done)
 		wg.OnZero(func() { end = eng.Now() })
 		eng.Run()
 		return end
@@ -107,7 +107,7 @@ func TestFluidCrossClusterRidesEthernet(t *testing.T) {
 	// Group spans clusters: the cluster-crossing edges run at Ethernet
 	// speed and dominate.
 	var end sim.Time
-	RunAllReduceFluid(eng, fab, []int{0, 8, 16, 24}, 1e9, netsim.RDMA, func() { end = eng.Now() })
+	NewRing(eng, fab, []int{0, 8, 16, 24}, netsim.RDMA).AllReduce(1e9, func() { end = eng.Now() })
 	eng.Run()
 	ethBW := fab.PairBandwidth(8, 16, netsim.Ether)
 	minTime := (2.0 * 3 / 4 * 1e9) / ethBW
@@ -116,7 +116,7 @@ func TestFluidCrossClusterRidesEthernet(t *testing.T) {
 	}
 }
 
-// RunRingFluid uses a strictly increasing group as its ring directly and
+// NewRing uses a strictly increasing group as its ring directly and
 // validates and sorts anything else: an unsorted group times exactly like
 // its sorted twin, and a degenerate one still panics.
 func TestFluidRingOrderAndValidation(t *testing.T) {
@@ -125,7 +125,7 @@ func TestFluidRingOrderAndValidation(t *testing.T) {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
 		var end sim.Time
-		RunAllReduceFluid(eng, fab, ranks, 1e9, netsim.RDMA, func() { end = eng.Now() })
+		NewRing(eng, fab, ranks, netsim.RDMA).AllReduce(1e9, func() { end = eng.Now() })
 		eng.Run()
 		return end
 	}
@@ -142,4 +142,46 @@ func TestFluidRingOrderAndValidation(t *testing.T) {
 			run(ranks)
 		}()
 	}
+}
+
+// A ring runs collective after collective, as a data-parallel group's
+// buckets do: each one times like a fresh ring's (exactly, from time
+// zero; to rounding, from a later start), a warmed ring
+// starts and completes one without allocating, and starting one while
+// another is in flight panics.
+func TestRingReuse(t *testing.T) {
+	topo := topology.HybridEnv(4)
+	g := []int{0, 8, 16, 24}
+	eng := sim.NewEngine()
+	fab := netsim.New(eng, topo, netsim.DefaultParams())
+	fresh := func() sim.Time {
+		eng := sim.NewEngine()
+		NewRing(eng, netsim.New(eng, topo, netsim.DefaultParams()), g, netsim.RDMA).ReduceScatter(1e9, func() {})
+		return eng.Run()
+	}()
+	r := NewRing(eng, fab, g, netsim.RDMA)
+	var start, took sim.Time
+	done := func() { took = eng.Now() - start }
+	collective := func() {
+		start = eng.Now()
+		r.ReduceScatter(1e9, done)
+		eng.Run()
+	}
+	collective()
+	if took != fresh {
+		t.Fatalf("first collective took %v, a fresh ring %v", took, fresh)
+	}
+	if n := testing.AllocsPerRun(20, collective); n != 0 {
+		t.Fatalf("warmed ring allocates %v per collective, want 0", n)
+	}
+	if math.Abs(took-fresh) > 1e-12*fresh {
+		t.Fatalf("reused ring took %v, a fresh ring %v", took, fresh)
+	}
+	r.ReduceScatter(1e9, done)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("overlapping collectives on one ring did not panic")
+		}
+	}()
+	r.AllGather(1e9, done)
 }

@@ -149,9 +149,29 @@ func (c *Config) Spec() (model.Spec, error) {
 		s.SeqLen = model.StdSeqLen
 	}
 	if s.MicroBatch == 0 {
-		s.MicroBatch = 4
+		s.MicroBatch = defaultMicroBatch
 	}
 	return s, s.Validate()
+}
+
+// defaultMicroBatch is the micro-batch size of an explicit architecture
+// that names none.
+const defaultMicroBatch = 4
+
+// MicroBatches returns how many micro-batches an explicit architecture's
+// global batch splits into, resolving only the two batch sizes the way
+// Spec does and validating nothing; Spec checks them with the rest. A
+// parameter group, whose batch shape Table 2 fixes, and a negative
+// micro-batch size report 0.
+func (m ModelConfig) MicroBatches() int {
+	micro := m.MicroBatch
+	if micro == 0 {
+		micro = defaultMicroBatch
+	}
+	if m.Group != 0 || micro < 0 {
+		return 0
+	}
+	return m.GlobalBatch / micro
 }
 
 // Components resolves the planner-facing pieces of the configuration:

@@ -111,3 +111,32 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// MicroBatches resolves the batch shape the way Spec does, for explicit
+// architectures only.
+func TestModelMicroBatches(t *testing.T) {
+	for _, tc := range []struct {
+		m    ModelConfig
+		want int
+	}{
+		{ModelConfig{Layers: 4, Hidden: 1024, Heads: 8, GlobalBatch: 64, MicroBatch: 2}, 32},
+		{ModelConfig{Layers: 4, Hidden: 1024, Heads: 8, GlobalBatch: 64}, 64 / defaultMicroBatch},
+		{ModelConfig{Group: 1, GlobalBatch: 1 << 30, MicroBatch: 1}, 0},
+		{ModelConfig{Layers: 4, GlobalBatch: 64, MicroBatch: -1}, 0},
+	} {
+		if got := tc.m.MicroBatches(); got != tc.want {
+			t.Errorf("%+v: MicroBatches() = %d, want %d", tc.m, got, tc.want)
+		}
+		if tc.want == 0 {
+			continue
+		}
+		c := Config{Model: tc.m}
+		spec, err := c.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := spec.GlobalBatch / spec.MicroBatch; n != tc.want {
+			t.Errorf("%+v: Spec resolves %d micro-batches, MicroBatches %d", tc.m, n, tc.want)
+		}
+	}
+}

@@ -14,7 +14,10 @@
 // vocabulary V.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Spec is a transformer architecture plus training shape.
 type Spec struct {
@@ -41,8 +44,53 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("model %s: non-positive vocab/seq", s.Name)
 	case s.GlobalBatch <= 0 || s.MicroBatch <= 0:
 		return fmt.Errorf("model %s: non-positive batch sizes", s.Name)
+	case s.stateBytes() > maxBytes:
+		return fmt.Errorf("model %s: %d layers of hidden %d hold more than %d bytes of weights, gradients and optimizer state", s.Name, s.Layers, s.Hidden, maxBytes)
+	case s.activationBytes() > maxBytes:
+		return fmt.Errorf("model %s: activations of %d layers at full pipeline residency exceed %d bytes", s.Name, s.Layers, maxBytes)
 	}
 	return nil
+}
+
+// maxBytes bounds the two footprints Validate checks: the training state
+// (stateBytesPerParam per parameter) and the activations of every layer
+// with every layer's micro-batch resident, the most a pipeline of at most
+// Layers stages holds. 2^61 bytes is a million times any trainable model,
+// and it keeps the int64 counts and memory estimates derived from a valid
+// spec, and their sums, from wrapping.
+const maxBytes = 1 << 61
+
+// stateBytes is the training state of the whole model,
+// stateBytesPerParam × Params(), saturating just above maxBytes.
+func (s Spec) stateBytes() uint64 {
+	l, h := uint64(s.Layers), uint64(s.Hidden)
+	params := addCap(addCap(mulCap(mulCap(mulCap(12, l), h), h), mulCap(mulCap(13, l), h)),
+		mulCap(addCap(uint64(s.Vocab), uint64(s.SeqLen)), h))
+	return mulCap(params, stateBytesPerParam)
+}
+
+// activationBytes is ActivationBytesPerLayer × Layers², saturating just
+// above maxBytes.
+func (s Spec) activationBytes() uint64 {
+	l := uint64(s.Layers)
+	perLayer := mulCap(mulCap(mulCap(uint64(s.SeqLen), uint64(s.MicroBatch)), uint64(s.Hidden)), 34)
+	return mulCap(perLayer, mulCap(l, l))
+}
+
+// mulCap and addCap combine non-negative counts below 2^63, saturating
+// at maxBytes+1 instead of wrapping.
+func mulCap(a, b uint64) uint64 {
+	if hi, lo := bits.Mul64(a, b); hi == 0 && lo <= maxBytes {
+		return lo
+	}
+	return maxBytes + 1
+}
+
+func addCap(a, b uint64) uint64 {
+	if sum := a + b; sum <= maxBytes {
+		return sum
+	}
+	return maxBytes + 1
 }
 
 // Params returns the total parameter count:
@@ -113,6 +161,9 @@ const (
 	WeightBytesPerParam    = 2
 	GradBytesPerParam      = 2
 	OptimizerBytesPerParam = 12
+
+	// stateBytesPerParam is the unsharded total of the three.
+	stateBytesPerParam = WeightBytesPerParam + GradBytesPerParam + OptimizerBytesPerParam
 )
 
 // StageMemoryBytes estimates the per-GPU memory of a pipeline stage

@@ -206,3 +206,52 @@ func TestStringMentionsSize(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 }
+
+// Validate bounds both footprints a spec derives at maxBytes, so no
+// parameter or byte count of a valid spec wraps int64: a hostile hidden
+// size used to wrap 12·h² negative and slip under every memory check.
+func TestValidateBoundsFootprints(t *testing.T) {
+	tiny := Spec{Name: "tiny", Layers: 1, Hidden: 1, Heads: 1, Vocab: 1, SeqLen: 1, GlobalBatch: 1, MicroBatch: 1}
+	// Training state: 16 bytes × (12 + 13 + V + s) parameters.
+	state := tiny
+	state.Vocab = maxBytes/stateBytesPerParam - 26
+	if err := state.Validate(); err != nil {
+		t.Fatalf("training state at the bound rejected: %v", err)
+	}
+	if got := state.Params() * stateBytesPerParam; got != maxBytes {
+		t.Fatalf("bound spec holds %d bytes of state, want %d", got, int64(maxBytes))
+	}
+	state.Vocab++
+	if err := state.Validate(); err == nil {
+		t.Fatal("training state one parameter above the bound accepted")
+	}
+	// Activations: s·b·h·34 bytes per layer, times Layers².
+	act := tiny
+	act.SeqLen = maxBytes / 34
+	if err := act.Validate(); err != nil {
+		t.Fatalf("activations at the bound rejected: %v", err)
+	}
+	act.SeqLen++
+	if err := act.Validate(); err == nil {
+		t.Fatal("activations one token above the bound accepted")
+	}
+	// Wrap-prone dimensions are caught before any product is formed.
+	for _, s := range []Spec{
+		{Name: "wide", Layers: 4, Hidden: 1_000_000_000, Heads: 8, Vocab: StdVocab, SeqLen: StdSeqLen, GlobalBatch: 64, MicroBatch: 4},
+		{Name: "deep", Layers: math.MaxInt64, Hidden: 8, Heads: 8, Vocab: StdVocab, SeqLen: StdSeqLen, GlobalBatch: 64, MicroBatch: 4},
+		{Name: "long", Layers: 4, Hidden: 8, Heads: 8, Vocab: math.MaxInt64, SeqLen: math.MaxInt64, GlobalBatch: 64, MicroBatch: 4},
+		{Name: "batch", Layers: 4, Hidden: 8, Heads: 8, Vocab: StdVocab, SeqLen: StdSeqLen, GlobalBatch: math.MaxInt64, MicroBatch: math.MaxInt64},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: spec accepted", s.Name)
+		}
+	}
+	for _, g := range ParameterGroups() {
+		if err := g.Spec.Validate(); err != nil {
+			t.Errorf("Table 2 group %d rejected: %v", g.ID, err)
+		}
+	}
+	if err := GPT39B(1536).Validate(); err != nil {
+		t.Errorf("GPT-39B rejected: %v", err)
+	}
+}

@@ -279,22 +279,20 @@ func (f *Fabric) RestoreTrunk(c1, c2 int, capacity float64) error {
 // are released, remaining traffic is discarded, and the rebalancer
 // returns the freed bandwidth to the survivors. Aborting a flow still in
 // its latency term (not yet admitted) prevents the admission; aborting a
-// finished or already-aborted flow is a no-op. Scenario streams use this
-// to cut a background chunk off at its deadline.
-func (f *Fabric) AbortFlow(fl *Flow) {
+// finished or already-aborted flow, or passing the zero FlowID, is a
+// no-op. Scenario streams use this to cut a background chunk off at its
+// deadline.
+func (f *Fabric) AbortFlow(id FlowID) {
+	fl := f.lookup(id)
 	if fl == nil || fl.aborted {
 		return
 	}
-	fl.aborted = true
-	fl.onDone = nil
-	f.disarm(fl)
-	if fl.admitted {
-		for i := 0; i < fl.nPath; i++ {
-			f.unlink(fl.path[i], fl.pathPos[i])
-		}
-		fl.admitted = false
-		f.inFlight--
-		fl.remaining = 0
-		f.scheduleRebalance(fl)
+	if !fl.started {
+		// The pending admission event still calls the record's callback;
+		// admit releases the record when it fires.
+		fl.aborted = true
+		fl.onDone = nil
+		return
 	}
+	f.retire(fl)
 }

@@ -14,9 +14,15 @@
 // links and flows it touches (flows elsewhere keep their rates, which a
 // max-min allocation leaves unchanged across components), simultaneous
 // events coalesce into one pass, and all bookkeeping lives in reusable
-// scratch slices so the hot path performs no per-event allocation. The
-// original from-scratch recomputation is retained behind
-// Params.FullRecompute as the reference oracle.
+// scratch slices. The original from-scratch recomputation is retained
+// behind Params.FullRecompute as the reference oracle.
+//
+// Flow records live in a per-fabric slab with a free list, each with its
+// event callback bound once, so a warmed fabric starts, admits, finishes
+// and aborts flows without allocating. A record returns to the free list
+// once it can fire nothing more; StartFlow hands out a FlowID carrying the
+// record's generation, so a handle outliving its flow is stale and
+// AbortFlow ignores it.
 package netsim
 
 import (
@@ -124,7 +130,7 @@ type Link struct {
 	Capacity float64
 
 	id    int
-	flows []*Flow // active flows, swap-removed on departure
+	flows []*flow // active flows, swap-removed on departure
 
 	// Rebalance scratch, meaningful only inside Fabric.rebalance.
 	residual  float64
@@ -136,11 +142,20 @@ type Link struct {
 // ActiveFlows reports how many flows currently traverse the link.
 func (l *Link) ActiveFlows() int { return len(l.flows) }
 
-// Flow is one in-flight transfer.
-type Flow struct {
-	Src, Dst int // global ranks
-	Class    Class
-	Bytes    float64
+// FlowID is a handle to a flow, returned by StartFlow and
+// StartFlowRateCapped. The zero FlowID refers to no flow, and a handle
+// goes stale once its flow finishes or is aborted.
+type FlowID struct {
+	slot int32
+	gen  uint32
+}
+
+// flow is one in-flight transfer: a record of the fabric's flow slab.
+// Links point at records, so a record never moves; gen advances every
+// time the record is released, invalidating the handles issued for it.
+type flow struct {
+	src, dst int // global ranks
+	class    Class
 
 	path      [maxPathLinks]*Link
 	pathPos   [maxPathLinks]int // this flow's index in each path link's flows
@@ -150,7 +165,6 @@ type Flow struct {
 	cap       float64 // per-flow rate ceiling (Inf when uncapped)
 	updatedAt sim.Time
 	doneEv    sim.Event // pending completion; the zero Event when none
-	fire      func()    // admits the flow, then finishes it; bound once
 	onDone    func()
 	started   bool
 	admitted  bool // currently occupying links
@@ -159,10 +173,13 @@ type Flow struct {
 	frozen   bool
 	prevRate float64
 	aborted  bool
-}
 
-// Rate returns the flow's current fair-share rate in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
+	// Kept across reuse: the record's slab index, its generation, and
+	// the one callback serving every event of every flow it holds.
+	slot int32
+	gen  uint32
+	fire func() // admits the flow, then finishes it
+}
 
 // Fabric binds a topology to link state and an event engine.
 type Fabric struct {
@@ -187,6 +204,10 @@ type Fabric struct {
 	links    []*Link // registry of every link, indexed by id
 	inFlight int
 
+	// Flow records by slot, and the slots free for reuse.
+	flows     []*flow
+	freeFlows []int32
+
 	// Rebalance machinery: seed links accumulated since the last pass,
 	// whether a coalesced pass is already scheduled at the current
 	// instant (flushFn, bound once, is its callback), and reusable region
@@ -196,7 +217,7 @@ type Fabric struct {
 	flushFn      func()
 	epoch        int
 	regionLinks  []*Link
-	regionFlows  []*Flow
+	regionFlows  []*flow
 }
 
 // New creates a fabric over topo driven by eng.
@@ -341,38 +362,8 @@ func (f *Fabric) path(src, dst int, class Class) ([maxPathLinks]*Link, int) {
 // StartFlow begins a transfer of the given size between two ranks. onDone
 // fires (in virtual time) when the last byte arrives. A zero-byte flow
 // completes after just the latency term.
-func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func()) *Flow {
-	if bytes < 0 || math.IsNaN(bytes) {
-		panic(fmt.Sprintf("netsim: bad flow size %v", bytes))
-	}
-	fl := &Flow{
-		Src: src, Dst: dst, Class: f.EffectiveClass(src, dst, class),
-		Bytes: bytes, remaining: bytes, onDone: onDone,
-		cap: math.Inf(1),
-	}
-	// One callback serves every event of the flow: the admission at the
-	// end of the latency term, then each (re-armed) completion.
-	fl.fire = func() {
-		if fl.started {
-			f.finish(fl)
-		} else {
-			f.admit(fl)
-		}
-	}
-	if fl.Class == Ether && f.Params.EthPerFlowBytesPerSec > 0 {
-		fl.cap = f.Params.EthPerFlowBytesPerSec
-	}
-	lat := f.Latency(src, dst, class)
-	// Jitter is a per-flow draw on top of the deterministic α; symmetric
-	// distributions can pull the sum below zero, which clamps (a message
-	// cannot arrive before it was sent).
-	if lat += f.sampleJitter(src, dst, fl.Class); lat < 0 {
-		lat = 0
-	}
-	// The flow occupies links only after its latency term elapses; for
-	// zero-byte control messages it completes then.
-	f.eng.After(lat, fl.fire)
-	return fl
+func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func()) FlowID {
+	return f.StartFlowRateCapped(src, dst, bytes, class, 0, onDone)
 }
 
 // StartFlowRateCapped is StartFlow with an explicit per-flow rate ceiling
@@ -380,18 +371,86 @@ func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func
 // rateCap of load but still shares max-min fairly under congestion.
 // Background-traffic injection (internal/scenario) uses it to model a
 // tenant streaming at a fixed rate. rateCap <= 0 means uncapped.
-func (f *Fabric) StartFlowRateCapped(src, dst int, bytes float64, class Class, rateCap float64, onDone func()) *Flow {
-	fl := f.StartFlow(src, dst, bytes, class, onDone)
-	// Safe to tighten here: the flow joins the fabric only after its
-	// latency event fires, strictly later than this call.
+func (f *Fabric) StartFlowRateCapped(src, dst int, bytes float64, class Class, rateCap float64, onDone func()) FlowID {
+	if bytes < 0 || math.IsNaN(bytes) {
+		panic(fmt.Sprintf("netsim: bad flow size %v", bytes))
+	}
+	fl := f.newFlow()
+	fl.src, fl.dst, fl.class = src, dst, f.EffectiveClass(src, dst, class)
+	fl.remaining, fl.onDone = bytes, onDone
+	fl.cap = math.Inf(1)
+	if fl.class == Ether && f.Params.EthPerFlowBytesPerSec > 0 {
+		fl.cap = f.Params.EthPerFlowBytesPerSec
+	}
 	if rateCap > 0 && rateCap < fl.cap {
 		fl.cap = rateCap
 	}
+	lat := f.Latency(src, dst, class)
+	// Jitter is a per-flow draw on top of the deterministic α; symmetric
+	// distributions can pull the sum below zero, which clamps (a message
+	// cannot arrive before it was sent).
+	if lat += f.sampleJitter(src, dst, fl.class); lat < 0 {
+		lat = 0
+	}
+	// The flow occupies links only after its latency term elapses; for
+	// zero-byte control messages it completes then.
+	f.eng.After(lat, fl.fire)
+	return FlowID{slot: fl.slot, gen: fl.gen}
+}
+
+// newFlow takes a record from the free list, or grows the slab by one
+// record with its callback bound. One callback serves every event of the
+// flow: the admission at the end of the latency term, then each
+// (re-armed) completion.
+func (f *Fabric) newFlow() *flow {
+	if n := len(f.freeFlows); n > 0 {
+		fl := f.flows[f.freeFlows[n-1]]
+		f.freeFlows = f.freeFlows[:n-1]
+		return fl
+	}
+	fl := &flow{slot: int32(len(f.flows)), gen: 1}
+	fl.fire = func() {
+		if fl.started {
+			f.finish(fl)
+		} else {
+			f.admit(fl)
+		}
+	}
+	f.flows = append(f.flows, fl)
 	return fl
 }
 
-func (f *Fabric) admit(fl *Flow) {
+// releaseFlow resets a record that can fire nothing more and returns it
+// to the free list. Every field but the slot and the callback is zeroed,
+// so nothing of the old flow (its rate, progress or completion event)
+// reaches the next one, and the generation advances, so every handle
+// issued for the record goes stale.
+func (f *Fabric) releaseFlow(fl *flow) {
+	gen := fl.gen + 1
+	if gen == 0 { // wrapped: generation 0 is the zero FlowID's
+		gen = 1
+	}
+	*fl = flow{slot: fl.slot, gen: gen, fire: fl.fire}
+	f.freeFlows = append(f.freeFlows, fl.slot)
+}
+
+// lookup resolves a handle to its record, or nil when the handle is zero
+// or stale.
+func (f *Fabric) lookup(id FlowID) *flow {
+	if id.gen == 0 || int(id.slot) >= len(f.flows) {
+		return nil
+	}
+	if fl := f.flows[id.slot]; fl.gen == id.gen {
+		return fl
+	}
+	return nil
+}
+
+func (f *Fabric) admit(fl *flow) {
 	if fl.aborted {
+		// Aborted during its latency term: this admission event was the
+		// last one that could reference the record.
+		f.releaseFlow(fl)
 		return
 	}
 	fl.started = true
@@ -400,13 +459,13 @@ func (f *Fabric) admit(fl *Flow) {
 		return
 	}
 	// Loss/corruption derate goodput multiplicatively: retransmitted
-	// bytes occupy the wire, so delivering Bytes of goodput moves
-	// Bytes/efficiency across the links. Sampled at admission — flows
+	// bytes occupy the wire, so delivering b bytes of goodput moves
+	// b/efficiency across the links. Sampled at admission — flows
 	// already on the wire keep the efficiency they started with.
-	if eff := f.pathEff(fl.Src, fl.Dst, fl.Class); eff < 1 {
+	if eff := f.pathEff(fl.src, fl.dst, fl.class); eff < 1 {
 		fl.remaining /= eff
 	}
-	fl.path, fl.nPath = f.path(fl.Src, fl.Dst, fl.Class)
+	fl.path, fl.nPath = f.path(fl.src, fl.dst, fl.class)
 	fl.updatedAt = f.eng.Now()
 	fl.admitted = true
 	f.inFlight++
@@ -418,26 +477,31 @@ func (f *Fabric) admit(fl *Flow) {
 	f.scheduleRebalance(fl)
 }
 
-func (f *Fabric) finish(fl *Flow) {
-	f.disarm(fl)
-	if fl.admitted {
-		for i := 0; i < fl.nPath; i++ {
-			f.unlink(fl.path[i], fl.pathPos[i])
-		}
-		fl.admitted = false
-		f.inFlight--
-		fl.remaining = 0
-		f.scheduleRebalance(fl)
-	}
+func (f *Fabric) finish(fl *flow) {
 	done := fl.onDone
-	fl.onDone = nil
+	f.retire(fl)
 	if done != nil {
 		done()
 	}
 }
 
+// retire ends a started flow: it cancels the pending completion, takes an
+// admitted flow off its links, queueing the rebalance that hands its
+// bandwidth to the survivors, and releases the record.
+func (f *Fabric) retire(fl *flow) {
+	f.disarm(fl)
+	if fl.admitted {
+		for i := 0; i < fl.nPath; i++ {
+			f.unlink(fl.path[i], fl.pathPos[i])
+		}
+		f.inFlight--
+		f.scheduleRebalance(fl)
+	}
+	f.releaseFlow(fl)
+}
+
 // disarm cancels the flow's pending completion event, if any.
-func (f *Fabric) disarm(fl *Flow) {
+func (f *Fabric) disarm(fl *flow) {
 	f.eng.Cancel(fl.doneEv)
 	fl.doneEv = sim.Event{}
 }
@@ -462,7 +526,7 @@ func (f *Fabric) unlink(l *Link, pos int) {
 
 // scheduleRebalance queues the flow's links as rebalance seeds; see
 // scheduleLinkRebalance.
-func (f *Fabric) scheduleRebalance(fl *Flow) {
+func (f *Fabric) scheduleRebalance(fl *flow) {
 	f.scheduleLinkRebalance(fl.path[:fl.nPath]...)
 }
 
@@ -521,7 +585,7 @@ func (f *Fabric) rebalance(seeds []*Link) {
 // region grows the seed links to the full set of links and flows whose
 // rates the change can affect, using epoch marks so the scratch never
 // needs clearing.
-func (f *Fabric) region(seeds []*Link) ([]*Link, []*Flow) {
+func (f *Fabric) region(seeds []*Link) ([]*Link, []*flow) {
 	f.epoch++
 	e := f.epoch
 	links := f.regionLinks[:0]
@@ -571,7 +635,7 @@ func sortLinksByID(ls []*Link) {
 // fill runs progressive filling over one region: repeatedly freeze the
 // flows of the most constraining link at its fair share (or flows at
 // their per-flow cap when that is lower) until every flow has a rate.
-func (f *Fabric) fill(links []*Link, flows []*Flow) {
+func (f *Fabric) fill(links []*Link, flows []*flow) {
 	for _, l := range links {
 		l.residual = l.Capacity
 		l.nUnfrozen = len(l.flows)
@@ -625,7 +689,7 @@ func (f *Fabric) fill(links []*Link, flows []*Flow) {
 	}
 }
 
-func (f *Fabric) freeze(fl *Flow, rate float64) {
+func (f *Fabric) freeze(fl *flow, rate float64) {
 	fl.frozen = true
 	fl.rate = rate
 	for i := 0; i < fl.nPath; i++ {
@@ -648,7 +712,7 @@ func (f *Fabric) freeze(fl *Flow, rate float64) {
 // being cheaper, this makes the incremental and full-recompute modes
 // bit-identical (piecewise drains would differ in final-ulp noise that a
 // long chaotic simulation then amplifies).
-func (f *Fabric) reschedule(flows []*Flow) {
+func (f *Fabric) reschedule(flows []*flow) {
 	now := f.eng.Now()
 	for _, fl := range flows {
 		if fl.doneEv != (sim.Event{}) && fl.rate == fl.prevRate {

@@ -56,6 +56,18 @@ type Executor struct {
 	done     int
 	total    int
 	finished bool
+
+	// In-flight inter-stage transfers by slot, each slot with its arrival
+	// callback bound once, and the slots free for reuse.
+	hops     []hop
+	freeHops []int32
+}
+
+// hop is one activation (fwd) or gradient transfer bound for stage to.
+type hop struct {
+	to, micro int
+	fwd       bool
+	arrive    func()
 }
 
 // NewExecutor validates the configuration against the schedule and
@@ -97,11 +109,22 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 	e.fReady = make([][]bool, p)
 	e.bReady = make([][]bool, p)
 	e.fDone = make([][]bool, p)
+	// Every per-stage flag row is carved from one backing array.
+	nOps := 0
 	for s := 0; s < p; s++ {
-		e.executed[s] = make([]bool, len(sched.Ops[s]))
-		e.fReady[s] = make([]bool, sched.Micro)
-		e.bReady[s] = make([]bool, sched.Micro)
-		e.fDone[s] = make([]bool, sched.Micro)
+		nOps += len(sched.Ops[s])
+	}
+	flags := make([]bool, nOps+3*p*sched.Micro)
+	row := func(n int) []bool {
+		r := flags[:n:n]
+		flags = flags[n:]
+		return r
+	}
+	for s := 0; s < p; s++ {
+		e.executed[s] = row(len(sched.Ops[s]))
+		e.fReady[s] = row(sched.Micro)
+		e.bReady[s] = row(sched.Micro)
+		e.fDone[s] = row(sched.Micro)
 		if s == 0 {
 			for i := range e.fReady[s] {
 				e.fReady[s][i] = true // stage 0 reads micro-batches locally
@@ -193,20 +216,14 @@ func (e *Executor) complete(s int, op Op) {
 	case Forward:
 		e.fDone[s][op.Micro] = true
 		if s+1 < p {
-			e.sendTo(s, s+1, func() {
-				e.fReady[s+1][op.Micro] = true
-				e.tryAdvance(s + 1)
-			})
+			e.sendTo(s, s+1, op.Micro, true)
 		}
 	case Backward:
 		if e.cfg.OnBackwardDone != nil {
 			e.cfg.OnBackwardDone(s, op.Micro, e.eng.Now())
 		}
 		if s > 0 {
-			e.sendTo(s, s-1, func() {
-				e.bReady[s-1][op.Micro] = true
-				e.tryAdvance(s - 1)
-			})
+			e.sendTo(s, s-1, op.Micro, false)
 		}
 	}
 	e.done++
@@ -222,9 +239,37 @@ func (e *Executor) complete(s int, op Op) {
 	e.tryAdvance(s)
 }
 
-func (e *Executor) sendTo(from, to int, arrived func()) {
+// sendTo ships micro-batch micro's activation (fwd) or gradient from
+// stage from to stage to, on a hop slot taken from the free list.
+func (e *Executor) sendTo(from, to, micro int, fwd bool) {
+	var slot int32
+	if n := len(e.freeHops); n > 0 {
+		slot = e.freeHops[n-1]
+		e.freeHops = e.freeHops[:n-1]
+	} else {
+		// The callback captures s, never reassigned, so it binds the
+		// slot by value and sendTo allocates only when the slab grows.
+		s := int32(len(e.hops))
+		e.hops = append(e.hops, hop{arrive: func() { e.arrived(s) }})
+		slot = s
+	}
+	h := &e.hops[slot]
+	h.to, h.micro, h.fwd = to, micro, fwd
 	src, dst := e.cfg.Ranks[from], e.cfg.Ranks[to]
-	e.fab.StartFlow(src, dst, e.cfg.ActivationBytes, e.cfg.Class, arrived)
+	e.fab.StartFlow(src, dst, e.cfg.ActivationBytes, e.cfg.Class, h.arrive)
+}
+
+// arrived lands the transfer in slot at its stage, frees the slot, and
+// lets the stage advance.
+func (e *Executor) arrived(slot int32) {
+	h := e.hops[slot]
+	e.freeHops = append(e.freeHops, slot)
+	if h.fwd {
+		e.fReady[h.to][h.micro] = true
+	} else {
+		e.bReady[h.to][h.micro] = true
+	}
+	e.tryAdvance(h.to)
 }
 
 // RunOne is a convenience wrapper: build, start, and run an executor to

@@ -275,10 +275,9 @@ func (rt *Runtime) stream(ev Event) {
 	g := rt.fab.Topo.GPUsPerNode
 	src, dst := ev.Src*g, ev.Dst*g
 	rate := ev.Gbps / 8 * 1e9 // bytes/s; 0 = greedy
-	var inflight *netsim.Flow
+	var inflight netsim.FlowID
 	var next func()
 	next = func() {
-		inflight = nil
 		if rt.stopped {
 			return
 		}
@@ -308,10 +307,9 @@ func (rt *Runtime) stream(ev Event) {
 			// A rate-capped final chunk was clamped to end at Until on
 			// an uncongested path; whatever is still in flight — a
 			// greedy chunk, or a clamped chunk stalled by congestion —
-			// is cut off at the deadline.
-			if inflight != nil {
-				rt.fab.AbortFlow(inflight)
-			}
+			// is cut off at the deadline. A chunk that already finished
+			// left a stale handle, which AbortFlow ignores.
+			rt.fab.AbortFlow(inflight)
 		})
 	}
 }

@@ -159,7 +159,11 @@ func Simulate(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 
-	dpPerLayer := stageDPPerLayer(cfg, calib, assign, world)
+	eng := sim.NewEngine()
+	fab := newFabric(eng, cfg.Topo, calib.Net)
+	// The fabric is still pristine: the scenario binds below, and only its
+	// events, firing later, change capacities.
+	dpPerLayer := stageDPPerLayer(cfg, calib, assign, world, fab)
 	part, err := makePartition(cfg, opt, calib, assign, m, dpPerLayer)
 	if err != nil {
 		return Report{}, err
@@ -202,9 +206,6 @@ func Simulate(cfg Config) (Report, error) {
 			tb[s] += calib.InterferenceFactor * hidden / float64(m)
 		}
 	}
-
-	eng := sim.NewEngine()
-	fab := newFabric(eng, cfg.Topo, calib.Net)
 
 	// Bind the scenario before the pipelines so that, at equal instants,
 	// scripted events apply ahead of training events — deterministically.
@@ -417,10 +418,9 @@ func tpRingSeconds(cfg Config, calib Calibration, assign *parallel.Assignment, s
 // stageDPPerLayer estimates, for every pipeline stage, the gradient
 // reduce-scatter + parameter all-gather seconds one layer costs the
 // stage's data-parallel groups on their selected fabric (the slowest ring
-// edge governs a ring collective).
-func stageDPPerLayer(cfg Config, calib Calibration, assign *parallel.Assignment, world *comm.World) []float64 {
-	eng := sim.NewEngine()
-	fab := netsim.New(eng, cfg.Topo, calib.Net)
+// edge governs a ring collective). It reads the uncontended pair
+// bandwidths of fab, which must not yet carry any scenario change.
+func stageDPPerLayer(cfg Config, calib Calibration, assign *parallel.Assignment, world *comm.World, fab *netsim.Fabric) []float64 {
 	out := make([]float64, assign.P)
 	for s := 0; s < assign.P; s++ {
 		g := world.DPGroups[assign.DPRow(assign.StageRanks(s)[0])]
@@ -489,6 +489,7 @@ type iterState struct {
 
 type dpGroupState struct {
 	group       *comm.Group
+	ring        *collective.Ring
 	gradBytes   float64
 	paramBytes  float64
 	buckets     int
@@ -500,6 +501,11 @@ type dpGroupState struct {
 	rsEnd       sim.Time
 	rsStarted   bool
 	done        bool
+
+	// Bound once in newIterState: a gradient bucket's reduce-scatter
+	// completes, the optimizer step ends, the parameter all-gather
+	// completes.
+	rsDone, stepped, agDone func()
 }
 
 func newIterState(eng *sim.Engine, fab *netsim.Fabric, assign *parallel.Assignment,
@@ -509,7 +515,7 @@ func newIterState(eng *sim.Engine, fab *netsim.Fabric, assign *parallel.Assignme
 		opt: opt, calib: calib, micro: m,
 		pipesLeft: len(world.PPGroups),
 	}
-	for i, g := range world.DPGroups {
+	for _, g := range world.DPGroups {
 		stage := assign.StageOf(g.Ranks[0])
 		params := float64(spec.ParamsPerLayer()*int64(part.Layers[stage])) / float64(assign.T)
 		buckets := 1
@@ -517,11 +523,18 @@ func newIterState(eng *sim.Engine, fab *netsim.Fabric, assign *parallel.Assignme
 			buckets = m
 		}
 		gs := &dpGroupState{
-			group:      world.DPGroups[i],
+			group:      g,
+			ring:       collective.NewRing(eng, fab, g.Ranks, g.Class),
 			gradBytes:  params * calib.GradBytesPerParam * opt.ExtraDPTraffic,
 			paramBytes: params * calib.ParamBytesPerParam * opt.ExtraDPTraffic,
 			buckets:    buckets,
 			microCount: make([]int, m),
+		}
+		gs.rsDone = func() { st.bucketDone(gs) }
+		gs.stepped = func() { gs.ring.AllGather(gs.paramBytes, gs.agDone) }
+		gs.agDone = func() {
+			gs.done = true
+			st.groupDone()
 		}
 		st.groups = append(st.groups, gs)
 	}
@@ -557,28 +570,21 @@ func (st *iterState) pumpRS(gs *dpGroupState) {
 		gs.rsStart = st.eng.Now()
 	}
 	gs.rsInFlight = true
-	bytes := gs.gradBytes / float64(gs.buckets)
-	collective.RunReduceScatterFluid(st.eng, st.fab, gs.group.Ranks, bytes, gs.group.Class, func() {
-		gs.rsInFlight = false
-		gs.nextBucket++
-		if gs.nextBucket == gs.buckets {
-			gs.rsEnd = st.eng.Now()
-			st.afterRS(gs)
-			return
-		}
-		st.pumpRS(gs)
-	})
+	gs.ring.ReduceScatter(gs.gradBytes/float64(gs.buckets), gs.rsDone)
 }
 
-// afterRS runs the optimizer step on the sharded state, then all-gathers
-// the updated fp16 parameters.
-func (st *iterState) afterRS(gs *dpGroupState) {
-	st.eng.After(st.calib.OptimizerSeconds, func() {
-		collective.RunAllGatherFluid(st.eng, st.fab, gs.group.Ranks, gs.paramBytes, gs.group.Class, func() {
-			gs.done = true
-			st.groupDone()
-		})
-	})
+// bucketDone completes one gradient bucket's reduce-scatter. The next
+// ready bucket starts; after the last, the optimizer steps on the sharded
+// state, then the group all-gathers the updated fp16 parameters.
+func (st *iterState) bucketDone(gs *dpGroupState) {
+	gs.rsInFlight = false
+	gs.nextBucket++
+	if gs.nextBucket == gs.buckets {
+		gs.rsEnd = st.eng.Now()
+		st.eng.After(st.calib.OptimizerSeconds, gs.stepped)
+		return
+	}
+	st.pumpRS(gs)
 }
 
 func (st *iterState) pipelineDone(now sim.Time) {

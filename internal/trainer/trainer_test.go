@@ -225,3 +225,26 @@ func TestEnvLabel(t *testing.T) {
 		t.Fatal("homogeneous multi-cluster label wrong")
 	}
 }
+
+// A simulation's allocations pay for its world — executors, rings, flow
+// and event records sized to the peak in flight — not for its events:
+// quadrupling the global batch quadruples the micro-batches, and with
+// them every flow and event, while the allocation count stays put.
+func TestSimulateAllocsIndependentOfBatch(t *testing.T) {
+	topo := topology.HybridEnv(4)
+	pg := model.Group(1)
+	allocs := func(scale int) float64 {
+		spec := pg.Spec
+		spec.GlobalBatch *= scale
+		cfg := Config{Topo: topo, Spec: spec, TensorSize: 1, PipelineSize: 2, Framework: Holmes}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Simulate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, quad := allocs(1), allocs(4)
+	if math.Abs(quad-base) >= 0.02*base {
+		t.Fatalf("Simulate allocates %v at 1x global batch and %v at 4x: more than 2%% apart", base, quad)
+	}
+}
