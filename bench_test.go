@@ -418,6 +418,12 @@ func runSearchCorpus(b *testing.B, eng *Engine, topos []*Topology) {
 	}
 }
 
+// searchColdWidth pins the cold-search benchmarks' wave width to the
+// reference host's core count: the width decides which incumbent each
+// cell meets, so an unpinned engine would do a different amount of work
+// — and report different counters — on every runner.
+const searchColdWidth = 2
+
 // BenchmarkSearchCold measures the cold joint-search path over the whole
 // Table-3 corpus (48 searches per iteration) on a fresh engine each
 // iteration — no winner memo, no warm communicator cache across
@@ -431,7 +437,7 @@ func BenchmarkSearchCold(b *testing.B) {
 	b.ResetTimer()
 	var st SearchStats
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine(EngineConfig{})
+		eng := NewEngine(EngineConfig{Concurrency: searchColdWidth})
 		runSearchCorpus(b, eng, topos)
 		st = eng.SearchStats()
 	}
@@ -450,7 +456,7 @@ func BenchmarkSearchColdExhaustive(b *testing.B) {
 	b.ResetTimer()
 	var st SearchStats
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine(EngineConfig{FullRecompute: true})
+		eng := NewEngine(EngineConfig{Concurrency: searchColdWidth, FullRecompute: true})
 		runSearchCorpus(b, eng, topos)
 		st = eng.SearchStats()
 	}

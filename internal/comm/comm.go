@@ -93,11 +93,20 @@ func BuildWorld(topo *topology.Topology, a *parallel.Assignment, sel Selection) 
 	}
 	w := &World{Topo: topo, Assign: a, Selection: sel}
 	unified := unifiedNIC(topo)
+	// Every group and its copy of the ranks is carved from two arrays:
+	// the three kinds each hold every rank once.
+	b := &groupBuilder{
+		groups: make([]Group, len(a.TP)+len(a.PP)+len(a.DP)),
+		ranks:  make([]int, 3*a.N),
+	}
+	w.TPGroups = make([]*Group, 0, len(a.TP))
+	w.PPGroups = make([]*Group, 0, len(a.PP))
+	w.DPGroups = make([]*Group, 0, len(a.DP))
 	for i, ranks := range a.TP {
-		w.TPGroups = append(w.TPGroups, buildGroup(topo, TP, i, ranks, sel, unified))
+		w.TPGroups = append(w.TPGroups, b.build(topo, TP, i, ranks, sel, unified))
 	}
 	for i, ranks := range a.PP {
-		g := buildGroup(topo, PP, i, ranks, sel, unified)
+		g := b.build(topo, PP, i, ranks, sel, unified)
 		if sel == AutoSelection && g.CrossNode {
 			// §3.2: pipeline channels are established on Ethernet — the
 			// universal technology — so stages may cross clusters freely.
@@ -112,14 +121,25 @@ func BuildWorld(topo *topology.Topology, a *parallel.Assignment, sel Selection) 
 		w.PPGroups = append(w.PPGroups, g)
 	}
 	for i, ranks := range a.DP {
-		w.DPGroups = append(w.DPGroups, buildGroup(topo, DP, i, ranks, sel, unified))
+		w.DPGroups = append(w.DPGroups, b.build(topo, DP, i, ranks, sel, unified))
 	}
 	return w, nil
 }
 
-func buildGroup(topo *topology.Topology, kind Kind, idx int, ranks []int, sel Selection, unified topology.NICType) *Group {
-	nic, cross := parallel.GroupNIC(topo, ranks)
-	g := &Group{Kind: kind, Index: idx, Ranks: append([]int(nil), ranks...), CrossNode: cross}
+// groupBuilder hands out a world's groups and their rank copies from
+// arrays sized up front.
+type groupBuilder struct {
+	groups []Group
+	ranks  []int
+}
+
+func (b *groupBuilder) build(topo *topology.Topology, kind Kind, idx int, ranks []int, sel Selection, unified topology.NICType) *Group {
+	nic, cross := groupNIC(topo, ranks)
+	g := &b.groups[0]
+	b.groups = b.groups[1:]
+	*g = Group{Kind: kind, Index: idx, Ranks: b.ranks[:len(ranks):len(ranks)], CrossNode: cross}
+	b.ranks = b.ranks[len(ranks):]
+	copy(g.Ranks, ranks)
 	if !cross {
 		// Intra-node traffic rides NVLink/PCIe regardless of policy.
 		g.NIC = topo.NodeOf(ranks[0]).RDMAType()
@@ -136,6 +156,34 @@ func buildGroup(topo *topology.Topology, kind Kind, idx int, ranks []int, sel Se
 		g.Class = netsim.Ether
 	}
 	return g
+}
+
+// groupNIC reports the NIC technology a group can use: the common RDMA
+// type when all members sit in one cluster with one compatible RDMA
+// fabric, Ethernet otherwise. A single-node group needs no NIC: it
+// reports crossNode false and its node's RDMA type.
+func groupNIC(topo *topology.Topology, group []int) (nic topology.NICType, crossNode bool) {
+	if len(group) == 0 {
+		panic("comm: empty group")
+	}
+	first := group[0]
+	for _, r := range group[1:] {
+		if !topo.SameNode(first, r) {
+			crossNode = true
+			break
+		}
+	}
+	if !crossNode {
+		return topo.NodeOf(first).RDMAType(), false
+	}
+	nic = topo.NodeOf(first).RDMAType()
+	for _, r := range group[1:] {
+		other := topo.NodeOf(r).RDMAType()
+		if !nic.IsRDMA() || !topology.Compatible(nic, other) || !topo.SameCluster(first, r) {
+			return topology.Ethernet, true
+		}
+	}
+	return nic, true
 }
 
 // unifiedNIC returns the single technology a traditional framework would

@@ -191,3 +191,56 @@ func TestEthernetOnlyWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// worldOf builds the auto-selected world for degrees on a topology.
+func worldOf(t *testing.T, topo *topology.Topology, deg parallel.Degrees) *World {
+	t.Helper()
+	a, err := parallel.New(topo.NumDevices(), topo.GPUsPerNode, deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWorld(topo, a, AutoSelection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func TestGroupNIC(t *testing.T) {
+	topo := topology.HybridEnv(4) // 2 IB nodes (ranks 0-15) + 2 RoCE (16-31)
+	w := worldOf(t, topo, parallel.Degrees{T: 8, P: 2, D: 2})
+	// Within one node: no NIC needed.
+	if g := w.TPGroups[0]; g.CrossNode || g.NIC != topology.InfiniBand || g.Class != netsim.Intra {
+		t.Fatalf("single-node group %v: cross %v class %v", g, g.CrossNode, g.Class)
+	}
+	// Across IB nodes, and across RoCE nodes: each cluster's own RDMA.
+	for _, tc := range []struct {
+		rank int
+		nic  topology.NICType
+	}{{0, topology.InfiniBand}, {16, topology.RoCE}} {
+		g := w.DPGroups[w.Assign.DPRow(tc.rank)]
+		if !g.CrossNode || g.NIC != tc.nic || g.Class != netsim.RDMA {
+			t.Fatalf("DP group %v of rank %d: cross %v class %v, want %v over RDMA", g, tc.rank, g.CrossNode, g.Class, tc.nic)
+		}
+	}
+	// Across clusters: Ethernet.
+	w = worldOf(t, topo, parallel.Degrees{T: 1, P: 1, D: 32})
+	if g := w.DPGroups[0]; g.NIC != topology.Ethernet || g.Class != netsim.Ether {
+		t.Fatalf("cross-cluster group %v: class %v, want Ethernet", g, g.Class)
+	}
+}
+
+func TestNaiveAssignmentSplitsDPGroups(t *testing.T) {
+	// Counterpoint to cross-cluster PP: with pipeline degree 1 on a hybrid
+	// topology, DP groups necessarily span clusters and lose RDMA. This is
+	// the Megatron-LM failure mode Holmes fixes.
+	topo := topology.HybridEnv(2) // 1 IB node + 1 RoCE node = 16 ranks
+	w := worldOf(t, topo, parallel.Degrees{T: 1, P: 1, D: 16})
+	g := w.DPGroups[0]
+	if !topo.NodeOf(g.Ranks[0]).RDMAType().IsRDMA() || !g.CrossNode {
+		t.Fatalf("DP group %v should start on an RDMA node and cross nodes", g)
+	}
+	if g.NIC != topology.Ethernet || g.Class != netsim.Ether {
+		t.Fatalf("heterogeneous DP group NIC = %v/%v, want Ethernet", g.NIC, g.Class)
+	}
+}

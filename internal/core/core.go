@@ -183,7 +183,7 @@ func (pl *Planner) SearchSpace() []parallel.Degrees {
 // searchBest selects the winner over the candidate cells — highest
 // simulated throughput, ties broken by input order. The default path
 // orders candidates by their admissible throughput upper bound
-// (trainer.LowerBound — no event simulation, no world construction),
+// (trainer.LowerBound — the cell's iteration prepared but not run),
 // simulates in bound order on the engine pool, and skips any candidate
 // whose bound cannot beat the incumbent; the winner of a successful
 // search is memoized on the engine's plan cache so identical searches
@@ -214,14 +214,17 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 		}
 	}
 
-	// Throughput upper bounds; a cell whose bound errors is simulated
-	// unconditionally so its error surfaces exactly as the oracle's.
+	// Throughput upper bounds. The bound builds each cell's world on the
+	// engine, so a cell it does not prune simulates on the cached world.
+	// A cell whose bound errors is simulated unconditionally so its error
+	// surfaces exactly as the oracle's.
 	ubs := make([]float64, len(cells))
 	for i, c := range cells {
 		ub, err := trainer.ThroughputUpperBound(trainer.Config{
 			Topo: pl.Topo, Spec: pl.Spec,
 			TensorSize: c.T, PipelineSize: c.P,
 			Framework: pl.Framework, Opt: pl.Opt,
+			Engine: eng,
 		})
 		if err != nil {
 			ub = math.Inf(1)

@@ -9,6 +9,7 @@ import (
 	"holmes/internal/engine"
 	"holmes/internal/model"
 	"holmes/internal/scenario"
+	"holmes/internal/topogen"
 	"holmes/internal/topology"
 	"holmes/internal/trainer"
 )
@@ -97,17 +98,49 @@ func TestSearchPlanMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSearchPlanPrunesSomething pins the perf claim behind the tentpole:
-// on at least one representative cell the bound must rule out candidates
-// without simulating them.
+// TestSearchPlanMatchesExhaustiveGenerated runs the differential over
+// generated shapes (internal/topogen, shared with the bound's
+// admissibility test): 1–3 clusters of any technology in any order,
+// uneven sizes, PCIe nodes and degraded NICs, under every framework.
+func TestSearchPlanMatchesExhaustiveGenerated(t *testing.T) {
+	shapes, err := topogen.Shapes(16, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleEng := newOracle()
+	for _, sh := range shapes {
+		spec := model.Group(sh.Group).Spec
+		for _, fw := range trainer.AllFrameworks {
+			pruned, err := NewPlannerOn(engine.New(engine.Config{}), sh.Topo, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := NewPlannerOn(oracleEng, sh.Topo, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruned.Framework, oracle.Framework = fw, fw
+			got, gotErr := pruned.SearchPlan()
+			want, wantErr := oracle.SearchPlan()
+			comparePlans(t, sh.Label+"/"+string(fw), got, want, gotErr, wantErr)
+		}
+	}
+}
+
+// TestSearchPlanPrunesSomething pins the perf claim behind the bound: on
+// a representative search it must rule out more candidates before
+// simulating them than the abort projection stops mid-simulation. The
+// engine's width is pinned, because the wave width decides which
+// incumbent each cell meets.
 func TestSearchPlanPrunesSomething(t *testing.T) {
-	pl := newArm(t, nil, topology.EnvHybrid, 8, 1)
+	pl := newArm(t, engine.New(engine.Config{Concurrency: 2}), topology.EnvHybrid, 8, 1)
 	if _, err := pl.SearchPlan(); err != nil {
 		t.Fatal(err)
 	}
 	st := pl.Engine.SearchStats()
-	if st.Pruned+st.Aborted == 0 {
-		t.Fatalf("no cells pruned or aborted (simulated %d) — bound too loose to pay for itself", st.Simulated)
+	if st.Pruned <= st.Aborted {
+		t.Fatalf("pruned %d cells, aborted %d (simulated %d): the bound should prune more than it leaves to the abort",
+			st.Pruned, st.Aborted, st.Simulated)
 	}
 	t.Logf("hybrid/8n/group1: simulated %d, pruned %d, aborted %d", st.Simulated, st.Pruned, st.Aborted)
 }

@@ -135,7 +135,7 @@ func TestFabricDrainsCompletely(t *testing.T) {
 	}
 	for _, l := range fab.links {
 		if l.ActiveFlows() != 0 {
-			t.Fatalf("link %s still carries %d flows", l.Name, l.ActiveFlows())
+			t.Fatalf("link %s still carries %d flows", l.Name(), l.ActiveFlows())
 		}
 	}
 }

@@ -123,13 +123,15 @@ func DefaultParams() Params {
 // in-link, and an optional inter-cluster trunk.
 const maxPathLinks = 3
 
-// Link is one capacitated, directed fluid link.
+// Link is one capacitated fluid link: a node NIC's out or in direction,
+// a node's intra-node interconnect, or an inter-cluster trunk.
 type Link struct {
-	Name string
 	// Capacity in bytes per second.
 	Capacity float64
 
 	id    int
+	kind  linkKind
+	a, b  int     // node index; a trunk's cluster pair
 	flows []*flow // active flows, swap-removed on departure
 
 	// Rebalance scratch, meaningful only inside Fabric.rebalance.
@@ -138,6 +140,40 @@ type Link struct {
 	seen      int  // epoch mark: collected into the current region
 	dirty     bool // queued as a seed for the pending rebalance
 }
+
+// linkKind says what a link models; with its indices it names the link.
+type linkKind uint8
+
+const (
+	rdmaOut linkKind = iota
+	rdmaIn
+	ethOut
+	ethIn
+	nvlink
+	trunk
+)
+
+// Name labels the link ("n3.rdma.out", "trunk.c0-c1"). It is formatted
+// on demand, so building a fabric formats nothing.
+func (l *Link) Name() string {
+	switch l.kind {
+	case rdmaOut:
+		return fmt.Sprintf("n%d.rdma.out", l.a)
+	case rdmaIn:
+		return fmt.Sprintf("n%d.rdma.in", l.a)
+	case ethOut:
+		return fmt.Sprintf("n%d.eth.out", l.a)
+	case ethIn:
+		return fmt.Sprintf("n%d.eth.in", l.a)
+	case nvlink:
+		return fmt.Sprintf("n%d.nvlink", l.a)
+	default:
+		return fmt.Sprintf("trunk.c%d-c%d", l.a, l.b)
+	}
+}
+
+// ID is the link's index in its fabric, in [0, Fabric.NumLinks()).
+func (l *Link) ID() int { return l.id }
 
 // ActiveFlows reports how many flows currently traverse the link.
 func (l *Link) ActiveFlows() int { return len(l.flows) }
@@ -202,6 +238,7 @@ type Fabric struct {
 	jitterRng *rand.Rand
 
 	links    []*Link // registry of every link, indexed by id
+	slab     []Link  // backs links; sized at construction, never grown
 	inFlight int
 
 	// Flow records by slot, and the slots free for reuse.
@@ -229,6 +266,21 @@ func New(eng *sim.Engine, topo *topology.Topology, p Params) *Fabric {
 		trunks: make(map[[2]int]*Link),
 	}
 	f.flushFn = f.flushRebalance
+	// Every link lives in one slab and every table is sized up front, so
+	// building a fabric allocates a fixed handful of times, however many
+	// nodes it has.
+	nodes, trunks := topo.NumNodes(), 0
+	if p.InterClusterGbps > 0 || p.InterClusterGbpsPerNode > 0 {
+		c := topo.NumClusters()
+		trunks = c * (c - 1) / 2
+	}
+	f.slab = make([]Link, 0, 5*nodes+trunks)
+	f.links = make([]*Link, 0, 5*nodes+trunks)
+	f.nodeRDMAOut = make([]*Link, 0, nodes)
+	f.nodeRDMAIn = make([]*Link, 0, nodes)
+	f.nodeEthOut = make([]*Link, 0, nodes)
+	f.nodeEthIn = make([]*Link, 0, nodes)
+	f.nodeIntra = make([]*Link, 0, nodes)
 	for _, n := range topo.Nodes() {
 		rdmaBps := n.RDMAGbps() / 8 * 1e9 * f.rdmaEff(n.RDMAType())
 		ethBps := n.EthNIC.Gbps / 8 * 1e9 * p.EthEff
@@ -237,11 +289,11 @@ func New(eng *sim.Engine, topo *topology.Topology, p Params) *Fabric {
 			intraBps = p.PCIeBytesPerSec
 		}
 		id := n.Index
-		f.nodeRDMAOut = append(f.nodeRDMAOut, f.newLink(fmt.Sprintf("n%d.rdma.out", id), rdmaBps))
-		f.nodeRDMAIn = append(f.nodeRDMAIn, f.newLink(fmt.Sprintf("n%d.rdma.in", id), rdmaBps))
-		f.nodeEthOut = append(f.nodeEthOut, f.newLink(fmt.Sprintf("n%d.eth.out", id), ethBps))
-		f.nodeEthIn = append(f.nodeEthIn, f.newLink(fmt.Sprintf("n%d.eth.in", id), ethBps))
-		f.nodeIntra = append(f.nodeIntra, f.newLink(fmt.Sprintf("n%d.nvlink", id), intraBps))
+		f.nodeRDMAOut = append(f.nodeRDMAOut, f.newLink(rdmaOut, id, 0, rdmaBps))
+		f.nodeRDMAIn = append(f.nodeRDMAIn, f.newLink(rdmaIn, id, 0, rdmaBps))
+		f.nodeEthOut = append(f.nodeEthOut, f.newLink(ethOut, id, 0, ethBps))
+		f.nodeEthIn = append(f.nodeEthIn, f.newLink(ethIn, id, 0, ethBps))
+		f.nodeIntra = append(f.nodeIntra, f.newLink(nvlink, id, 0, intraBps))
 	}
 	if p.InterClusterGbps > 0 || p.InterClusterGbpsPerNode > 0 {
 		for i := range topo.Clusters {
@@ -252,7 +304,7 @@ func New(eng *sim.Engine, topo *topology.Topology, p Params) *Fabric {
 				}
 				gbps := p.InterClusterGbps + p.InterClusterGbpsPerNode*float64(minNodes)
 				bps := gbps / 8 * 1e9 * p.EthEff
-				f.trunks[[2]int{i, j}] = f.newLink(fmt.Sprintf("trunk.c%d-c%d", i, j), bps)
+				f.trunks[[2]int{i, j}] = f.newLink(trunk, i, j, bps)
 			}
 		}
 	}
@@ -261,8 +313,9 @@ func New(eng *sim.Engine, topo *topology.Topology, p Params) *Fabric {
 
 // newLink registers a link in the fabric-wide registry, assigning it the
 // next id. Ids give the rebalancer a canonical processing order.
-func (f *Fabric) newLink(name string, capacity float64) *Link {
-	l := &Link{Name: name, Capacity: capacity, id: len(f.links)}
+func (f *Fabric) newLink(kind linkKind, a, b int, capacity float64) *Link {
+	f.slab = append(f.slab, Link{Capacity: capacity, id: len(f.links), kind: kind, a: a, b: b})
+	l := &f.slab[len(f.slab)-1]
 	f.links = append(f.links, l)
 	return l
 }
@@ -299,7 +352,11 @@ func (f *Fabric) EffectiveClass(src, dst int, want Class) Class {
 // Deterministic — jitter, a per-flow random draw, is added by StartFlow,
 // never here, so the analytic cost models stay pure.
 func (f *Fabric) Latency(src, dst int, class Class) float64 {
-	class = f.EffectiveClass(src, dst, class)
+	return f.latency(src, dst, f.EffectiveClass(src, dst, class))
+}
+
+// latency is Latency on an already effective class.
+func (f *Fabric) latency(src, dst int, class Class) float64 {
 	var lat float64
 	switch class {
 	case Intra:
@@ -328,11 +385,41 @@ func (f *Fabric) Latency(src, dst int, class Class) float64 {
 	return lat
 }
 
+// NumLinks reports how many links the fabric has; Link.ID indexes them.
+func (f *Fabric) NumLinks() int { return len(f.links) }
+
+// Link returns the link with the given ID.
+func (f *Fabric) Link(id int) *Link { return f.links[id] }
+
+// Route is the uncontended view of one (src, dst, class) transfer: the
+// links it crosses, its Latency and its PairBandwidth.
+type Route struct {
+	Links     [maxPathLinks]*Link // the first N entries are the path
+	N         int
+	Latency   float64
+	Bandwidth float64
+}
+
+// Route resolves a transfer's path, latency and bottleneck bandwidth in
+// one pass. It reads the fabric only: analytic cost models charge
+// traffic to links with it.
+func (f *Fabric) Route(src, dst int, class Class) Route {
+	class = f.EffectiveClass(src, dst, class)
+	r := Route{Latency: f.latency(src, dst, class)}
+	r.Links, r.N = f.effectivePath(src, dst, class)
+	r.Bandwidth = f.bottleneck(r.Links[:r.N], class)
+	return r
+}
+
 // path returns the link sequence for a transfer in a fixed-size array to
 // keep flow admission allocation-free.
 func (f *Fabric) path(src, dst int, class Class) ([maxPathLinks]*Link, int) {
+	return f.effectivePath(src, dst, f.EffectiveClass(src, dst, class))
+}
+
+// effectivePath is path on an already effective class.
+func (f *Fabric) effectivePath(src, dst int, class Class) ([maxPathLinks]*Link, int) {
 	var p [maxPathLinks]*Link
-	class = f.EffectiveClass(src, dst, class)
 	sn, dn := f.Topo.Device(src).Node, f.Topo.Device(dst).Node
 	switch class {
 	case Intra:
@@ -767,14 +854,21 @@ func (f *Fabric) TransferTime(src, dst int, bytes float64, class Class) float64 
 // between two ranks for a class, absent contention (including the
 // per-flow Ethernet stream cap).
 func (f *Fabric) PairBandwidth(src, dst int, class Class) float64 {
+	class = f.EffectiveClass(src, dst, class)
+	path, n := f.effectivePath(src, dst, class)
+	return f.bottleneck(path[:n], class)
+}
+
+// bottleneck is the smallest capacity on a path of the effective class,
+// capped by the per-flow Ethernet stream rate; 0 for an empty path.
+func (f *Fabric) bottleneck(path []*Link, class Class) float64 {
 	bw := math.Inf(1)
-	path, n := f.path(src, dst, class)
-	for i := 0; i < n; i++ {
-		if path[i].Capacity < bw {
-			bw = path[i].Capacity
+	for _, l := range path {
+		if l.Capacity < bw {
+			bw = l.Capacity
 		}
 	}
-	if f.EffectiveClass(src, dst, class) == Ether && f.Params.EthPerFlowBytesPerSec > 0 &&
+	if class == Ether && f.Params.EthPerFlowBytesPerSec > 0 &&
 		f.Params.EthPerFlowBytesPerSec < bw {
 		bw = f.Params.EthPerFlowBytesPerSec
 	}

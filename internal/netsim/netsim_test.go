@@ -172,6 +172,43 @@ func TestInterClusterTrunkCaps(t *testing.T) {
 	}
 }
 
+// TestRouteMatchesPairQueries: a Route resolves the same latency and
+// bottleneck bandwidth as the single-purpose queries, over the links a
+// flow would occupy, each found again by its ID.
+func TestRouteMatchesPairQueries(t *testing.T) {
+	topo := topology.HybridEnv(4)
+	p := DefaultParams()
+	p.InterClusterGbps = 10
+	p.EthPerFlowBytesPerSec = 1e9
+	fab := New(sim.NewEngine(), topo, p)
+	if got, want := fab.NumLinks(), 5*topo.NumNodes()+1; got != want {
+		t.Fatalf("%d links, want %d", got, want)
+	}
+	for _, tc := range []struct {
+		src, dst int
+		class    Class
+		names    []string
+	}{
+		{0, 1, Ether, []string{"n0.nvlink"}},
+		{0, 8, RDMA, []string{"n0.rdma.out", "n1.rdma.in"}},
+		{16, 0, RDMA, []string{"n2.eth.out", "n0.eth.in", "trunk.c0-c1"}},
+	} {
+		r := fab.Route(tc.src, tc.dst, tc.class)
+		if r.Latency != fab.Latency(tc.src, tc.dst, tc.class) || r.Bandwidth != fab.PairBandwidth(tc.src, tc.dst, tc.class) {
+			t.Fatalf("%d->%d: route latency %v bandwidth %v, queries say %v and %v", tc.src, tc.dst,
+				r.Latency, r.Bandwidth, fab.Latency(tc.src, tc.dst, tc.class), fab.PairBandwidth(tc.src, tc.dst, tc.class))
+		}
+		if r.N != len(tc.names) {
+			t.Fatalf("%d->%d: %d links, want %v", tc.src, tc.dst, r.N, tc.names)
+		}
+		for i, l := range r.Links[:r.N] {
+			if l.Name() != tc.names[i] || fab.Link(l.ID()) != l {
+				t.Fatalf("%d->%d: link %d is %s (ID %d), want %s", tc.src, tc.dst, i, l.Name(), l.ID(), tc.names[i])
+			}
+		}
+	}
+}
+
 func TestZeroByteFlowIsLatencyOnly(t *testing.T) {
 	topo := topology.IBEnv(2)
 	eng, fab := newFab(t, topo)

@@ -1,6 +1,6 @@
 // Package parallel constructs the tensor-, pipeline-, and data-parallel
-// group matrices of the paper's formalization (§3.1.2, Eq. 1–3) and
-// analyzes their placement against a hardware topology.
+// group matrices of the paper's formalization (§3.1.2, Eq. 1–3). Which
+// network each group rides is package comm's decision.
 //
 // With degrees t (tensor), p (pipeline), d (data) and N = t·p·d devices:
 //
@@ -16,11 +16,7 @@
 // and can ride its RDMA fabric.
 package parallel
 
-import (
-	"fmt"
-
-	"holmes/internal/topology"
-)
+import "fmt"
 
 // Degrees bundles the three parallelism degrees.
 type Degrees struct {
@@ -79,16 +75,27 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 		return nil, err
 	}
 	t, p, d := deg.T, deg.P, deg.D
+	// Each matrix holds every rank once, so the three matrices and the
+	// four lookup tables are carved from one array of 7n ints.
+	ints := make([]int, 7*n)
+	take := func(k int) []int {
+		r := ints[:k:k]
+		ints = ints[k:]
+		return r
+	}
 	a := &Assignment{
 		Degrees: deg, N: n,
-		stageOf: make([]int, n),
-		dpRowOf: make([]int, n),
-		ppRowOf: make([]int, n),
-		tpRowOf: make([]int, n),
+		stageOf: take(n),
+		dpRowOf: take(n),
+		ppRowOf: take(n),
+		tpRowOf: take(n),
+		TP:      make([][]int, 0, p*d),
+		PP:      make([][]int, 0, t*d),
+		DP:      make([][]int, 0, p*t),
 	}
 	// Eq. 1: tensor groups are consecutive rank runs of length t.
 	for i := 0; i < p*d; i++ {
-		row := make([]int, t)
+		row := take(t)
 		for j := 0; j < t; j++ {
 			r := i*t + j
 			row[j] = r
@@ -98,7 +105,7 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 	}
 	// Eq. 2: pipeline groups stride by t·d; member j is stage j.
 	for i := 0; i < t*d; i++ {
-		row := make([]int, p)
+		row := take(p)
 		for j := 0; j < p; j++ {
 			r := i + j*t*d
 			row[j] = r
@@ -109,7 +116,7 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 	}
 	// Eq. 3: data groups stride by t within one stage block.
 	for i := 0; i < p*t; i++ {
-		row := make([]int, d)
+		row := take(d)
 		for j := 0; j < d; j++ {
 			r := i%t + ((i/t)*d+j)*t
 			row[j] = r
@@ -135,6 +142,9 @@ func (a *Assignment) DPGroup(rank int) []int { return a.DP[a.dpRowOf[a.check(ran
 // DPRow returns the index of the data-parallel group containing rank.
 func (a *Assignment) DPRow(rank int) int { return a.dpRowOf[a.check(rank)] }
 
+// PPRow returns the index of the pipeline-parallel group containing rank.
+func (a *Assignment) PPRow(rank int) int { return a.ppRowOf[a.check(rank)] }
+
 // StageRanks returns all ranks computing the given pipeline stage: the
 // contiguous block [stage·t·d, (stage+1)·t·d).
 func (a *Assignment) StageRanks(stage int) []int {
@@ -153,98 +163,4 @@ func (a *Assignment) check(rank int) int {
 		panic(fmt.Sprintf("parallel: rank %d out of range [0,%d)", rank, a.N))
 	}
 	return rank
-}
-
-// GroupNIC reports the NIC technology a group can use: the common RDMA
-// type when all members sit in clusters with one compatible RDMA fabric,
-// Ethernet otherwise. Single-node groups return the intra-node class via
-// ok=false (no NIC needed).
-func GroupNIC(topo *topology.Topology, group []int) (nic topology.NICType, crossNode bool) {
-	if len(group) == 0 {
-		panic("parallel: empty group")
-	}
-	first := group[0]
-	crossNode = false
-	for _, r := range group[1:] {
-		if !topo.SameNode(first, r) {
-			crossNode = true
-			break
-		}
-	}
-	if !crossNode {
-		return topo.NodeOf(first).RDMAType(), false
-	}
-	nic = topo.NodeOf(first).RDMAType()
-	for _, r := range group[1:] {
-		other := topo.NodeOf(r).RDMAType()
-		if !nic.IsRDMA() || !topology.Compatible(nic, other) || !topo.SameCluster(first, r) {
-			return topology.Ethernet, true
-		}
-	}
-	return nic, true
-}
-
-// Analysis summarizes how an assignment lands on a topology.
-type Analysis struct {
-	// DPHomogeneous reports whether every data-parallel group is
-	// NIC-homogeneous (can use RDMA end-to-end).
-	DPHomogeneous bool
-	// DPGroupNICs holds the NIC selected for each DP row.
-	DPGroupNICs []topology.NICType
-	// PPCrossCluster counts pipeline edges that cross cluster boundaries.
-	PPCrossCluster int
-	// TPWithinNode reports whether every tensor group stays on one node.
-	TPWithinNode bool
-	// StageCluster maps each stage to its cluster, or -1 if a stage spans
-	// clusters.
-	StageCluster []int
-}
-
-// Analyze computes placement properties of the assignment on topo.
-func Analyze(topo *topology.Topology, a *Assignment) Analysis {
-	if topo.NumDevices() != a.N {
-		panic(fmt.Sprintf("parallel: topology has %d devices, assignment %d", topo.NumDevices(), a.N))
-	}
-	res := Analysis{DPHomogeneous: true, TPWithinNode: true}
-	for _, g := range a.DP {
-		nic, _ := GroupNIC(topo, g)
-		res.DPGroupNICs = append(res.DPGroupNICs, nic)
-		if !nic.IsRDMA() && topo.NodeOf(g[0]).RDMAType().IsRDMA() && len(g) > 1 {
-			// The group could have had RDMA but spans incompatible fabrics.
-			if _, cross := GroupNIC(topo, g); cross {
-				res.DPHomogeneous = false
-			}
-		}
-	}
-	for _, g := range a.PP {
-		for j := 0; j+1 < len(g); j++ {
-			if !topo.SameCluster(g[j], g[j+1]) {
-				res.PPCrossCluster++
-			}
-		}
-	}
-	for _, g := range a.TP {
-		for _, r := range g[1:] {
-			if !topo.SameNode(g[0], r) {
-				res.TPWithinNode = false
-			}
-		}
-	}
-	for s := 0; s < a.P; s++ {
-		ranks := a.StageRanks(s)
-		c := topo.Device(ranks[0]).Cluster
-		same := true
-		for _, r := range ranks[1:] {
-			if topo.Device(r).Cluster != c {
-				same = false
-				break
-			}
-		}
-		if same {
-			res.StageCluster = append(res.StageCluster, c)
-		} else {
-			res.StageCluster = append(res.StageCluster, -1)
-		}
-	}
-	return res
 }

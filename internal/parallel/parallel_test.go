@@ -63,28 +63,42 @@ func TestFigure3Configuration(t *testing.T) {
 			{NIC: topology.RoCE, Nodes: 2},
 		},
 	})
-	an := Analyze(topo, a)
-	// Stages 0–1 land in cluster 0 (IB), stages 2–3 in cluster 1 (RoCE).
+	// Stages 0–1 land in cluster 0 (IB), stages 2–3 in cluster 1 (RoCE):
+	// every stage block sits inside one cluster.
 	wantClusters := []int{0, 0, 1, 1}
 	for s, want := range wantClusters {
-		if an.StageCluster[s] != want {
-			t.Fatalf("stage %d cluster = %d, want %d", s, an.StageCluster[s], want)
+		for _, r := range a.StageRanks(s) {
+			if got := topo.Device(r).Cluster; got != want {
+				t.Fatalf("stage %d rank %d in cluster %d, want %d", s, r, got, want)
+			}
 		}
 	}
-	if !an.DPHomogeneous {
-		t.Fatal("cross-cluster pipeline parallelism must keep DP groups NIC-homogeneous")
+	// Cross-cluster pipeline parallelism keeps every DP group inside one
+	// cluster, so each can ride that cluster's RDMA fabric.
+	for i, g := range a.DP {
+		for _, r := range g[1:] {
+			if !topo.SameCluster(g[0], r) {
+				t.Fatalf("DP group %d %v spans clusters", i, g)
+			}
+		}
 	}
-	if !an.TPWithinNode {
-		t.Fatal("tensor groups must stay within nodes")
+	for i, g := range a.TP {
+		for _, r := range g[1:] {
+			if !topo.SameNode(g[0], r) {
+				t.Fatalf("tensor group %d %v spans nodes", i, g)
+			}
+		}
 	}
-	if an.PPCrossCluster == 0 {
+	crossing := 0
+	for _, g := range a.PP {
+		for j := 0; j+1 < len(g); j++ {
+			if !topo.SameCluster(g[j], g[j+1]) {
+				crossing++
+			}
+		}
+	}
+	if crossing == 0 {
 		t.Fatal("pipeline groups must cross the cluster boundary")
-	}
-	// Each DP group must be entirely IB or entirely RoCE.
-	for i, nic := range an.DPGroupNICs {
-		if !nic.IsRDMA() {
-			t.Fatalf("DP group %d got NIC %v, want RDMA", i, nic)
-		}
 	}
 }
 
@@ -146,9 +160,10 @@ func TestGroupPartitionProperty(t *testing.T) {
 			if !containsInt(a.TPGroup(r), r) || !containsInt(a.PPGroup(r), r) || !containsInt(a.DPGroup(r), r) {
 				return false
 			}
-			// Stage of rank equals its index in its PP group.
+			// Stage of rank equals its index in its PP group, and the
+			// group's row is PPRow.
 			pp := a.PPGroup(r)
-			if pp[a.StageOf(r)] != r {
+			if pp[a.StageOf(r)] != r || a.PP[a.PPRow(r)][a.StageOf(r)] != r {
 				return false
 			}
 		}
@@ -173,46 +188,6 @@ func containsInt(s []int, x int) bool {
 		}
 	}
 	return false
-}
-
-func TestGroupNIC(t *testing.T) {
-	topo := topology.HybridEnv(4) // 2 IB nodes (ranks 0-15) + 2 RoCE (16-31)
-	// Within one node: no NIC needed.
-	nic, cross := GroupNIC(topo, []int{0, 1, 2})
-	if cross {
-		t.Fatal("single-node group flagged cross-node")
-	}
-	if nic != topology.InfiniBand {
-		t.Fatalf("node RDMA type = %v", nic)
-	}
-	// Across IB nodes.
-	nic, cross = GroupNIC(topo, []int{0, 8})
-	if !cross || nic != topology.InfiniBand {
-		t.Fatalf("IB pair = (%v,%v)", nic, cross)
-	}
-	// Across clusters: Ethernet.
-	nic, _ = GroupNIC(topo, []int{0, 16})
-	if nic != topology.Ethernet {
-		t.Fatalf("cross-cluster NIC = %v, want Ethernet", nic)
-	}
-}
-
-func TestNaiveAssignmentSplitsDPGroups(t *testing.T) {
-	// Counterpoint to cross-cluster PP: with pipeline degree 1 on a hybrid
-	// topology, DP groups necessarily span clusters and lose RDMA. This is
-	// the Megatron-LM failure mode Holmes fixes.
-	topo := topology.HybridEnv(2) // 1 IB node + 1 RoCE node = 16 ranks
-	a, err := New(16, 8, Degrees{T: 1, P: 1, D: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := Analyze(topo, a)
-	if an.DPHomogeneous {
-		t.Fatal("p=1 on hybrid topology must break DP homogeneity")
-	}
-	if an.DPGroupNICs[0] != topology.Ethernet {
-		t.Fatalf("heterogeneous DP group NIC = %v, want Ethernet", an.DPGroupNICs[0])
-	}
 }
 
 func TestStageRanksBounds(t *testing.T) {

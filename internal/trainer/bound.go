@@ -2,11 +2,10 @@ package trainer
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"holmes/internal/parallel"
-	"holmes/internal/topology"
+	"holmes/internal/comm"
+	"holmes/internal/netsim"
 )
 
 // ErrAboveBound reports a simulation stopped by Config.AbortAbove: the
@@ -15,144 +14,64 @@ import (
 // as "candidate lost", never as a planning failure.
 var ErrAboveBound = errors.New("trainer: iteration time exceeds the abort bound")
 
-// LowerBound returns a cheap analytic lower bound on IterSeconds for the
-// configuration: compute-only pipeline time plus best-case fluid-model
-// communication. It builds no world and runs no events — every term is
-// closed-form over the topology's link capacities — so it costs
-// microseconds where Simulate costs milliseconds, which is what lets the
-// joint (t, p) search order and prune candidates before simulating them
-// (core.Planner.SearchPlan).
+// boundSlack scales the bound down by the relative rounding the
+// simulator's sequential additions may differ from the bound's sums by;
+// the abort projection's deadline carries the same slack upwards.
+const boundSlack = 1e-9
+
+// LowerBound returns a lower bound on Simulate's IterSeconds for the
+// configuration on its pristine fabric (cfg.Scenario and cfg.AbortAbove
+// are ignored). It prepares the very iteration Simulate would run — the
+// world (from cfg.Engine's cache when set), the fabric, the partition and
+// the per-stage compute times — and evaluates it in closed form instead
+// of running its events, so it costs tens of microseconds where Simulate
+// costs milliseconds. That is what lets the joint (t, p) search order and
+// prune candidates before simulating them (core.Planner.SearchPlan).
 //
-// Admissibility (bound ≤ simulated IterSeconds, property-tested in
-// bound_test.go) rests on three facts about the simulator:
+// The bound is the largest of three families of terms, each a lower
+// bound on any run of the iteration (property-tested in bound_test.go):
 //
-//  1. A pipeline stage executes its 2m operations serially (the
-//     executor's busy flag), and each forward/backward of a stage holding
-//     ℓ layers takes at least ℓ·(layer FLOPs)/effFLOPS plus 2ℓ tensor-
-//     parallel ring all-reduces — so any stage's completion is at least
-//     m times its per-micro work, and micro-batch 0 cannot reach the
-//     last stage before every earlier stage's forward plus one
-//     activation hop each.
-//  2. No netsim flow ever runs faster than the fastest link in the
-//     fabric, and every flow completes no earlier than its class
-//     latency — so each communication term may assume the best link and
-//     the smallest latency and remain a lower bound.
-//  3. The iteration cannot end before some data-parallel group finishes
-//     its final gradient reduce-scatter bucket, the optimizer step, and
-//     the parameter all-gather — all of which start only after that
-//     group's stage completes its last backward. A DP group needs d·t
-//     GPUs of one stage inside a node to avoid the network entirely, so
-//     when d·t exceeds the per-node GPU count its fluid ring has
-//     inter-node edges carrying the full per-edge traffic, and the
-//     collective is bounded by the fastest NIC rather than NVLink.
+//  1. Per-pipeline chains. A stage runs its 2m ops serially, starts no
+//     earlier than its first forward's input can arrive, and runs its
+//     backwards in micro-batch order (a blocked backward fences the
+//     stage), so its first backward is B(0) and its last op is B(m−1).
+//     With hop_s = Latency + bytes/PairBandwidth on the pipeline's own
+//     class — no flow outruns its path's slowest link —
+//     start(s) = stagger + Σ_{j<s} (tf_j + hop_j),
+//     lastB(s) = max(start(s) + m·(tf_s + tb_s), lastB(s+1) + hop_s + tb_s),
+//     firstB(s) = max(start(s) + tf_s, firstB(s+1) + hop_s) + tb_s.
+//     The pipeline ends no earlier than lastB(0).
+//  2. Per-data-parallel-group tails on the group's own links. A ring
+//     collective of b bytes starts all its edge flows at once, each edge
+//     carrying (d−1)/d·b, and the flows sharing a link never together
+//     exceed its capacity, so it takes at least the smallest edge latency
+//     plus (d−1)/d·b times the group's worst link load (its edges on the
+//     link over the link's capacity; a node's intra-node edges all share
+//     its one NVLink link). Buckets serialize, and bucket k waits for
+//     every member's B(k). Overlapped optimizer: the group ends no
+//     earlier than max(lastB + one bucket, firstB + m buckets) + the
+//     optimizer step + the all-gather. Otherwise every group reduces
+//     after the last pipeline ends: that end + the full reduce-scatter +
+//     the step + the all-gather.
+//  3. Link volume. Every flow of the iteration — m hops each way per
+//     pipeline boundary, and every ring edge's reduce-scatter and
+//     all-gather bytes — is charged to the links on its path. A link
+//     delivers at most its capacity, and every one of those flows
+//     completes before the iteration does, so the iteration ends no
+//     earlier than the link's earliest admission plus its bytes over its
+//     capacity. On the hybrid and multi-cluster shapes this term usually
+//     binds at the inter-cluster trunk every cross-cluster pipeline hop
+//     shares.
 //
-// The bound is the max of two chains: the micro-batch-0 fill chain
-// through the last stage (which also serializes all m micro-batches and
-// the vocabulary projection), and the bottleneck-stage chain (the stage
-// with the most layers — at least ⌈L/p⌉ under any partition — must
-// process all m micro-batches serially). Both end with the minimal DP
-// tail. Partition is not yet known when the bound is evaluated, so each
-// chain is minimized over all valid partitions.
+// On a contention-free cell the chains and tails equal the simulated
+// time up to rounding; the result is scaled by (1 − boundSlack) so that
+// rounding can never make it overshoot.
 func LowerBound(cfg Config) (float64, error) {
-	if cfg.Topo == nil {
-		return 0, fmt.Errorf("trainer: nil topology")
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return 0, err
-	}
-	opt := DefaultOptions(cfg.Framework)
-	if cfg.Opt != nil {
-		opt = *cfg.Opt
-	}
-	calib := DefaultCalibration()
-
-	n := cfg.Topo.NumDevices()
-	t, p := cfg.TensorSize, cfg.PipelineSize
-	deg, err := parallel.TileDegrees(n, t, p)
+	it, err := prepare(cfg)
 	if err != nil {
 		return 0, err
 	}
-	if cfg.Spec.Layers < p {
-		return 0, fmt.Errorf("trainer: %d layers cannot fill %d pipeline stages", cfg.Spec.Layers, p)
-	}
-	m, err := cfg.Spec.MicroBatches(deg.D)
-	if err != nil {
-		return 0, err
-	}
-
-	effFLOPS := calib.PeakTFLOPS * 1e12 * calib.ComputeMFU
-	layerWork := cfg.Spec.FLOPsForLayers(1, cfg.Spec.MicroBatch) / float64(t)
-	vocabTime := (cfg.Spec.FLOPsPerIteration() - cfg.Spec.FLOPsForLayers(cfg.Spec.Layers, cfg.Spec.GlobalBatch)) /
-		float64(cfg.Spec.GlobalBatch) * float64(cfg.Spec.MicroBatch) / float64(t) / effFLOPS
-
-	// Fastest-case tensor-parallel ring all-reduce: the fastest intra-node
-	// interconnect present anywhere in the topology. Zero at t = 1, like
-	// the simulator's tpRingSeconds.
-	tpRing := 0.0
-	if t > 1 {
-		bps := bestIntraBps(cfg.Topo, calib)
-		bytes := cfg.Spec.ActivationMessageBytes()
-		tpRing = 2*float64(t-1)/float64(t)*bytes/bps + 2*float64(t-1)*calib.Net.IntraLatency
-	}
-	// Forward / forward+backward time of one layer for one micro-batch
-	// (tf = work/3 + 2 rings, tb = 2·work/3 + 2 rings).
-	perLayerF := layerWork/3/effFLOPS + 2*tpRing
-	perLayer := layerWork/effFLOPS + 4*tpRing
-
-	bw := bestLinkBps(cfg.Topo, calib)
-	hopMin := minLatency(calib) + cfg.Spec.ActivationMessageBytes()/float64(t)/bw
-
-	// Bandwidth available to the DP collectives. A data-parallel group is
-	// d ranks at one (stage, tensor-slot); hosting it inside a single node
-	// needs d·t GPUs of one stage there, so when d·t exceeds the per-node
-	// GPU count every DP group spans nodes — its ring has inter-node
-	// edges, each carrying the collective's full per-edge traffic, and no
-	// flow on such an edge can beat the fastest NIC in the fabric. Only
-	// then may the tail drop the (much faster) intra-node rate.
-	dpBw := bw
-	if deg.D*t > cfg.Topo.GPUsPerNode {
-		dpBw = bestInterBps(cfg.Topo, calib)
-	}
-
-	// Minimal DP tail after a stage holding ℓ layers finishes its last
-	// backward: final reduce-scatter bucket + optimizer step + parameter
-	// all-gather. Single-rank groups skip the collectives but still pay
-	// the optimizer step (the simulator's collectives fire immediately at
-	// d = 1 but afterRS always waits OptimizerSeconds).
-	tail := func(layers int) float64 {
-		out := calib.OptimizerSeconds
-		if deg.D > 1 {
-			params := float64(cfg.Spec.ParamsPerLayer()) * float64(layers) / float64(t) * opt.ExtraDPTraffic
-			grad := params * calib.GradBytesPerParam
-			if opt.OverlappedOptimizer {
-				grad /= float64(m) // only the last bucket is forced past the last backward
-			}
-			param := params * calib.ParamBytesPerParam
-			out += float64(deg.D-1) / float64(deg.D) * (grad + param) / dpBw
-		}
-		return out
-	}
-
-	// Chain 1: micro-batch 0 must traverse every earlier stage's forward
-	// and one activation hop per boundary before the last stage starts;
-	// the last stage then serializes all m micro-batches (forward and
-	// backward, vocabulary projection included). Minimizing over
-	// partitions puts one layer on the last stage (all L at p = 1).
-	lastLayers := 1
-	if p == 1 {
-		lastLayers = cfg.Spec.Layers
-	}
-	fill := float64(cfg.Spec.Layers-lastLayers)*perLayerF +
-		float64(p-1)*hopMin +
-		float64(m)*(float64(lastLayers)*perLayer+vocabTime) +
-		tail(lastLayers)
-
-	// Chain 2: under any partition some stage holds ≥ ⌈L/p⌉ layers and
-	// must run 2m serialized operations on them before its DP tail.
-	maxLayers := (cfg.Spec.Layers + p - 1) / p
-	bottleneck := float64(m)*float64(maxLayers)*perLayer + tail(maxLayers)
-
-	return math.Max(fill, bottleneck), nil
+	return it.lowerBound(), nil
 }
 
 // ThroughputUpperBound converts the iteration-time lower bound into a
@@ -170,87 +89,184 @@ func ThroughputUpperBound(cfg Config) (float64, error) {
 	return float64(cfg.Spec.GlobalBatch) / lb, nil
 }
 
-// bestIntraBps returns the fastest intra-node interconnect rate present
-// in the topology.
-func bestIntraBps(topo *topology.Topology, calib Calibration) float64 {
-	best := calib.Net.PCIeBytesPerSec
-	for _, node := range topo.Nodes() {
-		if node.Intra != topology.PCIe {
-			return calib.Net.NVLinkBytesPerSec
+// lowerBound evaluates the prepared iteration's bound (see LowerBound).
+func (it *iteration) lowerBound() float64 {
+	p, m := it.deg.P, float64(it.m)
+	tf, tb := it.tf, it.tb
+	fab := it.fab
+	pipes := it.world.PPGroups
+
+	// Per-link traffic and the earliest instant any of it can be
+	// admitted.
+	vol := newLinkVolume(fab.NumLinks())
+
+	// Per-pipeline chains, flattened pipeline-major.
+	n := len(pipes) * p
+	chains := make([]float64, 3*n)
+	start, firstB, lastB := chains[:n], chains[n:2*n], chains[2*n:]
+	pipeEnd := 0.0
+	for g, pg := range pipes {
+		r := pg.Ranks
+		st, fb, lb := start[g*p:(g+1)*p], firstB[g*p:(g+1)*p], lastB[g*p:(g+1)*p]
+		st[0] = it.stagger(pg)
+		for s := 0; s+1 < p; s++ {
+			fwd := fab.Route(r[s], r[s+1], pg.Class)
+			st[s+1] = st[s] + tf[s] + fwd.Latency + it.actBytes/fwd.Bandwidth
+			vol.charge(fwd, m*it.actBytes, st[s]+tf[s])
+		}
+		lb[p-1] = st[p-1] + m*(tf[p-1]+tb[p-1])
+		fb[p-1] = st[p-1] + tf[p-1] + tb[p-1]
+		for s := p - 2; s >= 0; s-- {
+			bwd := fab.Route(r[s+1], r[s], pg.Class)
+			hop := bwd.Latency + it.actBytes/bwd.Bandwidth
+			lb[s] = math.Max(st[s]+m*(tf[s]+tb[s]), lb[s+1]+hop+tb[s])
+			fb[s] = math.Max(st[s]+tf[s], fb[s+1]+hop) + tb[s]
+			vol.charge(bwd, m*it.actBytes, fb[s+1])
+		}
+		pipeEnd = math.Max(pipeEnd, lb[0])
+	}
+	bound := pipeEnd
+
+	// Per-group tails; every ring edge's bytes are charged as well.
+	rings := newRingScratch(fab.NumLinks())
+	for _, g := range it.world.DPGroups {
+		s := it.assign.StageOf(g.Ranks[0])
+		gFirst, gLast := 0.0, 0.0
+		for _, r := range g.Ranks {
+			i := it.assign.PPRow(r)*p + s
+			gFirst = math.Max(gFirst, firstB[i])
+			gLast = math.Max(gLast, lastB[i])
+		}
+		// The group's reduce-scatter starts with its first bucket, or
+		// after the flush when the optimizer does not overlap.
+		rsFrom := pipeEnd
+		if it.opt.OverlappedOptimizer {
+			rsFrom = gFirst
+		}
+		grad, param := it.dpBytes(s)
+		perEdge := float64(len(g.Ranks)-1) / float64(len(g.Ranks)) * (grad + param)
+		bucket, tail := it.dpTail(rings, g, func(e netsim.Route) { vol.charge(e, perEdge, rsFrom) })
+		end := pipeEnd + tail
+		if it.opt.OverlappedOptimizer {
+			// Buckets run one at a time, the first from gFirst, the last
+			// from gLast.
+			end = math.Max(gLast, gFirst+(m-1)*bucket) + tail
+		}
+		bound = math.Max(bound, end)
+	}
+
+	for id, bytes := range vol.bytes {
+		if bytes > 0 {
+			bound = math.Max(bound, vol.from[id]+bytes/fab.Link(id).Capacity)
 		}
 	}
-	return best
+	return bound * (1 - boundSlack)
 }
 
-// bestInterBps returns the highest capacity of any *inter-node* link —
-// the ceiling for flows that must leave a node (cross-node DP rings).
-func bestInterBps(topo *topology.Topology, calib Calibration) float64 {
-	net := calib.Net
-	best := 0.0
-	for _, node := range topo.Nodes() {
-		rdma := node.RDMAGbps() / 8 * 1e9
-		switch node.RDMAType() {
-		case topology.InfiniBand:
-			rdma *= net.IBEff
-		case topology.RoCE:
-			rdma *= net.RoCEEff
-		default:
-			rdma *= net.EthEff
-		}
-		eth := node.EthNIC.Gbps / 8 * 1e9 * net.EthEff
-		if rdma > best {
-			best = rdma
-		}
-		if eth > best {
-			best = eth
-		}
+// groupTails returns each data-parallel group's tail (see dpTail): the
+// abort projection stacks it on a stage's remaining work.
+func (it *iteration) groupTails() []float64 {
+	tails := make([]float64, len(it.world.DPGroups))
+	rings := newRingScratch(it.fab.NumLinks())
+	for i, g := range it.world.DPGroups {
+		_, tails[i] = it.dpTail(rings, g, nil)
 	}
-	if best <= 0 {
-		best = net.NVLinkBytesPerSec // degenerate topology: stay admissible
-	}
-	return best
+	return tails
 }
 
-// bestLinkBps returns the highest capacity of any fabric link the
-// topology produces — no flow can ever exceed it (max-min fair shares
-// are capped by each link on the path).
-func bestLinkBps(topo *topology.Topology, calib Calibration) float64 {
-	net := calib.Net
-	best := 0.0
-	for _, node := range topo.Nodes() {
-		rdma := node.RDMAGbps() / 8 * 1e9
-		switch node.RDMAType() {
-		case topology.InfiniBand:
-			rdma *= net.IBEff
-		case topology.RoCE:
-			rdma *= net.RoCEEff
-		default:
-			rdma *= net.EthEff
+// dpTail bounds a data-parallel group's collectives on its own links:
+// one reduce-scatter bucket, and the tail from its last bucket's
+// readiness to the group's end — that bucket, the optimizer step and the
+// parameter all-gather. Each ring edge's route goes to visit unless it
+// is nil.
+func (it *iteration) dpTail(rs *ringScratch, g *comm.Group, visit func(netsim.Route)) (bucket, tail float64) {
+	ring := rs.load(it.fab, g, visit)
+	grad, param := it.dpBytes(it.assign.StageOf(g.Ranks[0]))
+	bucket = ring.seconds(grad / float64(it.buckets()))
+	return bucket, bucket + it.calib.OptimizerSeconds + ring.seconds(param)
+}
+
+// linkVolume accumulates bytes per link and the earliest admission of
+// any of them.
+type linkVolume struct {
+	bytes, from []float64
+}
+
+func newLinkVolume(links int) linkVolume {
+	v := linkVolume{bytes: make([]float64, links), from: make([]float64, links)}
+	for i := range v.from {
+		v.from[i] = math.Inf(1)
+	}
+	return v
+}
+
+// charge adds bytes to every link of a route whose transfer is sent no
+// earlier than from; it occupies the links a latency later.
+func (v linkVolume) charge(r netsim.Route, bytes, from float64) {
+	for _, l := range r.Links[:r.N] {
+		id := l.ID()
+		v.bytes[id] += bytes
+		v.from[id] = math.Min(v.from[id], from+r.Latency)
+	}
+}
+
+// ringLoad is a ring collective's lower-bound cost model over one group:
+// seconds(b) = lat + (d−1)/d · b · perByte.
+type ringLoad struct {
+	d       int
+	lat     float64 // smallest edge latency
+	perByte float64 // worst link: the group's edges on it over its capacity
+}
+
+// seconds bounds a ring collective of b bytes from below; a single-rank
+// group completes at once.
+func (r ringLoad) seconds(bytes float64) float64 {
+	if r.d <= 1 || bytes <= 0 {
+		return 0
+	}
+	return r.lat + float64(r.d-1)/float64(r.d)*bytes*r.perByte
+}
+
+// ringScratch counts a group's ring edges per link without allocating
+// per group.
+type ringScratch struct {
+	edges   []int
+	touched []int
+}
+
+func newRingScratch(links int) *ringScratch {
+	return &ringScratch{edges: make([]int, links)}
+}
+
+// load builds the ring cost model of a group on a fabric, handing each
+// ring edge's route to visit when it is not nil.
+func (rs *ringScratch) load(fab *netsim.Fabric, g *comm.Group, visit func(netsim.Route)) ringLoad {
+	d := len(g.Ranks)
+	out := ringLoad{d: d, lat: math.Inf(1)}
+	if d <= 1 {
+		return out
+	}
+	for i, src := range g.Ranks {
+		e := fab.Route(src, g.Ranks[(i+1)%d], g.Class)
+		if visit != nil {
+			visit(e)
 		}
-		eth := node.EthNIC.Gbps / 8 * 1e9 * net.EthEff
-		intra := net.NVLinkBytesPerSec
-		if node.Intra == topology.PCIe {
-			intra = net.PCIeBytesPerSec
-		}
-		for _, bps := range []float64{rdma, eth, intra} {
-			if bps > best {
-				best = bps
+		out.lat = math.Min(out.lat, e.Latency)
+		// A flow never outruns its path's slowest link or its own rate
+		// cap, whatever the sharing.
+		out.perByte = math.Max(out.perByte, 1/e.Bandwidth)
+		for _, l := range e.Links[:e.N] {
+			id := l.ID()
+			if rs.edges[id] == 0 {
+				rs.touched = append(rs.touched, id)
 			}
+			rs.edges[id]++
 		}
 	}
-	if best <= 0 {
-		best = net.NVLinkBytesPerSec
+	for _, id := range rs.touched {
+		out.perByte = math.Max(out.perByte, float64(rs.edges[id])/fab.Link(id).Capacity)
+		rs.edges[id] = 0
 	}
-	return best
-}
-
-// minLatency returns the smallest per-flow latency any class carries.
-func minLatency(calib Calibration) float64 {
-	lat := calib.Net.IntraLatency
-	for _, l := range []float64{calib.Net.IBLatency, calib.Net.RoCELatency, calib.Net.EthLatency} {
-		if l < lat {
-			lat = l
-		}
-	}
-	return lat
+	rs.touched = rs.touched[:0]
+	return out
 }

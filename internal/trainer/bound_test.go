@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"holmes/internal/model"
+	"holmes/internal/topogen"
 	"holmes/internal/topology"
 )
 
@@ -122,6 +123,59 @@ func TestLowerBoundAdmissibleRandomized(t *testing.T) {
 					})
 			}
 		})
+	}
+}
+
+// TestLowerBoundAdmissibleGenerated extends the sweep over generated
+// shapes (internal/topogen, shared with the planner's differential):
+// 1–3 clusters of any technology in any order, uneven sizes, PCIe nodes
+// and degraded NICs, every framework and every (t, p) cell.
+func TestLowerBoundAdmissibleGenerated(t *testing.T) {
+	shapes, err := topogen.Shapes(16, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.Label, func(t *testing.T) {
+			t.Parallel()
+			spec := model.Group(sh.Group).Spec
+			for _, fw := range AllFrameworks {
+				for tile := 1; tile <= sh.Topo.GPUsPerNode; tile *= 2 {
+					for p := 1; p <= sh.Topo.NumNodes(); p++ {
+						checkAdmissible(t, string(fw)+cellLabel(sh.Group, sh.Topo.NumNodes(), tile, p), Config{
+							Topo: sh.Topo, Spec: spec,
+							TensorSize: tile, PipelineSize: p,
+							Framework: fw,
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLowerBoundTightWithoutContention pins the bound's tightness where
+// nothing contends: one stage, no tensor parallelism and a single
+// data-parallel group, so every pipeline runs its ops back to back and
+// the group's collectives run alone on their links. The bound evaluates
+// the same iteration and must meet the simulated time up to its slack.
+func TestLowerBoundTightWithoutContention(t *testing.T) {
+	topo := topology.IBEnv(4)
+	for _, fw := range AllFrameworks {
+		cfg := Config{Topo: topo, Spec: model.Group(1).Spec, TensorSize: 1, PipelineSize: 1, Framework: fw}
+		rep, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := LowerBound(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := lb / rep.IterSeconds; r < 1-1e-6 || r > 1 {
+			t.Errorf("%s: bound/simulated = %.12f (bound %.9gs, simulated %.9gs), want within 1e-6 below 1",
+				fw, r, lb, rep.IterSeconds)
+		}
 	}
 }
 

@@ -110,11 +110,47 @@ func EnvLabel(topo *topology.Topology) string {
 
 // Simulate runs one training iteration and reports the paper's metrics.
 func Simulate(cfg Config) (Report, error) {
+	it, err := prepare(cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	return it.run()
+}
+
+// iteration is one training iteration prepared for its event run: the
+// communicators, the pristine fabric, the partition and the per-stage
+// compute times. Simulate runs it; LowerBound evaluates it instead, so
+// the bound and the simulation share one placement and one partition.
+type iteration struct {
+	cfg    Config
+	opt    Options
+	calib  Calibration
+	deg    parallel.Degrees
+	assign *parallel.Assignment
+	world  *comm.World
+	m      int // micro-batches per pipeline
+
+	eng  *sim.Engine
+	fab  *netsim.Fabric // pristine: no scenario bound yet
+	part partition.Result
+	// tf and tb are each stage's forward and backward seconds per
+	// micro-batch; actBytes is one inter-stage hop's payload.
+	tf, tb   []float64
+	actBytes float64
+	// beat and pipesPerNode set each pipeline's start stagger.
+	beat         float64
+	pipesPerNode int
+}
+
+// prepare validates the configuration and sets up its iteration: the
+// world from the engine cache (or the caller, or built ad hoc), the
+// fabric, the partition and the per-stage compute times.
+func prepare(cfg Config) (*iteration, error) {
 	if cfg.Topo == nil {
-		return Report{}, fmt.Errorf("trainer: nil topology")
+		return nil, fmt.Errorf("trainer: nil topology")
 	}
 	if err := cfg.Spec.Validate(); err != nil {
-		return Report{}, err
+		return nil, err
 	}
 	opt := DefaultOptions(cfg.Framework)
 	if cfg.Opt != nil {
@@ -127,46 +163,44 @@ func Simulate(cfg Config) (Report, error) {
 	t, p := cfg.TensorSize, cfg.PipelineSize
 	deg, err := parallel.TileDegrees(n, t, p)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 	var assign *parallel.Assignment
 	var world *comm.World
 	if cfg.World != nil {
 		world, assign = cfg.World, cfg.World.Assign
 		if assign == nil || assign.Degrees != deg || assign.N != n || world.Selection != opt.NICSelection {
-			return Report{}, fmt.Errorf("trainer: prebuilt world does not match config (degrees %+v, selection %v)", deg, opt.NICSelection)
+			return nil, fmt.Errorf("trainer: prebuilt world does not match config (degrees %+v, selection %v)", deg, opt.NICSelection)
 		}
 		if world.Topo != cfg.Topo && world.Topo.Fingerprint() != cfg.Topo.Fingerprint() {
-			return Report{}, fmt.Errorf("trainer: prebuilt world was built on a different topology")
+			return nil, fmt.Errorf("trainer: prebuilt world was built on a different topology")
 		}
 	} else if cfg.Engine != nil {
 		assign, world, err = cfg.Engine.World(cfg.Topo, deg, opt.NICSelection)
 		if err != nil {
-			return Report{}, err
+			return nil, err
 		}
 	} else {
 		assign, err = parallel.New(n, cfg.Topo.GPUsPerNode, deg)
 		if err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		world, err = comm.BuildWorld(cfg.Topo, assign, opt.NICSelection)
 		if err != nil {
-			return Report{}, err
+			return nil, err
 		}
 	}
 	m, err := cfg.Spec.MicroBatches(deg.D)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 
 	eng := sim.NewEngine()
 	fab := newFabric(eng, cfg.Topo, calib.Net)
-	// The fabric is still pristine: the scenario binds below, and only its
-	// events, firing later, change capacities.
 	dpPerLayer := stageDPPerLayer(cfg, calib, assign, world, fab)
 	part, err := makePartition(cfg, opt, calib, assign, m, dpPerLayer)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 
 	// Per-stage compute times per micro-batch (forward = 1/3 of the F+B
@@ -207,30 +241,10 @@ func Simulate(cfg Config) (Report, error) {
 		}
 	}
 
-	// Bind the scenario before the pipelines so that, at equal instants,
-	// scripted events apply ahead of training events — deterministically.
-	// An empty scenario binds to an inert runtime and schedules nothing.
-	rt, err := cfg.Scenario.Bind(eng, fab)
-	if err != nil {
-		return Report{}, err
-	}
-
-	st := newIterState(eng, fab, assign, world, part, cfg.Spec, opt, calib, m)
-	// When the iteration completes, stop the scenario: open-ended
-	// background traffic and events scripted past the end must not keep
-	// the engine (or the measurement) alive.
-	st.onFinish = rt.Stop
-	sched := pipeline.OneFOneB(p, m)
-	if opt.GPipeSchedule {
-		sched = pipeline.GPipe(p, m)
-	}
-
-	// Launch all t·d pipeline groups concurrently on the shared fabric.
 	// Groups sharing a node start staggered across one pipeline beat:
 	// lockstep starts would make every pipeline's P2P transfer collide on
 	// the node NIC each beat, a synchronization artifact real deployments
 	// do not sustain (kernel jitter and NCCL chunking de-correlate them).
-	actBytes := cfg.Spec.ActivationMessageBytes() / float64(t)
 	beat := 0.0
 	for s := 0; s < p; s++ {
 		if b := tf[s] + tb[s]; b > beat {
@@ -241,14 +255,79 @@ func Simulate(cfg Config) (Report, error) {
 	if pipesPerNode < 1 {
 		pipesPerNode = 1
 	}
-	for _, pg := range world.PPGroups {
+	return &iteration{
+		cfg: cfg, opt: opt, calib: calib,
+		deg: deg, assign: assign, world: world, m: m,
+		eng: eng, fab: fab, part: part,
+		tf: tf, tb: tb,
+		actBytes:     cfg.Spec.ActivationMessageBytes() / float64(t),
+		beat:         beat,
+		pipesPerNode: pipesPerNode,
+	}, nil
+}
+
+// stagger is the instant a pipeline group's first stage starts.
+func (it *iteration) stagger(pg *comm.Group) float64 {
+	return it.beat * float64(pg.Index%it.pipesPerNode) / float64(it.pipesPerNode)
+}
+
+// dpBytes returns the gradient and parameter payloads each
+// data-parallel group of a stage synchronizes per iteration.
+func (it *iteration) dpBytes(stage int) (grad, param float64) {
+	params := float64(it.cfg.Spec.ParamsPerLayer()*int64(it.part.Layers[stage])) / float64(it.assign.T)
+	return params * it.calib.GradBytesPerParam * it.opt.ExtraDPTraffic,
+		params * it.calib.ParamBytesPerParam * it.opt.ExtraDPTraffic
+}
+
+// buckets is how many reduce-scatter buckets a group's gradients split
+// into: one per micro-batch when the optimizer overlaps the backward
+// pass, one after the flush otherwise.
+func (it *iteration) buckets() int {
+	if it.opt.OverlappedOptimizer {
+		return it.m
+	}
+	return 1
+}
+
+// run executes the prepared iteration on its event engine.
+func (it *iteration) run() (Report, error) {
+	cfg, eng, fab := it.cfg, it.eng, it.fab
+	p := it.deg.P
+	tf, tb := it.tf, it.tb
+	// The per-group tails of the abort projection read the fabric before
+	// any scenario event can change it.
+	var tails []float64
+	if cfg.AbortAbove > 0 {
+		tails = it.groupTails()
+	}
+
+	// Bind the scenario before the pipelines so that, at equal instants,
+	// scripted events apply ahead of training events — deterministically.
+	// An empty scenario binds to an inert runtime and schedules nothing.
+	rt, err := cfg.Scenario.Bind(eng, fab)
+	if err != nil {
+		return Report{}, err
+	}
+
+	st := newIterState(it)
+	// When the iteration completes, stop the scenario: open-ended
+	// background traffic and events scripted past the end must not keep
+	// the engine (or the measurement) alive.
+	st.onFinish = rt.Stop
+	sched := pipeline.OneFOneB(p, it.m)
+	if it.opt.GPipeSchedule {
+		sched = pipeline.GPipe(p, it.m)
+	}
+
+	// Launch all t·d pipeline groups concurrently on the shared fabric,
+	// each at its stagger.
+	for _, pg := range it.world.PPGroups {
 		pg := pg
-		stagger := beat * float64(pg.Index%pipesPerNode) / float64(pipesPerNode)
 		cfgExec := pipeline.ExecConfig{
 			Ranks:           pg.Ranks,
 			ForwardTime:     tf,
 			BackwardTime:    tb,
-			ActivationBytes: actBytes,
+			ActivationBytes: it.actBytes,
 			Class:           pg.Class,
 			OnBackwardDone: func(stage, micro int, now sim.Time) {
 				st.backwardDone(pg.Ranks[stage], micro)
@@ -260,24 +339,24 @@ func Simulate(cfg Config) (Report, error) {
 			// ops serially at fixed compute durations, so at every op
 			// completion two lower bounds on the iteration end hold:
 			//   end ≥ now + remF·tf + remB·tb            (the pipe must drain)
-			//   end ≥ now + remB·tb + minTail(stage)     (the stage's DP group
+			//   end ≥ now + remB·tb + tail(stage)        (the stage's DP group
 			//       reduces, steps, and gathers only after its last backward)
 			// Under the non-overlapped optimizer every group waits for the
 			// full flush, so the tail stacks on the whole drain. The moment
 			// either bound provably exceeds the incumbent's iteration time
 			// the candidate has lost and the engine halts — this fires long
 			// before the clock itself reaches the incumbent's time, which is
-			// what makes losing cells cheap. The 1e-9 relative slack keeps a
+			// what makes losing cells cheap. The relative slack keeps a
 			// product-form projection from out-rounding the simulator's
 			// sequential additions: a candidate inside the slack simulates on
 			// to the RunUntil deadline and aborts there instead, so the
 			// search outcome is unchanged either way.
 			tail := make([]float64, p)
 			for s := 0; s < p; s++ {
-				tail[s] = st.minTail(pg.Ranks[s])
+				tail[s] = tails[it.assign.DPRow(pg.Ranks[s])]
 			}
-			deadline := cfg.AbortAbove * (1 + 1e-9)
-			overlapped := opt.OverlappedOptimizer
+			deadline := cfg.AbortAbove * (1 + boundSlack)
+			overlapped := it.opt.OverlappedOptimizer
 			cfgExec.OnOpDone = func(s, remF, remB int, now sim.Time) {
 				drain := float64(remF)*tf[s] + float64(remB)*tb[s]
 				var lb float64
@@ -295,7 +374,7 @@ func Simulate(cfg Config) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		eng.At(stagger, ex.Start)
+		eng.At(it.stagger(pg), ex.Start)
 	}
 	if cfg.AbortAbove > 0 {
 		// Branch-and-bound arm: the caller knows a plan finishing in
@@ -320,12 +399,13 @@ func Simulate(cfg Config) (Report, error) {
 	}
 
 	iter := st.endTime
+	n := cfg.Topo.NumDevices()
 	rep := Report{
 		Framework:            cfg.Framework,
 		Env:                  EnvLabel(cfg.Topo),
-		Degrees:              deg,
-		Partition:            part,
-		Micro:                m,
+		Degrees:              it.deg,
+		Partition:            it.part,
+		Micro:                it.m,
 		IterSeconds:          iter,
 		TFLOPS:               cfg.Spec.FLOPsPerIteration() / (iter * float64(n)) / 1e12,
 		Throughput:           float64(cfg.Spec.GlobalBatch) / iter,
@@ -467,12 +547,9 @@ func maxLayersForMemory(cfg Config, assign *parallel.Assignment, stage int) int 
 // iterState tracks the data-parallel phase across the iteration.
 type iterState struct {
 	eng    *sim.Engine
-	fab    *netsim.Fabric
 	assign *parallel.Assignment
-	world  *comm.World
 	opt    Options
 	calib  Calibration
-	micro  int
 
 	// Per DP group row: gradient payload, bucket progress, timings.
 	groups []*dpGroupState
@@ -508,27 +585,22 @@ type dpGroupState struct {
 	rsDone, stepped, agDone func()
 }
 
-func newIterState(eng *sim.Engine, fab *netsim.Fabric, assign *parallel.Assignment,
-	world *comm.World, part partition.Result, spec model.Spec, opt Options, calib Calibration, m int) *iterState {
+func newIterState(it *iteration) *iterState {
 	st := &iterState{
-		eng: eng, fab: fab, assign: assign, world: world,
-		opt: opt, calib: calib, micro: m,
-		pipesLeft: len(world.PPGroups),
+		eng: it.eng, assign: it.assign,
+		opt: it.opt, calib: it.calib,
+		pipesLeft: len(it.world.PPGroups),
 	}
-	for _, g := range world.DPGroups {
-		stage := assign.StageOf(g.Ranks[0])
-		params := float64(spec.ParamsPerLayer()*int64(part.Layers[stage])) / float64(assign.T)
-		buckets := 1
-		if opt.OverlappedOptimizer {
-			buckets = m
-		}
+	buckets := it.buckets()
+	for _, g := range it.world.DPGroups {
+		grad, param := it.dpBytes(it.assign.StageOf(g.Ranks[0]))
 		gs := &dpGroupState{
 			group:      g,
-			ring:       collective.NewRing(eng, fab, g.Ranks, g.Class),
-			gradBytes:  params * calib.GradBytesPerParam * opt.ExtraDPTraffic,
-			paramBytes: params * calib.ParamBytesPerParam * opt.ExtraDPTraffic,
+			ring:       collective.NewRing(it.eng, it.fab, g.Ranks, g.Class),
+			gradBytes:  grad,
+			paramBytes: param,
 			buckets:    buckets,
-			microCount: make([]int, m),
+			microCount: make([]int, it.m),
 		}
 		gs.rsDone = func() { st.bucketDone(gs) }
 		gs.stepped = func() { gs.ring.AllGather(gs.paramBytes, gs.agDone) }
@@ -620,33 +692,6 @@ func (st *iterState) maybeFinish() {
 
 func (st *iterState) finished() bool {
 	return st.doneCount == len(st.groups) && st.pipesLeft == 0
-}
-
-// minTail returns a lower bound on the post-backward tail of the rank's
-// data-parallel group: the optimizer step, plus — for multi-rank groups —
-// the best-case wall time of the final gradient bucket's reduce-scatter
-// and the parameter all-gather. A ring collective finishes no earlier than
-// its slowest edge, and no edge's flow ever beats that edge's uncontended
-// capacity, so the group's worst pair capacity bounds both collectives
-// from below even on a pristine fabric.
-func (st *iterState) minTail(rank int) float64 {
-	gs := st.groups[st.assign.DPRow(rank)]
-	d := len(gs.group.Ranks)
-	out := st.calib.OptimizerSeconds
-	if d == 1 {
-		return out
-	}
-	perEdge := float64(d-1) / float64(d) * (gs.gradBytes/float64(gs.buckets) + gs.paramBytes)
-	worst := 0.0
-	for i := range gs.group.Ranks {
-		src, dst := gs.group.Ranks[i], gs.group.Ranks[(i+1)%d]
-		if bw := st.fab.PairBandwidth(src, dst, gs.group.Class); bw > 0 {
-			if t := perEdge / bw; t > worst {
-				worst = t
-			}
-		}
-	}
-	return out + worst
 }
 
 func (st *iterState) maxRSTime() float64 {
