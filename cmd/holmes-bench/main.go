@@ -6,23 +6,17 @@
 //	holmes-bench -exp table1
 //	holmes-bench -exp all
 //	holmes-bench -exp fig6 -csv
-//	holmes-bench -exp table3 -json                        # writes BENCH_table3.json
-//	holmes-bench -exp table3 -json -mode baseline -count 3  # BENCH_table3_baseline.json
+//	holmes-bench -exp all -mode baseline
 //
-// The -json mode records a machine-readable performance trajectory per
-// experiment (wall time, cells/s, headline TFLOPS, every row) so perf PRs
-// can commit before/after numbers; -mode=baseline runs the sequential,
-// full-recompute reference path for apples-to-apples comparisons (see
-// EXPERIMENTS.md).
+// -mode=baseline runs every experiment on the sequential, full-recompute
+// reference engine; its output must equal the fast mode's byte for byte
+// (see EXPERIMENTS.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"holmes/internal/engine"
 	"holmes/internal/experiments"
@@ -31,12 +25,9 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1 | table3 | table4 | fig4 | fig5 | fig6 | fig7 | scenarios | all")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut = flag.Bool("json", false, "write a BENCH_<id>.json trajectory file per experiment")
-		outDir  = flag.String("outdir", ".", "directory for -json output files")
-		mode    = flag.String("mode", "fast", "simulation mode: fast (incremental rebalancer, concurrent cells) | baseline (sequential cells, full-recompute oracle)")
-		count   = flag.Int("count", 1, "repetitions per experiment; -json records the fastest")
+		exp  = flag.String("exp", "all", "experiment: table1 | table3 | table4 | fig4 | fig5 | fig6 | fig7 | scenarios | fleet | all")
+		csv  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		mode = flag.String("mode", "fast", "simulation mode: fast (incremental rebalancer, concurrent cells) | baseline (sequential cells, full-recompute oracle)")
 	)
 	flag.Parse()
 
@@ -50,16 +41,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "holmes-bench: unknown -mode %q (want fast or baseline)\n", *mode)
 		os.Exit(2)
 	}
-	if *count < 1 {
-		*count = 1
-	}
 
 	ids := experiments.Names
 	if *exp != "all" {
 		ids = []string{*exp}
 	}
 	for _, id := range ids {
-		rows, elapsed, err := measure(suite, id, *count)
+		rows, err := suite.Run(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "holmes-bench:", err)
 			os.Exit(1)
@@ -67,93 +55,7 @@ func main() {
 		fmt.Printf("== %s ==\n", id)
 		fmt.Print(render(id, rows, *csv))
 		fmt.Println()
-		if *jsonOut {
-			path, err := writeJSON(*outDir, id, *mode, *count, rows, elapsed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "holmes-bench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%.0f ms/op, %.1f cells/s)\n\n",
-				path, float64(elapsed.Nanoseconds())/1e6,
-				float64(len(rows))/elapsed.Seconds())
-		}
 	}
-}
-
-// measure runs the experiment count times, returning the rows and the
-// fastest wall time.
-func measure(suite experiments.Suite, id string, count int) ([]experiments.Row, time.Duration, error) {
-	var rows []experiments.Row
-	var best time.Duration
-	for i := 0; i < count; i++ {
-		start := time.Now()
-		r, err := suite.Run(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if d := time.Since(start); i == 0 || d < best {
-			best = d
-		}
-		rows = r
-	}
-	return rows, best, nil
-}
-
-// benchRow is the per-cell slice of a trajectory record.
-type benchRow struct {
-	Label           string  `json:"label"`
-	TFLOPS          float64 `json:"tflops"`
-	Throughput      float64 `json:"throughput"`
-	ReduceScatterMs float64 `json:"reduce_scatter_ms,omitempty"`
-}
-
-// benchRecord is the BENCH_<id>.json schema: enough to compare perf PRs
-// (ns/op, cells/s) and to detect result drift (per-row metrics). No
-// timestamp on purpose — a regeneration with identical results must
-// produce an identical file, so "no drift" shows up as an empty diff.
-type benchRecord struct {
-	Experiment     string     `json:"experiment"`
-	Mode           string     `json:"mode"`
-	Count          int        `json:"count"`
-	Cells          int        `json:"cells"`
-	NsPerOp        int64      `json:"ns_per_op"`
-	CellsPerSec    float64    `json:"cells_per_sec"`
-	HeadlineTFLOPS float64    `json:"headline_tflops"`
-	Rows           []benchRow `json:"rows"`
-}
-
-func writeJSON(dir, id, mode string, count int, rows []experiments.Row, elapsed time.Duration) (string, error) {
-	rec := benchRecord{
-		Experiment:  id,
-		Mode:        mode,
-		Count:       count,
-		Cells:       len(rows),
-		NsPerOp:     elapsed.Nanoseconds(),
-		CellsPerSec: float64(len(rows)) / elapsed.Seconds(),
-	}
-	if len(rows) > 0 {
-		rec.HeadlineTFLOPS = rows[0].TFLOPS
-	}
-	for _, r := range rows {
-		rec.Rows = append(rec.Rows, benchRow{
-			Label:           r.Label,
-			TFLOPS:          r.TFLOPS,
-			Throughput:      r.Throughput,
-			ReduceScatterMs: r.ReduceScatterMs,
-		})
-	}
-	// Baseline records get their own filename so a comparison run cannot
-	// clobber the committed fast-mode trajectory.
-	name := fmt.Sprintf("BENCH_%s.json", id)
-	if mode != "fast" {
-		name = fmt.Sprintf("BENCH_%s_%s.json", id, mode)
-	}
-	path := filepath.Join(dir, name)
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func render(id string, rows []experiments.Row, csv bool) string {

@@ -77,9 +77,7 @@ type batchJob struct {
 // rather than answered twice.
 func parseBatch(r io.Reader) ([]batchJob, error) {
 	var req BatchRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := config.DecodeStrict(r, &req); err != nil {
 		return nil, fmt.Errorf("batch: %w", err)
 	}
 	if len(req.Items) == 0 {

@@ -70,6 +70,14 @@ func TestErrorPaths(t *testing.T) {
 		{"jobs unknown poll", "GET", "/v1/jobs/ghost", "", 404, `no such job "ghost"`},
 		{"jobs unknown cancel", "DELETE", "/v1/jobs/ghost", "", 404, `no such job "ghost"`},
 		{"jobs wrong method", "PUT", "/v1/jobs", "", 405, "method PUT not allowed"},
+		// One JSON value per body: whatever follows it is rejected, not
+		// silently dropped.
+		{"plan trailing garbage", "POST", "/v1/plan", planBody + "xyz", 400, "config:"},
+		{"plan second config", "POST", "/v1/plan", planBody + `{"env":"RoCE","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2}`, 400, "trailing data after the JSON value"},
+		{"search second config", "POST", "/v1/search", `{"env":"Hybrid","nodes":8,"model":{"group":3}} {}`, 400, "trailing data after the JSON value"},
+		{"simulate stray brace", "POST", "/v1/simulate", `{"env":"Hybrid","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2}}`, 400, "config:"},
+		{"batch trailing garbage", "POST", "/v1/plan/batch", `{"items":[{"op":"plan","config":` + planBody + `}]}garbage`, 400, "batch:"},
+		{"jobs trailing object", "POST", "/v1/jobs", `{"fleet":{"env":"Hybrid","nodes":4},"job":{"id":"a","gpus":8,"model":{"group":1}}}{"oops":1}`, 400, "trailing data after the JSON value"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp *http.Response
@@ -148,6 +156,20 @@ func TestHeadRidesWithGet(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("HEAD /v1/plan: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// The body limit holds at the byte: a valid config padded with trailing
+// whitespace to exactly maxBodyBytes answers, and one byte more is 413 —
+// the bytes after the object are read, not ignored.
+func TestBodyLimitAtBound(t *testing.T) {
+	srv := newTestServer(t)
+	atLimit := planBody + strings.Repeat(" ", maxBodyBytes-len(planBody))
+	if code, body := post(t, srv, "/v1/plan", atLimit); code != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: status %d, want 200 (%.120s)", maxBodyBytes, code, body)
+	}
+	if code, body := post(t, srv, "/v1/plan", atLimit+" "); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d, want 413 (%.120s)", maxBodyBytes+1, code, body)
 	}
 }
 

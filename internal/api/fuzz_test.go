@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,9 @@ func FuzzBatchDecode(f *testing.F) {
 		`null`,
 		// Oversized topology inside an item.
 		`{"items":[{"op":"plan","config":{"env":"IB","nodes":99999,"model":{"group":1}}}]}`,
+		// Well-formed batch followed by trailing data.
+		`{"items":[{"op":"plan","config":{"env":"IB","nodes":4,"model":{"group":1}}}]}garbage`,
+		`{"items":[{"op":"plan","config":{"env":"IB","nodes":4,"model":{"group":1}}}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -48,6 +52,15 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 		if len(jobs) == 0 || len(jobs) > maxBatchItems {
 			t.Fatalf("accepted %d items outside [1, %d]", len(jobs), maxBatchItems)
+		}
+		// An accepted body is one object and nothing but whitespace.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var obj json.RawMessage
+		if err := dec.Decode(&obj); err != nil {
+			t.Fatalf("accepted a body that does not decode: %v", err)
+		}
+		if rest := bytes.Trim(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			t.Fatalf("accepted %q after the batch object", rest)
 		}
 		keys := make(map[string]bool, len(jobs))
 		for i, j := range jobs {

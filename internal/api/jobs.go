@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -11,6 +10,7 @@ import (
 	"sort"
 	"sync"
 
+	"holmes/internal/config"
 	"holmes/internal/fleet"
 )
 
@@ -356,9 +356,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	var req JobRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := config.DecodeStrict(body, &req); err != nil {
 		writeError(w, decodeStatus(err), "jobs: %v", err)
 		return
 	}

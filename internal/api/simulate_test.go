@@ -164,7 +164,11 @@ func TestSimulateEndpointRejectsBadRequests(t *testing.T) {
 		t.Errorf("out-of-range node: status %d (%s)", code, body)
 	}
 
-	// A timeline above the event budget is rejected before simulating.
+	// A timeline at the event budget simulates; one above it is rejected
+	// before simulating.
+	if code, body := post(t, srv, "/v1/simulate", bigScenario(maxScenarioEvents)); code != http.StatusOK {
+		t.Errorf("timeline of %d events: status %d (%s)", maxScenarioEvents, code, body)
+	}
 	var evs []string
 	for i := 0; i <= maxScenarioEvents; i++ {
 		evs = append(evs, `{"kind":"fail_node","at":0,"node":0}`)

@@ -7,15 +7,16 @@ import (
 
 // Fluid collective execution.
 //
-// The stepped Run* functions model every ring round as a synchronized
-// barrier of flows — faithful, but O(n·rounds) flows per collective, which
-// is too heavy inside a full training-iteration simulation where dozens of
-// collectives overlap a pipeline schedule. A fluid Ring collapses a
-// ring collective into one flow per directed ring edge carrying the
-// edge's *total* traffic for the whole operation. Under max-min sharing
-// this matches the fluid limit of a ring (whose progress is continuously
-// governed by its slowest edge) while exposing exactly the same aggregate
-// load to competing traffic on shared NICs.
+// A stepped ring moves a chunk per edge per round behind a barrier:
+// O(n·rounds) flows per collective, too heavy inside a training-iteration
+// simulation where dozens of collectives overlap a pipeline schedule. A
+// fluid Ring collapses a ring collective into one flow per directed ring
+// edge carrying the edge's *total* traffic for the whole operation. Under
+// max-min sharing this matches the fluid limit of a ring (whose progress
+// is continuously governed by its slowest edge) while exposing exactly
+// the same aggregate load to competing traffic on shared NICs; it differs
+// from the stepped ring only by the per-round latency barriers
+// (fluid_test.go keeps a stepped all-reduce as the reference).
 
 // Ring runs fluid collectives over one fixed group, one at a time. Each
 // collective places one flow per directed ring edge and fires its onDone

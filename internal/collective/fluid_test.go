@@ -9,6 +9,38 @@ import (
 	"holmes/internal/topology"
 )
 
+func groupOfNodeLeads(topo *topology.Topology, nodes int) []int {
+	var ranks []int
+	for i := 0; i < nodes; i++ {
+		ranks = append(ranks, topo.Node(i).Devices[0].Rank)
+	}
+	return ranks
+}
+
+// steppedAllReduce is the reference ring all-reduce the fluid Ring
+// approximates: 2(n−1) rounds, each a barrier of n flows that move
+// bytes/n from every rank to its successor.
+func steppedAllReduce(fab *netsim.Fabric, ranks []int, bytes float64, class netsim.Class, onDone func()) {
+	validate(ranks)
+	r := ring(ranks)
+	n := len(r)
+	chunk := bytes / float64(n)
+	var round func(s int)
+	round = func(s int) {
+		if s == 2*(n-1) {
+			onDone()
+			return
+		}
+		var wg sim.WaitGroup
+		wg.Add(n)
+		for i := range r {
+			fab.StartFlow(r[i], r[(i+1)%n], chunk, class, wg.Done)
+		}
+		wg.OnZero(func() { round(s + 1) })
+	}
+	round(0)
+}
+
 func TestFluidMatchesSteppedLoneAllReduce(t *testing.T) {
 	// With no competing traffic, the fluid all-reduce and the stepped
 	// all-reduce should agree closely: the fluid model removes only the
@@ -20,7 +52,7 @@ func TestFluidMatchesSteppedLoneAllReduce(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := netsim.New(eng, topo, netsim.DefaultParams())
 	var stepped sim.Time
-	RunAllReduce(eng, fab, g, bytes, netsim.RDMA, func() { stepped = eng.Now() })
+	steppedAllReduce(fab, g, bytes, netsim.RDMA, func() { stepped = eng.Now() })
 	eng.Run()
 
 	eng.Reset()
@@ -59,13 +91,20 @@ func TestFluidReduceScatterHalfOfAllReduce(t *testing.T) {
 	}
 }
 
+// A singleton group and an empty payload both complete at instant 0.
 func TestFluidSingletonAndZeroComplete(t *testing.T) {
 	topo := topology.IBEnv(1)
 	eng := sim.NewEngine()
 	fab := netsim.New(eng, topo, netsim.DefaultParams())
 	calls := 0
-	NewRing(eng, fab, []int{2}, netsim.RDMA).AllReduce(1e9, func() { calls++ })
-	NewRing(eng, fab, []int{0, 1}, netsim.Intra).ReduceScatter(0, func() { calls++ })
+	done := func() {
+		if now := eng.Now(); now != 0 {
+			t.Errorf("degenerate collective completed at %v, want 0", now)
+		}
+		calls++
+	}
+	NewRing(eng, fab, []int{2}, netsim.RDMA).AllReduce(1e9, done)
+	NewRing(eng, fab, []int{0, 1}, netsim.Intra).ReduceScatter(0, done)
 	eng.Run()
 	if calls != 2 {
 		t.Fatalf("degenerate fluid collectives completed %d/2", calls)
@@ -129,8 +168,14 @@ func TestFluidRingOrderAndValidation(t *testing.T) {
 		eng.Run()
 		return end
 	}
-	if sorted, unsorted := run([]int{0, 8, 16, 24}), run([]int{24, 0, 16, 8}); sorted != unsorted {
-		t.Fatalf("sorted ring %v, unsorted %v", sorted, unsorted)
+	for _, g := range [][2][]int{
+		{{0, 8, 16, 24}, {24, 0, 16, 8}},
+		// Same-node neighbours stay adjacent, so their edges ride NVLink.
+		{{0, 1, 8, 9}, {9, 0, 8, 1}},
+	} {
+		if sorted, unsorted := run(g[0]), run(g[1]); sorted != unsorted {
+			t.Fatalf("sorted ring %v took %v, unsorted %v took %v", g[0], sorted, g[1], unsorted)
+		}
 	}
 	for name, ranks := range map[string][]int{"empty": nil, "duplicate": {3, 1, 3}} {
 		func() {

@@ -5,6 +5,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -58,18 +59,37 @@ type Config struct {
 	Scenario *scenario.Scenario `json:"scenario,omitempty"`
 }
 
-// Load parses a config from JSON.
+// Load parses one config from JSON (see DecodeStrict) and validates its
+// scenario.
 func Load(r io.Reader) (*Config, error) {
 	var c Config
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := DecodeStrict(r, &c); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
 	if err := c.Scenario.Validate(); err != nil {
 		return nil, err
 	}
 	return &c, nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v. Unknown
+// fields are errors, and so is anything but whitespace after the value:
+// Token reads io.EOF there and nowhere else, where More would miss a
+// stray '}' or ']'. A read error is returned as is, so a body over an
+// HTTP byte limit is still a MaxBytesError.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 // LoadFile parses a config file.

@@ -86,6 +86,11 @@ func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		`{"unknown_field": 1}`,
 		`{`,
+		// Anything but whitespace after the object.
+		`{"env":"IB","nodes":4,"model":{"group":1}}xyz`,
+		`{"env":"IB","nodes":4,"model":{"group":1}} {"env":"RoCE"}`,
+		`{"env":"IB","nodes":4,"model":{"group":1}}}`,
+		`{"env":"IB","nodes":4,"model":{"group":1}}]`,
 	}
 	for _, j := range cases {
 		if _, err := Load(strings.NewReader(j)); err == nil {

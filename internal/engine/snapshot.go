@@ -98,21 +98,6 @@ func DecodePlans(entries []PlanSnapshotEntry, codecs ...PlanCodec) ([]DecodedPla
 	return out, nil
 }
 
-// LoadPlans decodes a snapshot and re-keys every entry through the
-// normal plan-cache path (bounds and eviction still hold). It loads
-// nothing when any entry fails to decode, and reports how many entries
-// landed.
-func (e *Engine) LoadPlans(entries []PlanSnapshotEntry, codecs ...PlanCodec) (int, error) {
-	decoded, err := DecodePlans(entries, codecs...)
-	if err != nil {
-		return 0, err
-	}
-	for _, d := range decoded {
-		e.StorePlan(d.Key, d.Val)
-	}
-	return len(decoded), nil
-}
-
 // entries snapshots the cache pairs from tail (least recently used) to
 // head (most recently used).
 func (c *lru[K, V]) entries() []lruPair[K, V] {

@@ -442,19 +442,6 @@ func (s Suite) Scenarios() ([]Row, error) {
 	return s.runCells(cells)
 }
 
-// All runs every experiment, keyed by experiment id in paper order.
-func (s Suite) All() (map[string][]Row, error) {
-	out := make(map[string][]Row)
-	for _, id := range Names {
-		rows, err := s.Run(id)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = rows
-	}
-	return out, nil
-}
-
 // FleetJobs are the contending jobs of the fleet grid: the four Table-2
 // parameter groups arriving together on an 8-node hybrid fleet, demands
 // sized so the fleet is oversubscribed and the scheduler must queue.

@@ -18,7 +18,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -92,16 +91,12 @@ type Trace struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// Load parses a trace from JSON, rejecting unknown fields.
+// Load parses a trace from JSON, rejecting unknown fields and trailing
+// data.
 func Load(r io.Reader) (*Trace, error) {
 	var tr Trace
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&tr); err != nil {
+	if err := config.DecodeStrict(r, &tr); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("fleet: trailing data after the trace object")
 	}
 	return &tr, nil
 }

@@ -409,6 +409,8 @@ func TestTraceLoadRejectsGarbage(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown field": `{"fleet":{"env":"Hybrid","nodes":4},"jobs":[],"extra":1}`,
 		"trailing data": `{"fleet":{"env":"Hybrid","nodes":4},"jobs":[]} {}`,
+		"stray brace":   `{"fleet":{"env":"Hybrid","nodes":4},"jobs":[]}}`,
+		"stray bracket": `{"fleet":{"env":"Hybrid","nodes":4},"jobs":[]}]`,
 		"not json":      `fleet!`,
 	} {
 		if _, err := Load(strings.NewReader(body)); err == nil {

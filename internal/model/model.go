@@ -107,11 +107,6 @@ func (s Spec) ParamsPerLayer() int64 {
 	return 12*h*h + 13*h
 }
 
-// EmbeddingParams returns the embedding-table parameters ((V+s)·h).
-func (s Spec) EmbeddingParams() int64 {
-	return int64(s.Vocab+s.SeqLen) * int64(s.Hidden)
-}
-
 // FLOPsPerIteration returns the Megatron model-FLOPs count for one full
 // training iteration (forward + backward, with activation recomputation
 // factored in the 96 constant, matching the paper's TFLOPS definition).
@@ -122,11 +117,6 @@ func (s Spec) FLOPsPerIteration() float64 {
 	h := float64(s.Hidden)
 	v := float64(s.Vocab)
 	return 96 * b * seq * l * h * h * (1 + seq/(6*h) + v/(16*l*h))
-}
-
-// FLOPsPerSample returns per-sample FLOPs (FLOPsPerIteration / B).
-func (s Spec) FLOPsPerSample() float64 {
-	return s.FLOPsPerIteration() / float64(s.GlobalBatch)
 }
 
 // FLOPsForLayers returns the FLOPs share of `layers` consecutive

@@ -81,7 +81,7 @@ func TestFLOPsScaleLinearlyInBatch(t *testing.T) {
 	if math.Abs(ratio-2) > 1e-9 {
 		t.Fatalf("doubling batch scaled FLOPs by %v, want 2", ratio)
 	}
-	if a.FLOPsPerSample() != b.FLOPsPerSample() {
+	if a.FLOPsPerIteration()/float64(a.GlobalBatch) != b.FLOPsPerIteration()/float64(b.GlobalBatch) {
 		t.Fatal("per-sample FLOPs must not depend on batch")
 	}
 }

@@ -68,8 +68,13 @@ func TestImpairmentFoldsIntoLatency(t *testing.T) {
 	if got := fab.Latency(0, 8, RDMA); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("stacked latency %v, want %v", got, want)
 	}
-	fab.ClearImpairments(0)
-	fab.ClearImpairments(1)
+	// A zero impairment clears node 0's outbound side and node 1's
+	// inbound one.
+	for node, inbound := range []bool{false, true} {
+		if err := fab.SetImpairment(node, RDMA, inbound, Impairment{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := fab.Latency(0, 8, RDMA); got != base {
 		t.Fatalf("cleared latency %v, want %v", got, base)
 	}
@@ -239,15 +244,15 @@ func TestTrunkDegradeRestore(t *testing.T) {
 	if !ok {
 		t.Fatal("no trunk built")
 	}
-	prev, err := fab.DegradeTrunk(0, 1, 0.25)
-	if err != nil || prev != orig {
-		t.Fatalf("DegradeTrunk = (%v, %v), want (%v, nil)", prev, err, orig)
+	// A scenario partition scales the trunk from the capacity it read.
+	if err := fab.RestoreTrunk(0, 1, orig*0.25); err != nil {
+		t.Fatal(err)
 	}
 	if got, _ := fab.TrunkBandwidth(1, 0); math.Abs(got-orig*0.25) > 1e-9 {
 		t.Fatalf("degraded trunk bw %v, want %v (order-independent lookup)", got, orig*0.25)
 	}
-	if _, err := fab.DegradeTrunk(0, 1, 0); err == nil {
-		t.Fatal("factor 0 accepted")
+	if err := fab.RestoreTrunk(0, 1, -1); err == nil {
+		t.Fatal("negative capacity accepted")
 	}
 	if err := fab.RestoreTrunk(0, 1, orig); err != nil {
 		t.Fatal(err)
@@ -255,10 +260,10 @@ func TestTrunkDegradeRestore(t *testing.T) {
 	if got, _ := fab.TrunkBandwidth(0, 1); got != orig {
 		t.Fatalf("restored trunk bw %v, want %v", got, orig)
 	}
-	// Trunkless pair: both ops error.
+	// Trunkless pair: there is no capacity to read or set.
 	fab2 := New(sim.NewEngine(), topo, DefaultParams())
-	if _, err := fab2.DegradeTrunk(0, 1, 0.5); err == nil {
-		t.Fatal("DegradeTrunk on trunkless pair accepted")
+	if _, ok := fab2.TrunkBandwidth(0, 1); ok {
+		t.Fatal("trunkless pair reported a trunk")
 	}
 	if err := fab2.RestoreTrunk(0, 1, 1); err == nil {
 		t.Fatal("RestoreTrunk on trunkless pair accepted")

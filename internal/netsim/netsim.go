@@ -175,9 +175,6 @@ func (l *Link) Name() string {
 // ID is the link's index in its fabric, in [0, Fabric.NumLinks()).
 func (l *Link) ID() int { return l.id }
 
-// ActiveFlows reports how many flows currently traverse the link.
-func (l *Link) ActiveFlows() int { return len(l.flows) }
-
 // FlowID is a handle to a flow, returned by StartFlow and
 // StartFlowRateCapped. The zero FlowID refers to no flow, and a handle
 // goes stale once its flow finishes or is aborted.

@@ -65,7 +65,6 @@ type Assignment struct {
 	stageOf []int // rank -> pipeline stage
 	dpRowOf []int // rank -> DP row index
 	ppRowOf []int // rank -> PP row index
-	tpRowOf []int // rank -> TP row index
 }
 
 // New builds the assignment for n devices. gpusPerNode guards the tensor
@@ -76,8 +75,8 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 	}
 	t, p, d := deg.T, deg.P, deg.D
 	// Each matrix holds every rank once, so the three matrices and the
-	// four lookup tables are carved from one array of 7n ints.
-	ints := make([]int, 7*n)
+	// three lookup tables are carved from one array of 6n ints.
+	ints := make([]int, 6*n)
 	take := func(k int) []int {
 		r := ints[:k:k]
 		ints = ints[k:]
@@ -88,7 +87,6 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 		stageOf: take(n),
 		dpRowOf: take(n),
 		ppRowOf: take(n),
-		tpRowOf: take(n),
 		TP:      make([][]int, 0, p*d),
 		PP:      make([][]int, 0, t*d),
 		DP:      make([][]int, 0, p*t),
@@ -97,9 +95,7 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 	for i := 0; i < p*d; i++ {
 		row := take(t)
 		for j := 0; j < t; j++ {
-			r := i*t + j
-			row[j] = r
-			a.tpRowOf[r] = i
+			row[j] = i*t + j
 		}
 		a.TP = append(a.TP, row)
 	}
@@ -129,15 +125,6 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 
 // StageOf returns the pipeline stage (0-based) a rank computes.
 func (a *Assignment) StageOf(rank int) int { return a.stageOf[a.check(rank)] }
-
-// TPGroup returns the tensor-parallel group containing rank.
-func (a *Assignment) TPGroup(rank int) []int { return a.TP[a.tpRowOf[a.check(rank)]] }
-
-// PPGroup returns the pipeline-parallel group containing rank.
-func (a *Assignment) PPGroup(rank int) []int { return a.PP[a.ppRowOf[a.check(rank)]] }
-
-// DPGroup returns the data-parallel group containing rank.
-func (a *Assignment) DPGroup(rank int) []int { return a.DP[a.dpRowOf[a.check(rank)]] }
 
 // DPRow returns the index of the data-parallel group containing rank.
 func (a *Assignment) DPRow(rank int) int { return a.dpRowOf[a.check(rank)] }

@@ -155,15 +155,14 @@ func TestGroupPartitionProperty(t *testing.T) {
 		if !covers(a.TP) || !covers(a.PP) || !covers(a.DP) {
 			return false
 		}
-		// Membership lookups agree with matrices.
+		// Membership lookups agree with matrices: a rank's TP group is
+		// its run of t (Eq. 1), its DP row holds it, and it sits at its
+		// stage's index in its PP row.
 		for r := 0; r < n; r++ {
-			if !containsInt(a.TPGroup(r), r) || !containsInt(a.PPGroup(r), r) || !containsInt(a.DPGroup(r), r) {
+			if !containsInt(a.TP[r/tt], r) || !containsInt(a.DP[a.DPRow(r)], r) {
 				return false
 			}
-			// Stage of rank equals its index in its PP group, and the
-			// group's row is PPRow.
-			pp := a.PPGroup(r)
-			if pp[a.StageOf(r)] != r || a.PP[a.PPRow(r)][a.StageOf(r)] != r {
+			if a.PP[a.PPRow(r)][a.StageOf(r)] != r {
 				return false
 			}
 		}

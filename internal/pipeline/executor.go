@@ -271,25 +271,3 @@ func (e *Executor) arrived(slot int32) {
 	}
 	e.tryAdvance(h.to)
 }
-
-// RunOne is a convenience wrapper: build, start, and run an executor to
-// completion on a fresh engine pass, returning the iteration makespan.
-// The engine must have no unrelated pending events.
-func RunOne(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecConfig) (sim.Time, error) {
-	var end sim.Time
-	prev := cfg.OnDone
-	cfg.OnDone = func(now sim.Time) {
-		end = now
-		if prev != nil {
-			prev(now)
-		}
-	}
-	ex, err := NewExecutor(eng, fab, sched, cfg)
-	if err != nil {
-		return 0, err
-	}
-	start := eng.Now()
-	ex.Start()
-	eng.Run()
-	return end - start, nil
-}

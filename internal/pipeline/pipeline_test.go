@@ -115,6 +115,28 @@ func TestOneFOneBValidProperty(t *testing.T) {
 	}
 }
 
+// runOne builds, starts, and runs an executor to completion on a fresh
+// engine pass, returning the iteration makespan. The engine must have no
+// unrelated pending events.
+func runOne(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecConfig) (sim.Time, error) {
+	var end sim.Time
+	prev := cfg.OnDone
+	cfg.OnDone = func(now sim.Time) {
+		end = now
+		if prev != nil {
+			prev(now)
+		}
+	}
+	ex, err := NewExecutor(eng, fab, sched, cfg)
+	if err != nil {
+		return 0, err
+	}
+	start := eng.Now()
+	ex.Start()
+	eng.Run()
+	return end - start, nil
+}
+
 func execEnv() (*sim.Engine, *netsim.Fabric, *topology.Topology) {
 	topo := topology.HybridEnv(4)
 	eng := sim.NewEngine()
@@ -140,7 +162,7 @@ func uniformCfg(p int, tf, tb float64, ranks []int) ExecConfig {
 func TestExecutorSingleStage(t *testing.T) {
 	eng, fab, _ := execEnv()
 	sched := OneFOneB(1, 4)
-	dur, err := RunOne(eng, fab, sched, uniformCfg(1, 1, 2, []int{0}))
+	dur, err := runOne(eng, fab, sched, uniformCfg(1, 1, 2, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +177,7 @@ func TestExecutorMatchesAnalyticNoComm(t *testing.T) {
 	p, m := 4, 12
 	sched := OneFOneB(p, m)
 	tf, tb := 0.01, 0.02
-	dur, err := RunOne(eng, fab, sched, uniformCfg(p, tf, tb, []int{0, 8, 16, 24}))
+	dur, err := runOne(eng, fab, sched, uniformCfg(p, tf, tb, []int{0, 8, 16, 24}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +199,7 @@ func TestExecutorBubbleGrowsWithStages(t *testing.T) {
 		ranks := []int{0, 8, 16, 24}[:p]
 		tf := total / 3 / float64(p)
 		tb := 2 * total / 3 / float64(p)
-		dur, err := RunOne(eng, fab, OneFOneB(p, m), uniformCfg(p, tf, tb, ranks))
+		dur, err := runOne(eng, fab, OneFOneB(p, m), uniformCfg(p, tf, tb, ranks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +233,7 @@ func TestExecutorSlowStageDominates(t *testing.T) {
 	cfg := uniformCfg(p, 0, 0, []int{0, 16})
 	cfg.ForwardTime = []float64{0.01, 0.03}
 	cfg.BackwardTime = []float64{0.02, 0.06}
-	dur, err := RunOne(eng, fab, OneFOneB(p, m), cfg)
+	dur, err := runOne(eng, fab, OneFOneB(p, m), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +254,7 @@ func TestExecutorCommDelaysPipeline(t *testing.T) {
 		eng, fab, _ := execEnv()
 		cfg := uniformCfg(2, 0.005, 0.01, []int{0, 16}) // IB node -> RoCE node
 		cfg.ActivationBytes = bytes
-		dur, err := RunOne(eng, fab, OneFOneB(2, 8), cfg)
+		dur, err := runOne(eng, fab, OneFOneB(2, 8), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +275,7 @@ func TestExecutorBackwardHook(t *testing.T) {
 	cfg.OnBackwardDone = func(stage, micro int, now sim.Time) {
 		events = append(events, stage*100+micro)
 	}
-	if _, err := RunOne(eng, fab, OneFOneB(p, m), cfg); err != nil {
+	if _, err := runOne(eng, fab, OneFOneB(p, m), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != p*m {
@@ -268,7 +290,7 @@ func TestExecutorGPipeSlowerThanOneFOneBWithComm(t *testing.T) {
 		eng, fab, _ := execEnv()
 		cfg := uniformCfg(2, 0.004, 0.008, []int{0, 16})
 		cfg.ActivationBytes = 1e6
-		dur, err := RunOne(eng, fab, s, cfg)
+		dur, err := runOne(eng, fab, s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

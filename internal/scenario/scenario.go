@@ -25,6 +25,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -405,8 +406,12 @@ func Load(r io.Reader) (*Scenario, error) {
 	}
 	// Trailing JSON means a concatenated or truncated-then-mended file;
 	// silently taking the first value would drop the user's real events.
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: trailing data after the scenario object")
+	// Token reads io.EOF only when whitespace alone follows.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the scenario object")
+		}
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -96,6 +96,11 @@ func TestLoadRejectsUnknownFieldsAndInvalid(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{} {"events":[{"kind":"fail_node","at":0}]}`)); err == nil {
 		t.Error("trailing data accepted: real events silently dropped")
 	}
+	for _, stray := range []string{`}`, `]`} {
+		if _, err := Load(strings.NewReader(`{"events":[]}` + stray)); err == nil {
+			t.Errorf("trailing %q accepted", stray)
+		}
+	}
 }
 
 func TestStateFolding(t *testing.T) {

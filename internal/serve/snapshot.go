@@ -2,11 +2,12 @@ package serve
 
 import "holmes/internal/engine"
 
-// Pool-level snapshot plumbing: the serving layer owns the fan-out of
-// cache persistence across shards. Plan-cache entries carry a routing
-// key (the topology fingerprint), so a restored entry lands on the shard
-// that will actually look it up; response-cache entries are re-keyed by
-// the API layer, which owns the key format (see internal/api/snapshot.go).
+// Pool-level snapshot plumbing: the serving layer collects cache entries
+// across shards for persistence. The API layer restores them (see
+// internal/api/snapshot.go): it re-keys response-cache entries, whose key
+// format it owns, and stores each plan-cache entry on the shard its
+// routing key (the topology fingerprint) hashes to — the shard that will
+// actually look it up.
 
 // ResponseEntry is one live response-cache pair.
 type ResponseEntry struct {
@@ -36,20 +37,6 @@ func (p *Pool) SnapshotPlans(codecs ...engine.PlanCodec) []engine.PlanSnapshotEn
 		out = append(out, s.SnapshotPlans(codecs...)...)
 	}
 	return out
-}
-
-// LoadPlans decodes plan-cache snapshot entries and stores each on the
-// shard its routing key hashes to — the shard that will serve its future
-// lookups. Nothing is stored when any entry fails to decode.
-func (p *Pool) LoadPlans(entries []engine.PlanSnapshotEntry, codecs ...engine.PlanCodec) (int, error) {
-	decoded, err := engine.DecodePlans(entries, codecs...)
-	if err != nil {
-		return 0, err
-	}
-	for _, d := range decoded {
-		p.ShardFor(d.Route).StorePlan(d.Key, d.Val)
-	}
-	return len(decoded), nil
 }
 
 // SearchStats aggregates the joint-search counters across shards.

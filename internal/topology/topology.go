@@ -194,11 +194,6 @@ func (t *Topology) Node(idx int) *Node {
 	return t.nodes[idx]
 }
 
-// ClusterOf returns the cluster containing the given global rank.
-func (t *Topology) ClusterOf(rank int) *Cluster {
-	return t.Clusters[t.Device(rank).Cluster]
-}
-
 // NodeOf returns the node containing the given global rank.
 func (t *Topology) NodeOf(rank int) *Node {
 	return t.nodes[t.Device(rank).Node]

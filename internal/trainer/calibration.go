@@ -1,9 +1,6 @@
 package trainer
 
-import (
-	"holmes/internal/netsim"
-	"holmes/internal/topology"
-)
+import "holmes/internal/netsim"
 
 // Calibration holds the constants that tie the simulator to the paper's
 // testbed. They are fitted once against Table 1 (GPT-3.6B, 4 nodes, pure
@@ -16,11 +13,6 @@ type Calibration struct {
 	// compute, independent of networking. End-to-end MFU comes out lower
 	// once communication stalls are simulated.
 	ComputeMFU float64
-	// SpeedTable gives the effective per-GPU TFLOPS a device achieves when
-	// its data-parallel traffic rides each NIC technology — the S(·) terms
-	// of the Self-Adapting Pipeline Partition (Eq. 4–5). Values are the
-	// paper's own Table 1 measurements.
-	SpeedTable map[topology.NICType]float64
 	// OptimizerSeconds is the parameter-update time after gradients are
 	// synchronized (HBM-bound, nearly constant).
 	OptimizerSeconds float64
@@ -50,26 +42,12 @@ func DefaultCalibration() Calibration {
 	net.RoCEEff = 0.13
 	net.EthEff = 0.72
 	return Calibration{
-		PeakTFLOPS: 312,
-		ComputeMFU: 0.78,
-		SpeedTable: map[topology.NICType]float64{
-			topology.InfiniBand: 197,
-			topology.RoCE:       160,
-			topology.Ethernet:   122,
-		},
+		PeakTFLOPS:         312,
+		ComputeMFU:         0.78,
 		OptimizerSeconds:   0.05,
 		InterferenceFactor: 0.15,
 		GradBytesPerParam:  4,
 		ParamBytesPerParam: 2,
 		Net:                net,
 	}
-}
-
-// StageSpeed returns the S(c_i) term for a pipeline stage whose devices
-// all use the given NIC technology for data parallelism.
-func (c Calibration) StageSpeed(nic topology.NICType) float64 {
-	if s, ok := c.SpeedTable[nic]; ok {
-		return s
-	}
-	return c.SpeedTable[topology.Ethernet]
 }
