@@ -268,6 +268,12 @@ func BenchmarkPlanBatch(b *testing.B) {
 	b.ReportMetric(32, "plans/req")
 }
 
+// reportSearches reports the joint searches the engine ran since the
+// before snapshot, per benchmark op: the fleet benchmarks' work counter.
+func reportSearches(b *testing.B, eng *Engine, before SearchStats) {
+	b.ReportMetric(float64(eng.SearchStats().Searches-before.Searches)/float64(b.N), "searches/op")
+}
+
 // BenchmarkFleetSchedule measures the fleet scheduler end to end: one
 // replay of the canonical 12-job trace (10-node IB/RoCE/Ethernet fleet,
 // mid-run node failure, degrade, restore) — carve, score, place,
@@ -278,7 +284,7 @@ func BenchmarkFleetSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := NewEngine(EngineConfig{})
+	eng := NewEngine(EngineConfig{Concurrency: benchWidth})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sched *FleetSchedule
@@ -288,6 +294,7 @@ func BenchmarkFleetSchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSearches(b, eng, SearchStats{})
 	b.ReportMetric(float64(len(sched.Jobs)), "jobs")
 	b.ReportMetric(sched.Makespan, "makespan-s")
 	b.ReportMetric(100*sched.Utilization, "util-%")
@@ -304,10 +311,11 @@ func BenchmarkFleetScheduleWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := NewEngine(EngineConfig{})
+	eng := NewEngine(EngineConfig{Concurrency: benchWidth})
 	if _, err := ReplayFleetOn(eng, tr); err != nil {
 		b.Fatal(err)
 	}
+	warm := eng.SearchStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sched *FleetSchedule
@@ -317,6 +325,7 @@ func BenchmarkFleetScheduleWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSearches(b, eng, warm)
 	b.ReportMetric(float64(len(sched.Jobs)), "jobs")
 	b.ReportMetric(sched.Makespan, "makespan-s")
 }
@@ -336,7 +345,7 @@ func BenchmarkFleetMutate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := NewEngine(EngineConfig{})
+	eng := NewEngine(EngineConfig{Concurrency: benchWidth})
 	m, err := NewFleetManager(eng, topo)
 	if err != nil {
 		b.Fatal(err)
@@ -359,6 +368,7 @@ func BenchmarkFleetMutate(b *testing.B) {
 		{Kind: "fail_node", At: 45, Node: 1},
 		{Kind: "restore_node", At: 60, Node: 1},
 	}}
+	warm := eng.SearchStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -379,6 +389,7 @@ func BenchmarkFleetMutate(b *testing.B) {
 		}
 		poll()
 	}
+	reportSearches(b, eng, warm)
 	b.ReportMetric(4, "polls/op")
 }
 
@@ -418,11 +429,12 @@ func runSearchCorpus(b *testing.B, eng *Engine, topos []*Topology) {
 	}
 }
 
-// searchColdWidth pins the cold-search benchmarks' wave width to the
-// reference host's core count: the width decides which incumbent each
-// cell meets, so an unpinned engine would do a different amount of work
-// — and report different counters — on every runner.
-const searchColdWidth = 2
+// benchWidth pins the engine concurrency of every benchmark that
+// searches (the cold-search pair and the three fleet benchmarks) to the
+// reference host's core count: the search's wave width decides which
+// incumbent each cell meets, so an unpinned engine would do a different
+// amount of work — and report different counters — on every runner.
+const benchWidth = 2
 
 // BenchmarkSearchCold measures the cold joint-search path over the whole
 // Table-3 corpus (48 searches per iteration) on a fresh engine each
@@ -437,7 +449,7 @@ func BenchmarkSearchCold(b *testing.B) {
 	b.ResetTimer()
 	var st SearchStats
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine(EngineConfig{Concurrency: searchColdWidth})
+		eng := NewEngine(EngineConfig{Concurrency: benchWidth})
 		runSearchCorpus(b, eng, topos)
 		st = eng.SearchStats()
 	}
@@ -456,7 +468,7 @@ func BenchmarkSearchColdExhaustive(b *testing.B) {
 	b.ResetTimer()
 	var st SearchStats
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine(EngineConfig{Concurrency: searchColdWidth, FullRecompute: true})
+		eng := NewEngine(EngineConfig{Concurrency: benchWidth, FullRecompute: true})
 		runSearchCorpus(b, eng, topos)
 		st = eng.SearchStats()
 	}

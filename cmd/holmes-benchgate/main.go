@@ -13,11 +13,11 @@
 //	holmes-benchgate -max-regress 0.25 < bench.txt
 //	holmes-benchgate -gate BenchmarkTable3=BENCH_baseline.json -gate BenchmarkPlanBatch=BENCH_serve.json < bench.txt
 //
-// Ledgers are the repo's BENCH_*.json documents. A ledger either gates
-// one benchmark through its top-level `after.ns_per_op` — the number the
-// recording session measured after its change, i.e. the level later
-// sessions must hold — or many through a `benchmarks` section mapping
-// benchmark name to {ns_per_op, allocs_per_op}.
+// Ledgers are the repo's BENCH_*.json documents. Each gates its
+// benchmarks through a `benchmarks` section mapping benchmark name to
+// {ns_per_op, allocs_per_op}: the level the recording change measured,
+// which later changes must hold. A gated name with no usable entry there
+// is an error (exit 2).
 package main
 
 import (
@@ -54,22 +54,15 @@ type target struct {
 }
 
 // ledger is the subset of a BENCH_*.json document the gate reads: the
-// single-benchmark after section, or the multi-benchmark section keyed
-// by benchmark name (which wins for names it covers).
+// section keyed by benchmark name.
 type ledger struct {
-	After      target            `json:"after"`
 	Benchmarks map[string]target `json:"benchmarks"`
 }
 
 // resolve picks the gate level for one benchmark name.
 func (l ledger) resolve(name string) (target, bool) {
-	if t, ok := l.Benchmarks[name]; ok && t.NsPerOp > 0 {
-		return t, true
-	}
-	if l.After.NsPerOp > 0 {
-		return l.After, true
-	}
-	return target{}, false
+	t, ok := l.Benchmarks[name]
+	return t, ok && t.NsPerOp > 0
 }
 
 // measurement is one parsed benchmark result: min ns/op across

@@ -80,17 +80,17 @@ func TestLedgerResolve(t *testing.T) {
 	if err := json.Unmarshal([]byte(raw), &led); err != nil {
 		t.Fatal(err)
 	}
-	// A named section wins over the top-level after.
 	if got, ok := led.resolve("BenchmarkA"); !ok || got.NsPerOp != 42 || got.AllocsPerOp != 7 {
 		t.Fatalf("BenchmarkA: %+v %v", got, ok)
 	}
-	// Unknown names fall back to after (no allocs gate there).
-	if got, ok := led.resolve("BenchmarkB"); !ok || got.NsPerOp != 100 || got.AllocsPerOp != 0 {
-		t.Fatalf("BenchmarkB: %+v %v", got, ok)
+	// A name with no entry does not resolve, even with a top-level after
+	// in the document: the gate has no fallback level.
+	if got, ok := led.resolve("BenchmarkB"); ok {
+		t.Fatalf("BenchmarkB resolved to %+v", got)
 	}
-	// An unusable named section (ns_per_op 0) also falls back.
-	if got, ok := led.resolve("BenchmarkEmpty"); !ok || got.NsPerOp != 100 {
-		t.Fatalf("BenchmarkEmpty: %+v %v", got, ok)
+	// Nor does an entry without a usable level (ns_per_op 0).
+	if got, ok := led.resolve("BenchmarkEmpty"); ok {
+		t.Fatalf("BenchmarkEmpty resolved to %+v", got)
 	}
 	var none ledger
 	if _, ok := none.resolve("BenchmarkA"); ok {

@@ -159,17 +159,27 @@ func TestHeadRidesWithGet(t *testing.T) {
 	}
 }
 
-// The body limit holds at the byte: a valid config padded with trailing
-// whitespace to exactly maxBodyBytes answers, and one byte more is 413 —
-// the bytes after the object are read, not ignored.
+// The body limits hold at the byte: a valid body padded with trailing
+// whitespace to exactly its endpoint's limit answers, and one byte more
+// is 413 — the bytes after the object are read, not ignored. That holds
+// for a single plan at maxBodyBytes and for a one-item batch at
+// maxBatchBodyBytes.
 func TestBodyLimitAtBound(t *testing.T) {
 	srv := newTestServer(t)
-	atLimit := planBody + strings.Repeat(" ", maxBodyBytes-len(planBody))
-	if code, body := post(t, srv, "/v1/plan", atLimit); code != http.StatusOK {
-		t.Fatalf("body of exactly %d bytes: status %d, want 200 (%.120s)", maxBodyBytes, code, body)
-	}
-	if code, body := post(t, srv, "/v1/plan", atLimit+" "); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("body of %d bytes: status %d, want 413 (%.120s)", maxBodyBytes+1, code, body)
+	for _, c := range []struct {
+		path, body string
+		limit      int
+	}{
+		{"/v1/plan", planBody, maxBodyBytes},
+		{"/v1/plan/batch", `{"items":[{"op":"plan","config":` + planBody + `}]}`, maxBatchBodyBytes},
+	} {
+		atLimit := c.body + strings.Repeat(" ", c.limit-len(c.body))
+		if code, body := post(t, srv, c.path, atLimit); code != http.StatusOK {
+			t.Fatalf("%s body of exactly %d bytes: status %d, want 200 (%.120s)", c.path, c.limit, code, body)
+		}
+		if code, body := post(t, srv, c.path, atLimit+" "); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s body of %d bytes: status %d, want 413 (%.120s)", c.path, c.limit+1, code, body)
+		}
 	}
 }
 

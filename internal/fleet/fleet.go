@@ -202,6 +202,16 @@ type planEntry struct {
 	err     error
 }
 
+// recoveryKey identifies one eviction recovery factor: the evicted
+// slice's plan key and the failed node's index within the slice. Fleet
+// planners carry no Opt, so the pair is the factor's whole input, and the
+// factor (a float64, 0 on error) is memoized on the plan cache next to
+// the slice plans.
+type recoveryKey struct {
+	slice planKey
+	local int
+}
+
 // NewScheduler validates the fleet topology and binds it to an engine
 // (nil = the shared default engine).
 func NewScheduler(eng *engine.Engine, topo *topology.Topology) (*Scheduler, error) {
@@ -218,20 +228,20 @@ func NewScheduler(eng *engine.Engine, topo *topology.Topology) (*Scheduler, erro
 }
 
 // searchSlice runs (or replays from the engine's shared plan cache) the
-// joint search for a model on a carved slice. Scoring is a pure function
-// of (slice fingerprint, model, framework), so a cache hit — even one
-// written by a different scheduler — cannot change a schedule.
-func (s *Scheduler) searchSlice(sub *topology.Topology, spec model.Spec, fw trainer.Framework) (*core.Planner, *core.Plan, error) {
-	key := planKey{fp: sub.Fingerprint(), spec: spec, fw: fw}
+// joint search for a model on a carved slice whose fingerprint is
+// key.fp. Scoring is a pure function of (slice fingerprint, model,
+// framework), so a cache hit — even one written by a different
+// scheduler — cannot change a schedule.
+func (s *Scheduler) searchSlice(key planKey, sub *topology.Topology) (*core.Planner, *core.Plan, error) {
 	if v, ok := s.eng.Plan(key); ok {
 		e := v.(planEntry)
 		return e.planner, e.plan, e.err
 	}
-	pl, err := core.NewPlannerOn(s.eng, sub, spec)
+	pl, err := core.NewPlannerOn(s.eng, sub, key.spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl.Framework = fw
+	pl.Framework = key.fw
 	plan, err := pl.SearchPlan()
 	s.eng.StorePlan(key, planEntry{planner: pl, plan: plan, err: err})
 	if err != nil {

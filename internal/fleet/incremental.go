@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"slices"
 
 	"holmes/internal/core"
 	"holmes/internal/scenario"
@@ -21,11 +22,22 @@ import (
 // state.run loop over the same state, so their schedules are
 // bit-identical — the differential and golden tests hold each release to
 // that.
+//
+// Most placement rows do not change from one instant to the next (a
+// finished job's row never does), so a snapshot does not copy them: its
+// row table points at immutable rows, and a row unchanged since the
+// previous recorded snapshot is that snapshot's row. Rows are copied
+// out again on restore, so neither the live state nor a returned
+// schedule ever holds a checkpoint row.
 
 // maxCheckpoints bounds the recorder. Beyond the bound new instants are
-// simply not recorded: resume then starts earlier and replays more,
-// which is slower but never wrong. With MaxJobs = 64 the bound is never
-// approached in practice.
+// simply not recorded, and do not move the base the next recorded
+// instant's rows are compared against: resume then starts earlier and
+// replays more, which is slower but never wrong. With MaxJobs = 64 the
+// bound is never approached in practice. Rows are shared, not chained
+// as deltas, so a checkpoint costs its state plus one pointer per trace
+// job, and restoring it walks no chain that would need a bound of its
+// own.
 const maxCheckpoints = 4096
 
 // qcheck snapshots one queue entry. Jobs are identified by ID, not trace
@@ -64,16 +76,24 @@ type checkpoint struct {
 	runs       []runCheck
 	busy       float64
 	tenantBusy map[string]float64
-	results    []Placement // by job ID (JobID field), one row per trace job
+	// results holds one immutable row per trace job of the recording
+	// replay, in its trace order; restore matches them by JobID. Rows
+	// are shared with neighbouring checkpoints and never written.
+	results []*Placement
 }
 
-// recorder accumulates checkpoints during a recorded replay.
+// recorder accumulates checkpoints during a recorded replay. base is
+// the row table of the previous recorded checkpoint, aligned to the
+// running replay's trace indices: nil entries (or a short table) mark
+// jobs with no row to share yet.
 type recorder struct {
 	checks []*checkpoint
+	base   []*Placement
 }
 
-// record deep-snapshots the state. Called by state.run after each
-// instant's placement pass.
+// record snapshots the state, sharing every row the previous recorded
+// checkpoint holds unchanged and copying the rest, Nodes included.
+// Called by state.run after each instant's placement pass.
 func (rec *recorder) record(st *state) {
 	if len(rec.checks) >= maxCheckpoints {
 		return
@@ -87,7 +107,7 @@ func (rec *recorder) record(st *state) {
 		runs:       make([]runCheck, len(st.runs)),
 		busy:       st.busy,
 		tenantBusy: make(map[string]float64, len(st.tenantBusy)),
-		results:    make([]Placement, len(st.results)),
+		results:    make([]*Placement, len(st.results)),
 	}
 	for k, v := range st.failed {
 		cp.failed[k] = v
@@ -112,11 +132,31 @@ func (rec *recorder) record(st *state) {
 			finish:   r.finish,
 		}
 	}
-	for i, p := range st.results {
-		p.Nodes = append([]int(nil), p.Nodes...)
-		cp.results[i] = p
+	for i := range st.results {
+		live := &st.results[i]
+		if i < len(rec.base) && rec.base[i] != nil && sameRow(rec.base[i], live) {
+			cp.results[i] = rec.base[i]
+			continue
+		}
+		row := *live
+		row.Nodes = append([]int(nil), live.Nodes...)
+		cp.results[i] = &row
 	}
+	rec.base = cp.results
 	rec.checks = append(rec.checks, cp)
+}
+
+// sameRow reports whether two placement rows are identical. Floats are
+// compared by their bits, so a row whose value only changed sign of zero
+// is still copied rather than shared away.
+func sameRow(a, b *Placement) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.JobID == b.JobID && slices.Equal(a.Nodes, b.Nodes) && a.Degrees == b.Degrees &&
+		same(a.Start, b.Start) && same(a.Finish, b.Finish) && same(a.Waited, b.Waited) &&
+		same(a.IterSeconds, b.IterSeconds) && same(a.Throughput, b.Throughput) && same(a.TFLOPS, b.TFLOPS) &&
+		a.Partition == b.Partition && a.Backfilled == b.Backfilled &&
+		a.Evictions == b.Evictions && a.Replans == b.Replans && same(a.Recovery, b.Recovery) &&
+		a.Preemptions == b.Preemptions && a.MissedDeadline == b.MissedDeadline && a.Unplaced == b.Unplaced
 }
 
 func snapQ(q *qentry) qcheck {
@@ -162,11 +202,14 @@ func (rec *recorder) popLast() *checkpoint {
 }
 
 // restore rebuilds a live replay state from the checkpoint against a
-// freshly resolved trace. It returns false when any snapshotted job is
-// missing from the trace — a sign the caller's invalidation missed a
-// mutation — so the caller falls back to a full recorded replay instead
-// of resuming from a stale base.
-func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, bool) {
+// freshly resolved trace, copying every row out. Its second result is the
+// checkpoint's row table re-aligned to the new trace's indices, nil for
+// jobs new to the trace: the base the resumed replay's first record
+// compares against. It returns false when any snapshotted job is missing
+// from the trace — a sign the caller's invalidation missed a mutation —
+// so the caller falls back to a full recorded replay instead of resuming
+// from a stale base.
+func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, []*Placement, bool) {
 	byID := make(map[string]*rjob, len(jobs))
 	for _, j := range jobs {
 		byID[j.job.ID] = j
@@ -183,7 +226,7 @@ func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, b
 		results:    make([]Placement, len(jobs)),
 	}
 	if len(st.free) != s.topo.NumNodes() {
-		return nil, false
+		return nil, nil, false
 	}
 	for k, v := range cp.failed {
 		st.failed[k] = v
@@ -201,19 +244,22 @@ func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, b
 	// their final rows, started jobs their start/wait bookkeeping. Rows
 	// of jobs the mutation removed are dropped; jobs new to the trace
 	// keep their fresh zero rows.
+	base := make([]*Placement, len(jobs))
 	for _, p := range cp.results {
 		j, ok := byID[p.JobID]
 		if !ok {
 			continue
 		}
-		p.Nodes = append([]int(nil), p.Nodes...)
-		st.results[j.idx] = p
+		row := *p
+		row.Nodes = append([]int(nil), p.Nodes...)
+		st.results[j.idx] = row
+		base[j.idx] = p
 	}
 	st.queue = make([]*qentry, 0, len(cp.queue))
 	for _, qc := range cp.queue {
 		q, ok := restoreQ(qc, byID, st)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
 		st.queue = append(st.queue, q)
 	}
@@ -221,7 +267,7 @@ func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, b
 	for _, rc := range cp.runs {
 		q, ok := restoreQ(rc.q, byID, st)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
 		st.runs = append(st.runs, &run{
 			q:        q,
@@ -233,7 +279,7 @@ func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, b
 			finish:   rc.finish,
 		})
 	}
-	return st, true
+	return st, base, true
 }
 
 func restoreQ(qc qcheck, byID map[string]*rjob, st *state) (*qentry, bool) {
@@ -270,7 +316,8 @@ func (s *Scheduler) resume(tr *Trace, rec *recorder) (*Schedule, error) {
 	arr := arrivalOrder(jobs)
 	evs := lowerEvents(s.topo, tr.Scenario)
 	if cp := rec.popLast(); cp != nil {
-		if st, ok := cp.restore(s, pol, jobs); ok {
+		if st, base, ok := cp.restore(s, pol, jobs); ok {
+			rec.base = base
 			ai, ei := 0, 0
 			for ai < len(arr) && arr[ai].job.Submit <= st.clock {
 				ai++
@@ -284,6 +331,7 @@ func (s *Scheduler) resume(tr *Trace, rec *recorder) (*Schedule, error) {
 		rec.reset()
 	}
 	st := newState(s, pol, jobs)
+	rec.base = nil
 	ei := st.run(arr, evs, 0, 0, rec)
 	return buildSchedule(tr, jobs, st, ei), nil
 }

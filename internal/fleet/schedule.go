@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"holmes/internal/core"
@@ -276,13 +277,13 @@ func (st *state) candidates(need int) [][]int {
 		return nil
 	}
 	var cands [][]int
-	seen := make(map[string]bool)
 	add := func(nodes []int) {
-		key := fmt.Sprint(nodes)
-		if !seen[key] {
-			seen[key] = true
-			cands = append(cands, nodes)
+		for _, c := range cands {
+			if slices.Equal(c, nodes) {
+				return
+			}
 		}
+		cands = append(cands, nodes)
 	}
 	topo := st.sch.topo
 	for _, c := range topo.Clusters {
@@ -341,7 +342,7 @@ func (st *state) score(j *rjob, nodes []int) (choice, error) {
 	if err != nil {
 		return choice{}, err
 	}
-	pl, plan, err := st.sch.searchSlice(sub, j.spec, j.fw)
+	pl, plan, err := st.sch.searchSlice(planKey{fp: sub.Fingerprint(), spec: j.spec, fw: j.fw}, sub)
 	if err != nil {
 		return choice{}, err
 	}
@@ -367,6 +368,7 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 		return choice{}, false, fmt.Sprintf("needs %d free node(s)", j.nodes), ""
 	}
 	subs := make([]*topology.Topology, 0, len(cands))
+	keys := make([]planKey, 0, len(cands))
 	uniqOf := make([]int, len(cands)) // candidate -> index into subs, -1 on carve error
 	carveErrs := make([]error, len(cands))
 	seen := make(map[string]int, len(cands))
@@ -383,6 +385,7 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 			u = len(subs)
 			seen[fp] = u
 			subs = append(subs, sub)
+			keys = append(keys, planKey{fp: fp, spec: j.spec, fw: j.fw})
 		}
 		uniqOf[i] = u
 	}
@@ -390,7 +393,7 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 	plans := make([]*core.Plan, len(subs))
 	errs := make([]error, len(subs))
 	st.sch.eng.Go(len(subs), func(u int) {
-		planners[u], plans[u], errs[u] = st.sch.searchSlice(subs[u], j.spec, j.fw)
+		planners[u], plans[u], errs[u] = st.sch.searchSlice(keys[u], subs[u])
 	})
 	best := -1
 	for i := range cands {
@@ -717,17 +720,37 @@ func (st *state) evictOn(node int) {
 // core.ReplanFrom: the factor compares a fresh joint search on the
 // residual slice against the old plan limping under the failure. A slice
 // with no survivors (or no feasible residual plan) reports 0.
+//
+// The factor is a pure function of the slice's plan key — read back off
+// the run's planner, which searchSlice built from exactly that key — and
+// the failed node's index within the slice. A resumed replay crosses the
+// same evictions poll after poll, so the factor is memoized on the
+// engine's plan cache under a recoveryKey (DESIGN.md decision 10). A
+// FullRecompute engine skips the memo and recomputes every factor: the
+// oracle managers the differential tests compare against never read a
+// memoized one.
 func (st *state) recovery(r *run, failedNode int) float64 {
-	local := -1
-	for i, n := range r.nodes {
-		if n == failedNode {
-			local = i
-			break
-		}
-	}
+	local := slices.Index(r.nodes, failedNode)
 	if local < 0 {
 		return 0
 	}
+	eng := st.sch.eng
+	if eng.FullRecompute() {
+		return replanRecovery(r, local)
+	}
+	pl := r.planner
+	key := recoveryKey{slice: planKey{fp: pl.Topo.Fingerprint(), spec: pl.Spec, fw: pl.Framework}, local: local}
+	if v, ok := eng.Plan(key); ok {
+		return v.(float64)
+	}
+	f := replanRecovery(r, local)
+	eng.StorePlan(key, f)
+	return f
+}
+
+// replanRecovery runs core.ReplanFrom for the loss of the slice's local
+// node and returns the recovery factor, 0 when it fails or is not finite.
+func replanRecovery(r *run, local int) float64 {
 	sc := &scenario.Scenario{
 		Name:   "eviction",
 		Events: []scenario.Event{{Kind: scenario.FailNode, At: 0, Node: local}},

@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -249,19 +250,41 @@ func (t *Topology) String() string {
 // equal cluster/node/NIC/memory layouts yield equal fingerprints even for
 // independently built values. Plan and world caches key on it, so it must
 // cover everything communicator construction and the fabric read.
+//
+// The bytes are persisted, so the format is frozen: journal file names
+// are the FNV-64a hash of the fingerprint, and shard routes and
+// cache-snapshot routes key on it. The layout is "g<G>", then
+// "|<NIC>:<nodes>" per cluster, then
+// ";<RDMA NIC>*<NICs>x<RDMA Gbps>:<intra>:e<Eth Gbps>:m<mem bytes>" per
+// node. Floats print in strconv's shortest 'g' form, which is what fmt's
+// %g prints, and which keeps the non-integral Gbps of degraded effective
+// topologies distinct. The fleet replay fingerprints candidate slices at
+// every instant, so this appends into one buffer instead of using fmt.
 func (t *Topology) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "g%d", t.GPUsPerNode)
+	b := make([]byte, 0, 16+16*len(t.Clusters)+48*t.NumNodes())
+	b = append(b, 'g')
+	b = strconv.AppendInt(b, int64(t.GPUsPerNode), 10)
 	for _, c := range t.Clusters {
-		fmt.Fprintf(&b, "|%v:%d", c.NICType, len(c.Nodes))
+		b = append(b, '|')
+		b = append(b, c.NICType.String()...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(len(c.Nodes)), 10)
 		for _, n := range c.Nodes {
-			// %g keeps fractional capacities distinct: degraded effective
-			// topologies carry non-integral Gbps that %.0f would collide.
-			fmt.Fprintf(&b, ";%v*%dx%g:%v:e%g:m%d",
-				n.RDMAType(), len(n.NICs), n.RDMAGbps(), n.Intra, n.EthNIC.Gbps, n.MemBytesPerGPU)
+			b = append(b, ';')
+			b = append(b, n.RDMAType().String()...)
+			b = append(b, '*')
+			b = strconv.AppendInt(b, int64(len(n.NICs)), 10)
+			b = append(b, 'x')
+			b = strconv.AppendFloat(b, n.RDMAGbps(), 'g', -1, 64)
+			b = append(b, ':')
+			b = append(b, n.Intra.String()...)
+			b = append(b, ":e"...)
+			b = strconv.AppendFloat(b, n.EthNIC.Gbps, 'g', -1, 64)
+			b = append(b, ":m"...)
+			b = strconv.AppendInt(b, n.MemBytesPerGPU, 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // Validate checks the §2.4 structural invariants: at least one cluster,
