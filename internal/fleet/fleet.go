@@ -183,6 +183,7 @@ type Schedule struct {
 type Scheduler struct {
 	topo *topology.Topology
 	eng  *engine.Engine
+	fp   string // topo's fingerprint: the fleet half of every sliceKey
 }
 
 // planKey identifies one joint (t, p) search: the carved slice's
@@ -212,6 +213,23 @@ type recoveryKey struct {
 	local int
 }
 
+// sliceKey identifies one candidate slice's carve: the fleet topology's
+// fingerprint, and per slice node its original index and the bits of its
+// cumulative rdma and eth factors. The carved slice's fingerprint is a
+// pure function of the pair, so it is memoized on the plan cache as a
+// sliceEntry next to the slice plans it keys.
+type sliceKey struct {
+	fleet string
+	nodes string
+}
+
+// sliceEntry is a memoized carve outcome: the slice's fingerprint, or
+// the carve's error.
+type sliceEntry struct {
+	fp  string
+	err error
+}
+
 // NewScheduler validates the fleet topology and binds it to an engine
 // (nil = the shared default engine).
 func NewScheduler(eng *engine.Engine, topo *topology.Topology) (*Scheduler, error) {
@@ -224,30 +242,7 @@ func NewScheduler(eng *engine.Engine, topo *topology.Topology) (*Scheduler, erro
 	if eng == nil {
 		eng = engine.Default()
 	}
-	return &Scheduler{topo: topo, eng: eng}, nil
-}
-
-// searchSlice runs (or replays from the engine's shared plan cache) the
-// joint search for a model on a carved slice whose fingerprint is
-// key.fp. Scoring is a pure function of (slice fingerprint, model,
-// framework), so a cache hit — even one written by a different
-// scheduler — cannot change a schedule.
-func (s *Scheduler) searchSlice(key planKey, sub *topology.Topology) (*core.Planner, *core.Plan, error) {
-	if v, ok := s.eng.Plan(key); ok {
-		e := v.(planEntry)
-		return e.planner, e.plan, e.err
-	}
-	pl, err := core.NewPlannerOn(s.eng, sub, key.spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl.Framework = key.fw
-	plan, err := pl.SearchPlan()
-	s.eng.StorePlan(key, planEntry{planner: pl, plan: plan, err: err})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, plan, nil
+	return &Scheduler{topo: topo, eng: eng, fp: topo.Fingerprint()}, nil
 }
 
 // Topology exposes the fleet topology.
@@ -268,26 +263,23 @@ func Replay(eng *engine.Engine, tr *Trace) (*Schedule, error) {
 	return s.Replay(tr)
 }
 
-// rjob is one resolved, validated trace job.
+// rjob is one resolved, validated job; job is kept as submitted.
 type rjob struct {
 	idx    int // trace position: the deterministic tie-breaker
 	job    Job
 	spec   model.Spec
 	fw     trainer.Framework
+	iters  int     // resolved iterations (1 when unset)
 	nodes  int     // demand in whole nodes
 	tenant string  // resolved tenant (job ID when unset)
 	weight float64 // resolved fair-share weight (1 when unset)
 }
 
-// ResolveJob validates one job against the fleet topology: non-empty ID,
-// finite non-negative submit, whole-node GPU demand within the fleet,
-// resolvable model, known framework. Shared by trace replay and the
-// serve API's admission path.
-func ResolveJob(topo *topology.Topology, j Job) error {
-	_, err := resolveJob(topo, 0, j)
-	return err
-}
-
+// resolveJob validates one job against the fleet topology — non-empty
+// ID, finite non-negative submit, whole-node GPU demand within the
+// fleet, resolvable model, known framework — and resolves it for the
+// replay. Trace replay resolves every job of the trace; a Manager
+// resolves each job once, at Submit.
 func resolveJob(topo *topology.Topology, idx int, j Job) (rjob, error) {
 	if j.ID == "" {
 		return rjob{}, fmt.Errorf("fleet: job %d has no id", idx)
@@ -339,7 +331,7 @@ func resolveJob(topo *topology.Topology, idx int, j Job) (rjob, error) {
 	if weight == 0 {
 		weight = 1
 	}
-	return rjob{idx: idx, job: j, spec: spec, fw: fw, nodes: j.GPUs / g, tenant: tenant, weight: weight}, nil
+	return rjob{idx: idx, job: j, spec: spec, fw: fw, iters: max(j.Iterations, 1), nodes: j.GPUs / g, tenant: tenant, weight: weight}, nil
 }
 
 // validateScenario checks the fleet-supported event kinds: the replay

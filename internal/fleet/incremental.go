@@ -66,16 +66,17 @@ type runCheck struct {
 }
 
 // checkpoint is the full replay state at one instant, after that
-// instant's placement pass.
+// instant's placement pass. The node and tenant tables are copies by
+// value, one allocation each.
 type checkpoint struct {
 	clock      float64
 	free       []bool
-	failed     map[int]bool
-	factors    map[int]nodeFactors
+	failed     []bool
+	factors    []nodeFactors
 	queue      []qcheck
 	runs       []runCheck
 	busy       float64
-	tenantBusy map[string]float64
+	tenantBusy []tenantUse
 	// results holds one immutable row per trace job of the recording
 	// replay, in its trace order; restore matches them by JobID. Rows
 	// are shared with neighbouring checkpoints and never written.
@@ -91,7 +92,8 @@ type recorder struct {
 	base   []*Placement
 }
 
-// record snapshots the state, sharing every row the previous recorded
+// record snapshots the state: the node and tenant tables by value, and
+// the placement rows by sharing every row the previous recorded
 // checkpoint holds unchanged and copying the rest, Nodes included.
 // Called by state.run after each instant's placement pass.
 func (rec *recorder) record(st *state) {
@@ -100,23 +102,14 @@ func (rec *recorder) record(st *state) {
 	}
 	cp := &checkpoint{
 		clock:      st.clock,
-		free:       append([]bool(nil), st.free...),
-		failed:     make(map[int]bool, len(st.failed)),
-		factors:    make(map[int]nodeFactors, len(st.factors)),
+		free:       slices.Clone(st.free),
+		failed:     slices.Clone(st.failed),
+		factors:    slices.Clone(st.factors),
 		queue:      make([]qcheck, len(st.queue)),
 		runs:       make([]runCheck, len(st.runs)),
 		busy:       st.busy,
-		tenantBusy: make(map[string]float64, len(st.tenantBusy)),
+		tenantBusy: slices.Clone(st.tenantBusy),
 		results:    make([]*Placement, len(st.results)),
-	}
-	for k, v := range st.failed {
-		cp.failed[k] = v
-	}
-	for k, v := range st.factors {
-		cp.factors[k] = v
-	}
-	for k, v := range st.tenantBusy {
-		cp.tenantBusy[k] = v
 	}
 	for i, q := range st.queue {
 		cp.queue[i] = snapQ(q)
@@ -201,15 +194,20 @@ func (rec *recorder) popLast() *checkpoint {
 	return cp
 }
 
-// restore rebuilds a live replay state from the checkpoint against a
-// freshly resolved trace, copying every row out. Its second result is the
-// checkpoint's row table re-aligned to the new trace's indices, nil for
-// jobs new to the trace: the base the resumed replay's first record
-// compares against. It returns false when any snapshotted job is missing
+// restore rebuilds a live replay state from the checkpoint against the
+// live job set in trace order, copying the tables and every row out. Its
+// second result is the checkpoint's row table re-aligned to the new
+// trace's indices, nil for jobs new to the trace: the base the resumed
+// replay's first record compares against. It returns false when a node
+// table does not cover the fleet, or when any snapshotted job is missing
 // from the trace — a sign the caller's invalidation missed a mutation —
 // so the caller falls back to a full recorded replay instead of resuming
 // from a stale base.
 func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, []*Placement, bool) {
+	n := s.topo.NumNodes()
+	if len(cp.free) != n || len(cp.failed) != n || len(cp.factors) != n {
+		return nil, nil, false
+	}
 	byID := make(map[string]*rjob, len(jobs))
 	for _, j := range jobs {
 		byID[j.job.ID] = j
@@ -218,24 +216,12 @@ func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, [
 		sch:        s,
 		pol:        pol,
 		clock:      cp.clock,
-		free:       append([]bool(nil), cp.free...),
-		failed:     make(map[int]bool, len(cp.failed)),
-		factors:    make(map[int]nodeFactors, len(cp.factors)),
+		free:       slices.Clone(cp.free),
+		failed:     slices.Clone(cp.failed),
+		factors:    slices.Clone(cp.factors),
 		busy:       cp.busy,
-		tenantBusy: make(map[string]float64, len(cp.tenantBusy)),
+		tenantBusy: slices.Clone(cp.tenantBusy),
 		results:    make([]Placement, len(jobs)),
-	}
-	if len(st.free) != s.topo.NumNodes() {
-		return nil, nil, false
-	}
-	for k, v := range cp.failed {
-		st.failed[k] = v
-	}
-	for k, v := range cp.factors {
-		st.factors[k] = v
-	}
-	for k, v := range cp.tenantBusy {
-		st.tenantBusy[k] = v
 	}
 	for i, j := range jobs {
 		st.results[i] = Placement{JobID: j.job.ID}
@@ -297,24 +283,22 @@ func restoreQ(qc qcheck, byID map[string]*rjob, st *state) (*qentry, bool) {
 	}, true
 }
 
-// resume replays the trace, reusing the recorder's newest surviving
-// checkpoint as the starting state when one exists. The caller must have
+// resume replays a Manager's live set, reusing the recorder's newest
+// surviving checkpoint as the starting state when one exists. jobs are
+// the live jobs as resolved at Submit, in trace order with their trace
+// indices stamped; sc and policy were validated when they were set, so
+// nothing here re-resolves or re-validates. The caller must have
 // invalidated the recorder from every mutation's change point since the
 // last recorded replay; under that contract resume is bit-identical to
-// Replay (see the package differential tests).
-func (s *Scheduler) resume(tr *Trace, rec *recorder) (*Schedule, error) {
-	jobs, err := s.resolveTrace(tr)
-	if err != nil {
-		rec.reset()
-		return nil, err
-	}
-	pol, err := PolicyByName(tr.Policy)
+// Replay of the same live trace (see the package differential tests).
+func (s *Scheduler) resume(jobs []*rjob, sc *scenario.Scenario, policy string, rec *recorder) (*Schedule, error) {
+	pol, err := PolicyByName(policy)
 	if err != nil {
 		rec.reset()
 		return nil, err
 	}
 	arr := arrivalOrder(jobs)
-	evs := lowerEvents(s.topo, tr.Scenario)
+	evs := lowerEvents(s.topo, sc)
 	if cp := rec.popLast(); cp != nil {
 		if st, base, ok := cp.restore(s, pol, jobs); ok {
 			rec.base = base
@@ -326,14 +310,14 @@ func (s *Scheduler) resume(tr *Trace, rec *recorder) (*Schedule, error) {
 				ei++
 			}
 			ei = st.run(arr, evs, ai, ei, rec)
-			return buildSchedule(tr, jobs, st, ei), nil
+			return buildSchedule("", policy, jobs, st, ei), nil
 		}
 		rec.reset()
 	}
 	st := newState(s, pol, jobs)
 	rec.base = nil
 	ei := st.run(arr, evs, 0, 0, rec)
-	return buildSchedule(tr, jobs, st, ei), nil
+	return buildSchedule("", policy, jobs, st, ei), nil
 }
 
 // changePoint reports the earliest instant an event mutation can alter

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"holmes/internal/engine"
@@ -34,21 +36,22 @@ var (
 // same jobs in any order, on any number of shards, yields bit-identical
 // schedules.
 //
-// Schedules are computed incrementally: every recomputation records a
-// checkpoint of the replay state at each virtual instant, and a mutation
-// invalidates only the checkpoints at or after its change point (the
-// submit time of an added or cancelled job, the timestamp of a scenario
-// event). The next Schedule call resumes from the newest surviving
-// checkpoint instead of replaying from virtual time zero. A manager on
-// an engine with FullRecompute set keeps no checkpoints and replays
-// every schedule from scratch — the differential oracle the incremental
-// path is tested against; by construction both produce bit-identical
-// schedules.
+// Schedules are computed incrementally. Each job is validated and
+// resolved once, at Submit, and kept resolved in the live set; every
+// recomputation records a checkpoint of the replay state at each virtual
+// instant, and a mutation invalidates only the checkpoints at or after
+// its change point (the submit time of an added or cancelled job, the
+// timestamp of a scenario event). The next Schedule call resumes from
+// the newest surviving checkpoint instead of replaying from virtual time
+// zero. A manager on an engine with FullRecompute set keeps no
+// checkpoints and replays every schedule from scratch, resolving the
+// live trace anew — the differential oracle the incremental path is
+// tested against; by construction both produce bit-identical schedules.
 type Manager struct {
 	sch *Scheduler
 
 	mu      sync.Mutex
-	jobs    map[string]Job
+	jobs    map[string]*rjob // the live set by ID, resolved at Submit
 	scn     *scenario.Scenario
 	policy  string // "" = DefaultPolicy
 	version uint64 // bumped on every mutation
@@ -65,7 +68,7 @@ func NewManager(eng *engine.Engine, topo *topology.Topology) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{sch: sch, jobs: make(map[string]Job)}, nil
+	return &Manager{sch: sch, jobs: make(map[string]*rjob)}, nil
 }
 
 // Topology exposes the fleet topology.
@@ -107,10 +110,12 @@ func (m *Manager) invalidateFrom(t float64) {
 	m.rec.invalidateFrom(t)
 }
 
-// Submit validates and admits one job. Duplicate IDs are rejected — the
-// ID is the client's handle for polling and cancellation.
+// Submit validates and admits one job, resolving it once for every
+// later replay. Duplicate IDs are rejected — the ID is the client's
+// handle for polling and cancellation.
 func (m *Manager) Submit(j Job) error {
-	if err := ResolveJob(m.sch.topo, j); err != nil {
+	rj, err := resolveJob(m.sch.topo, 0, j)
+	if err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -121,7 +126,7 @@ func (m *Manager) Submit(j Job) error {
 	if len(m.jobs) >= MaxJobs {
 		return fmt.Errorf("fleet: %w (%d jobs, the per-fleet limit)", ErrFleetFull, MaxJobs)
 	}
-	m.jobs[j.ID] = j
+	m.jobs[j.ID] = &rj
 	m.invalidateFrom(j.Submit)
 	return nil
 }
@@ -135,7 +140,7 @@ func (m *Manager) Cancel(id string) bool {
 		return false
 	}
 	delete(m.jobs, id)
-	m.invalidateFrom(j.Submit)
+	m.invalidateFrom(j.job.Submit)
 	return true
 }
 
@@ -199,19 +204,30 @@ func (m *Manager) Len() int {
 	return len(m.jobs)
 }
 
-// trace folds the live set into the canonical trace: jobs ordered by
-// (submit, id). Callers hold m.mu.
-func (m *Manager) trace() *Trace {
-	jobs := make([]Job, 0, len(m.jobs))
+// live lists the live set in the canonical trace order, (submit, id):
+// the order every schedule replays and every snapshot writes, whatever
+// order the jobs arrived in. Callers hold m.mu.
+func (m *Manager) live() []*rjob {
+	jobs := make([]*rjob, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
+	slices.SortFunc(jobs, func(a, b *rjob) int {
+		if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
+			return c
 		}
-		return jobs[a].ID < jobs[b].ID
+		return strings.Compare(a.job.ID, b.job.ID)
 	})
+	return jobs
+}
+
+// trace folds the live set into the canonical trace. Callers hold m.mu.
+func (m *Manager) trace() *Trace {
+	live := m.live()
+	jobs := make([]Job, len(live))
+	for i, j := range live {
+		jobs[i] = j.job
+	}
 	return &Trace{Jobs: jobs, Scenario: m.scn, Policy: m.policy}
 }
 
@@ -230,13 +246,16 @@ func (m *Manager) Schedule() (*Schedule, error) {
 		m.cached, m.cachedV = sched, m.version
 		return sched, nil
 	}
-	tr := m.trace()
 	var sched *Schedule
 	var err error
 	if m.sch.eng.FullRecompute() {
-		sched, err = m.sch.Replay(tr)
+		sched, err = m.sch.Replay(m.trace())
 	} else {
-		sched, err = m.sch.resume(tr, &m.rec)
+		jobs := m.live()
+		for i, j := range jobs {
+			j.idx = i
+		}
+		sched, err = m.sch.resume(jobs, m.scn, m.policy, &m.rec)
 	}
 	if err != nil {
 		return nil, err

@@ -900,28 +900,21 @@ func (o *Operator) Abort() error {
 	return o.j.Close()
 }
 
-// jobByID returns the live job by ID (manager helper for rollback).
+// jobByID returns the live job, as submitted, by ID (manager helper for
+// rollback).
 func (m *Manager) jobByID(id string) (Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	if j, ok := m.jobs[id]; ok {
+		return j.job, true
+	}
+	return Job{}, false
 }
 
-// liveJobs lists the live set sorted by (submit, id) — the canonical
-// trace order, giving snapshots stable bytes.
+// liveJobs lists the live jobs, as submitted, in the canonical trace
+// order, giving snapshots stable bytes.
 func (m *Manager) liveJobs() []Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	jobs := make([]Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	return jobs
+	return m.trace().Jobs
 }

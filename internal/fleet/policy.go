@@ -213,7 +213,10 @@ func (st *state) Now() float64 { return st.clock }
 // and evicted segments) plus the elapsed part of every live run, in
 // slice order — all deterministic accumulation orders.
 func (st *state) TenantUsage(tenant string) float64 {
-	u := st.tenantBusy[tenant]
+	var u float64
+	if i := st.tenantIndex(tenant); i >= 0 {
+		u = st.tenantBusy[i].busy
+	}
 	for _, r := range st.runs {
 		if r.q.j.tenant == tenant {
 			u += st.gpus(r) * (st.clock - r.segStart)

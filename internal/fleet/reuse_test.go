@@ -154,7 +154,7 @@ func rowState(t *testing.T, finished int) *state {
 	}
 	st := newState(s, pol, jobs)
 	st.clock = 100
-	st.tenantBusy["t"] = 42
+	st.tenantBusy = []tenantUse{{tenant: "t", busy: 42}}
 	for i := 0; i < finished; i++ {
 		p := &st.results[i]
 		p.Nodes = []int{i % 4, (i + 1) % 4}

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"holmes/internal/core"
 	"holmes/internal/netsim"
@@ -23,9 +25,22 @@ import (
 // nodeFactors is the cumulative degrade state of one node (1 = pristine),
 // mirroring scenario.StateAt semantics for the two classes carving can
 // represent. Intra-node degradation has no topology-level expression and
-// is ignored here, as in scenario.EffectiveSpec.
+// is ignored here, as in scenario.EffectiveSpec. degraded is set by the
+// first degrade_nic and cleared by restore_node; a restore replans the
+// node's jobs only when it was set, even if the factors multiplied back
+// to 1.
 type nodeFactors struct {
 	rdma, eth float64
+	degraded  bool
+}
+
+// pristineFactors is the degrade state of a node no degrade_nic has touched.
+var pristineFactors = nodeFactors{rdma: 1, eth: 1}
+
+// tenantUse is one tenant's accrued busy GPU-seconds.
+type tenantUse struct {
+	tenant string
+	busy   float64
 }
 
 // qentry is one queued (or requeued) job.
@@ -57,36 +72,41 @@ type choice struct {
 	plan    *core.Plan
 }
 
-// state is the mutable replay state.
+// state is the mutable replay state. The node state is three tables
+// indexed by original node index, one entry per fleet node, so a
+// checkpoint copies each with one allocation whatever the fleet's
+// faults.
 type state struct {
 	sch     *Scheduler
 	pol     Policy
 	clock   float64
-	free    []bool // alive and idle, by original node index
-	failed  map[int]bool
-	factors map[int]nodeFactors
+	free    []bool        // alive and idle
+	failed  []bool        // failed and not yet restored
+	factors []nodeFactors // cumulative degrade state
 	queue   []*qentry
 	runs    []*run
 	busy    float64 // accumulated busy GPU-seconds
 	// tenantBusy is busy split by tenant (completed and evicted
-	// segments; live-run accrual is added on read by TenantUsage).
-	tenantBusy map[string]float64
+	// segments; live-run accrual is added on read by TenantUsage), one
+	// entry per tenant in the order each first accrued.
+	tenantBusy []tenantUse
 	results    []Placement
 }
 
 // newState builds the pristine replay state for a resolved trace.
 func newState(s *Scheduler, pol Policy, jobs []*rjob) *state {
+	n := s.topo.NumNodes()
 	st := &state{
-		sch:        s,
-		pol:        pol,
-		free:       make([]bool, s.topo.NumNodes()),
-		failed:     make(map[int]bool),
-		factors:    make(map[int]nodeFactors),
-		tenantBusy: make(map[string]float64),
-		results:    make([]Placement, len(jobs)),
+		sch:     s,
+		pol:     pol,
+		free:    make([]bool, n),
+		failed:  make([]bool, n),
+		factors: make([]nodeFactors, n),
+		results: make([]Placement, len(jobs)),
 	}
-	for i := range st.free {
+	for i := range n {
 		st.free[i] = true
+		st.factors[i] = pristineFactors
 	}
 	for i, j := range jobs {
 		st.results[i] = Placement{JobID: j.job.ID}
@@ -111,10 +131,6 @@ func (s *Scheduler) resolveTrace(tr *Trace) ([]*rjob, error) {
 			return nil, fmt.Errorf("fleet: jobs %d and %d share id %q", first, i, j.ID)
 		}
 		seen[j.ID] = i
-		rj.idx = i
-		if rj.job.Iterations == 0 {
-			rj.job.Iterations = 1
-		}
 		jobs[i] = &rj
 	}
 	if err := validateScenario(s.topo, tr.Scenario); err != nil {
@@ -132,15 +148,11 @@ func arrivalOrder(jobs []*rjob) []*rjob {
 
 // Replay runs the trace's jobs over the scheduler's fleet topology
 // (tr.Fleet is ignored here; the Replay function resolves it). The
-// returned schedule is deterministic: same trace, same schedule.
+// returned schedule is deterministic: same trace, same schedule. It
+// resolves every job from the trace and records no checkpoints: it is
+// the from-scratch oracle a Manager's incremental path is tested
+// against.
 func (s *Scheduler) Replay(tr *Trace) (*Schedule, error) {
-	return s.replay(tr, nil)
-}
-
-// replay is Replay with an optional checkpoint recorder (the manager's
-// incremental path snapshots the state at every instant so a later
-// mutation can resume mid-trace instead of recomputing from scratch).
-func (s *Scheduler) replay(tr *Trace, rec *recorder) (*Schedule, error) {
 	jobs, err := s.resolveTrace(tr)
 	if err != nil {
 		return nil, err
@@ -152,8 +164,8 @@ func (s *Scheduler) replay(tr *Trace, rec *recorder) (*Schedule, error) {
 	st := newState(s, pol, jobs)
 	arr := arrivalOrder(jobs)
 	evs := lowerEvents(s.topo, tr.Scenario)
-	ei := st.run(arr, evs, 0, 0, rec)
-	return buildSchedule(tr, jobs, st, ei), nil
+	ei := st.run(arr, evs, 0, 0, nil)
+	return buildSchedule(tr.Name, tr.Policy, jobs, st, ei), nil
 }
 
 // run drives the replay loop from the state's current clock, starting at
@@ -210,10 +222,10 @@ func (st *state) run(arr []*rjob, evs []scenario.Event, ai, ei int, rec *recorde
 }
 
 // buildSchedule folds the final replay state into the Schedule document.
-func buildSchedule(tr *Trace, jobs []*rjob, st *state, appliedEvents int) *Schedule {
+func buildSchedule(name, policy string, jobs []*rjob, st *state, appliedEvents int) *Schedule {
 	sched := &Schedule{
-		Trace:          tr.Name,
-		Policy:         tr.Policy,
+		Trace:          name,
+		Policy:         policy,
 		Nodes:          st.sch.topo.NumNodes(),
 		GPUs:           st.sch.topo.NumDevices(),
 		Jobs:           st.results,
@@ -239,7 +251,7 @@ func (st *state) enqueue(j *rjob) {
 	st.queue = append(st.queue, &qentry{
 		j:        j,
 		ready:    j.job.Submit,
-		remIters: j.job.Iterations,
+		remIters: j.iters,
 		res:      &st.results[j.idx],
 	})
 	st.sortQueue()
@@ -323,7 +335,7 @@ func (st *state) carve(nodes []int) (*topology.Topology, error) {
 	for ci := range spec.Clusters {
 		cs := &spec.Clusters[ci]
 		for k := 0; k < cs.Nodes; k++ {
-			if f, ok := st.factors[nodes[pos]]; ok {
+			if f := st.factors[nodes[pos]]; f.degraded {
 				ov := cs.Overrides[k]
 				ov.GbpsPerNIC *= f.rdma
 				ov.EthGbps *= f.eth
@@ -335,14 +347,82 @@ func (st *state) carve(nodes []int) (*topology.Topology, error) {
 	return topology.Build(spec)
 }
 
-// score carves the slice and runs (or replays from the plan cache) the
-// joint (t, p) search on it.
-func (st *state) score(j *rjob, nodes []int) (choice, error) {
+// fingerprint returns the fingerprint of the slice carve would cut, or
+// carve's error. The carve is a pure function of the fleet topology, the
+// slice's nodes and their factors, and the replay asks for the same few
+// slices at instant after instant, so the outcome is memoized on the
+// engine's plan cache under a sliceKey (DESIGN.md decision 10). An
+// untouched node keys as the pristine factors, which carve the same as a
+// node degraded by factor 1. A FullRecompute engine skips the memo and
+// carves every slice.
+func (st *state) fingerprint(nodes []int) (string, error) {
+	eng := st.sch.eng
+	if eng.FullRecompute() {
+		return st.carveFingerprint(nodes)
+	}
+	var sb strings.Builder
+	sb.Grow(18 * len(nodes))
+	for _, n := range nodes {
+		f := st.factors[n]
+		var w [binary.MaxVarintLen64 + 16]byte
+		b := binary.AppendUvarint(w[:0], uint64(n))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.rdma))
+		sb.Write(binary.LittleEndian.AppendUint64(b, math.Float64bits(f.eth)))
+	}
+	key := sliceKey{fleet: st.sch.fp, nodes: sb.String()}
+	if v, ok := eng.Plan(key); ok {
+		e := v.(sliceEntry)
+		return e.fp, e.err
+	}
+	fp, err := st.carveFingerprint(nodes)
+	eng.StorePlan(key, sliceEntry{fp: fp, err: err})
+	return fp, err
+}
+
+func (st *state) carveFingerprint(nodes []int) (string, error) {
 	sub, err := st.carve(nodes)
+	if err != nil {
+		return "", err
+	}
+	return sub.Fingerprint(), nil
+}
+
+// searchSlice runs (or replays from the engine's shared plan cache) the
+// joint search for a model on the slice whose fingerprint is key.fp.
+// Scoring is a pure function of (slice fingerprint, model, framework),
+// so a cache hit — even one written by a different scheduler — cannot
+// change a schedule, and the slice is carved only on a miss.
+func (st *state) searchSlice(key planKey, nodes []int) (*core.Planner, *core.Plan, error) {
+	eng := st.sch.eng
+	if v, ok := eng.Plan(key); ok {
+		e := v.(planEntry)
+		return e.planner, e.plan, e.err
+	}
+	sub, err := st.carve(nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	pl, err := core.NewPlannerOn(eng, sub, key.spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	pl.Framework = key.fw
+	plan, err := pl.SearchPlan()
+	eng.StorePlan(key, planEntry{planner: pl, plan: plan, err: err})
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl, plan, nil
+}
+
+// score runs (or replays from the plan cache) the joint (t, p) search on
+// the slice.
+func (st *state) score(j *rjob, nodes []int) (choice, error) {
+	fp, err := st.fingerprint(nodes)
 	if err != nil {
 		return choice{}, err
 	}
-	pl, plan, err := st.sch.searchSlice(planKey{fp: sub.Fingerprint(), spec: j.spec, fw: j.fw}, sub)
+	pl, plan, err := st.searchSlice(planKey{fp: fp, spec: j.spec, fw: j.fw}, nodes)
 	if err != nil {
 		return choice{}, err
 	}
@@ -352,10 +432,10 @@ func (st *state) score(j *rjob, nodes []int) (choice, error) {
 // scoreJob scores every candidate slice for a job against the current
 // free set and selects the highest simulated throughput, ties broken by
 // candidate input order — identical to a sequential scan. Candidates are
-// carved first and deduplicated by structural fingerprint, so the engine
-// searches each distinct slice exactly once and fingerprint-identical
-// slices never race each other for pool workers; the searches then fan
-// out over the engine's bounded worker pool.
+// fingerprinted first and deduplicated by structural fingerprint, so the
+// engine searches each distinct slice exactly once and
+// fingerprint-identical slices never race each other for pool workers;
+// the searches then fan out over the engine's bounded worker pool.
 //
 // scoreJob never mutates the replay state. It reports the two error
 // strings the caller may fold into the job's lastErr: needErr when the
@@ -367,33 +447,32 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 	if len(cands) == 0 {
 		return choice{}, false, fmt.Sprintf("needs %d free node(s)", j.nodes), ""
 	}
-	subs := make([]*topology.Topology, 0, len(cands))
+	uniq := make([][]int, 0, len(cands)) // first candidate of each distinct fingerprint
 	keys := make([]planKey, 0, len(cands))
-	uniqOf := make([]int, len(cands)) // candidate -> index into subs, -1 on carve error
+	uniqOf := make([]int, len(cands)) // candidate -> index into uniq, -1 on carve error
 	carveErrs := make([]error, len(cands))
 	seen := make(map[string]int, len(cands))
 	for i, nodes := range cands {
-		sub, err := st.carve(nodes)
+		fp, err := st.fingerprint(nodes)
 		if err != nil {
 			uniqOf[i] = -1
 			carveErrs[i] = err
 			continue
 		}
-		fp := sub.Fingerprint()
 		u, dup := seen[fp]
 		if !dup {
-			u = len(subs)
+			u = len(uniq)
 			seen[fp] = u
-			subs = append(subs, sub)
+			uniq = append(uniq, nodes)
 			keys = append(keys, planKey{fp: fp, spec: j.spec, fw: j.fw})
 		}
 		uniqOf[i] = u
 	}
-	planners := make([]*core.Planner, len(subs))
-	plans := make([]*core.Plan, len(subs))
-	errs := make([]error, len(subs))
-	st.sch.eng.Go(len(subs), func(u int) {
-		planners[u], plans[u], errs[u] = st.sch.searchSlice(keys[u], subs[u])
+	planners := make([]*core.Planner, len(uniq))
+	plans := make([]*core.Plan, len(uniq))
+	errs := make([]error, len(uniq))
+	st.sch.eng.Go(len(uniq), func(u int) {
+		planners[u], plans[u], errs[u] = st.searchSlice(keys[u], uniq[u])
 	})
 	best := -1
 	for i := range cands {
@@ -603,10 +682,26 @@ func (st *state) gpus(r *run) float64 {
 
 // accrue books dt seconds of the run's GPUs into the fleet total and
 // the run's tenant. Callers invoke it in replay-deterministic order, so
-// the floating-point sums are reproducible bit for bit.
+// the floating-point sums are reproducible bit for bit. A tenant's first
+// accrual adds to an explicit 0, as a map's missing entry would.
 func (st *state) accrue(r *run, dt float64) {
 	st.busy += st.gpus(r) * dt
-	st.tenantBusy[r.q.j.tenant] += st.gpus(r) * dt
+	i := st.tenantIndex(r.q.j.tenant)
+	if i < 0 {
+		i = len(st.tenantBusy)
+		st.tenantBusy = append(st.tenantBusy, tenantUse{tenant: r.q.j.tenant})
+	}
+	st.tenantBusy[i].busy += st.gpus(r) * dt
+}
+
+// tenantIndex finds the tenant's tenantBusy entry, -1 when it has none.
+func (st *state) tenantIndex(tenant string) int {
+	for i := range st.tenantBusy {
+		if st.tenantBusy[i].tenant == tenant {
+			return i
+		}
+	}
+	return -1
 }
 
 // segmentProgress closes the books on a run segment at the clock and
@@ -633,10 +728,10 @@ func (st *state) applyEvent(ev scenario.Event) {
 		st.free[ev.Node] = false
 		st.evictOn(ev.Node)
 	case scenario.RestoreNode:
-		_, degraded := st.factors[ev.Node]
-		delete(st.factors, ev.Node)
+		degraded := st.factors[ev.Node].degraded
+		st.factors[ev.Node] = pristineFactors
 		if st.failed[ev.Node] {
-			delete(st.failed, ev.Node)
+			st.failed[ev.Node] = false
 			st.free[ev.Node] = true
 			return
 		}
@@ -652,10 +747,7 @@ func (st *state) applyEvent(ev scenario.Event) {
 		if err != nil {
 			return // Validate rejected this already; fold defensively
 		}
-		f, ok := st.factors[ev.Node]
-		if !ok {
-			f = nodeFactors{rdma: 1, eth: 1}
-		}
+		f := st.factors[ev.Node]
 		switch class {
 		case netsim.RDMA:
 			f.rdma *= ev.Factor
@@ -664,6 +756,7 @@ func (st *state) applyEvent(ev scenario.Event) {
 		default:
 			return // intra-node degradation has no carving representation
 		}
+		f.degraded = true
 		st.factors[ev.Node] = f
 		st.replanOn(ev.Node)
 	}
