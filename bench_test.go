@@ -456,6 +456,7 @@ func BenchmarkSearchCold(b *testing.B) {
 	b.ReportMetric(float64(st.Simulated), "simulated/op")
 	b.ReportMetric(float64(st.Pruned), "pruned/op")
 	b.ReportMetric(float64(st.Aborted), "aborted/op")
+	b.ReportMetric(float64(st.Events), "events/op")
 }
 
 // BenchmarkSearchColdExhaustive is the same corpus through the

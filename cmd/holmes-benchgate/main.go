@@ -18,6 +18,12 @@
 // {ns_per_op, allocs_per_op}: the level the recording change measured,
 // which later changes must hold. A gated name with no usable entry there
 // is an error (exit 2).
+//
+// Work counters are gated exactly. When an entry records
+// pruned_per_op, aborted_per_op or simulated_per_op, every repetition's
+// pruned/op, aborted/op or simulated/op must equal it, and a recorded
+// counter the output lacks fails: the counts are deterministic, so any
+// difference is a change in the work done, never host noise.
 package main
 
 import (
@@ -47,10 +53,31 @@ func (g gates) Set(s string) error {
 }
 
 // target is one gated level: ns/op always, allocs/op when the ledger
-// records it (0 = not gated).
+// records it (0 = not gated), and each work counter it records (nil =
+// not gated).
 type target struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	NsPerOp        float64  `json:"ns_per_op"`
+	AllocsPerOp    float64  `json:"allocs_per_op,omitempty"`
+	PrunedPerOp    *float64 `json:"pruned_per_op,omitempty"`
+	AbortedPerOp   *float64 `json:"aborted_per_op,omitempty"`
+	SimulatedPerOp *float64 `json:"simulated_per_op,omitempty"`
+}
+
+// counter is one work counter the gate holds exactly: the unit the
+// benchmark reports it in, and the level the target records (nil when
+// it records none).
+type counter struct {
+	unit string
+	want *float64
+}
+
+// counters lists the target's work counters.
+func (t target) counters() []counter {
+	return []counter{
+		{"pruned/op", t.PrunedPerOp},
+		{"aborted/op", t.AbortedPerOp},
+		{"simulated/op", t.SimulatedPerOp},
+	}
 }
 
 // ledger is the subset of a BENCH_*.json document the gate reads: the
@@ -66,11 +93,14 @@ func (l ledger) resolve(name string) (target, bool) {
 }
 
 // measurement is one parsed benchmark result: min ns/op across
-// repetitions, and the allocs/op of that same fastest repetition (-1
-// when the output had no -benchmem columns).
+// repetitions, the allocs/op of that same fastest repetition (-1 when
+// the output had no -benchmem columns), the number of repetitions, and
+// every repetition's work counters by unit.
 type measurement struct {
 	NsPerOp     float64
 	AllocsPerOp float64
+	Reps        int
+	Counters    map[string][]float64
 }
 
 // parseBench extracts per-benchmark measurements from `go test -bench`
@@ -79,7 +109,8 @@ type measurement struct {
 //	BenchmarkPlanBatch-8   3   98861041 ns/op   32.00 plans/req  33411216 B/op  648282 allocs/op
 //
 // the -8 GOMAXPROCS suffix is stripped, and multiple repetitions (from
-// -count) collapse to the one with minimum ns/op.
+// -count) collapse to the one with minimum ns/op, keeping every
+// repetition's counters.
 func parseBench(r io.Reader) (map[string]measurement, error) {
 	best := make(map[string]measurement)
 	sc := bufio.NewScanner(r)
@@ -102,9 +133,20 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 				name = name[:i]
 			}
 		}
-		if cur, seen := best[name]; !seen || m.NsPerOp < cur.NsPerOp {
-			best[name] = m
+		cur, seen := best[name]
+		if !seen {
+			cur.Counters = make(map[string][]float64)
 		}
+		cur.Reps++
+		for _, c := range (target{}).counters() {
+			if v, ok := metric(fields, c.unit); ok {
+				cur.Counters[c.unit] = append(cur.Counters[c.unit], v)
+			}
+		}
+		if !seen || m.NsPerOp < cur.NsPerOp {
+			cur.NsPerOp, cur.AllocsPerOp = m.NsPerOp, m.AllocsPerOp
+		}
+		best[name] = cur
 	}
 	return best, sc.Err()
 }
@@ -138,6 +180,24 @@ func check(name, what string, got, want, maxRegress float64) bool {
 	fmt.Printf("%-28s measured %14.0f %-9s ledger %14.0f  %+6.1f%%  (limit %+.0f%%)  %s\n",
 		name, got, what, want, delta, maxRegress*100, verdict)
 	return regressed
+}
+
+// checkCounter gates one work counter exactly: each of the reps
+// repetitions must report it and equal the ledger's level. It returns
+// true on a mismatch and prints the verdict line either way.
+func checkCounter(name, unit string, got []float64, reps int, want float64) bool {
+	verdict := "ok"
+	bad := len(got) == 0 || len(got) != reps
+	for _, v := range got {
+		if v != want {
+			bad = true
+		}
+	}
+	if bad {
+		verdict = "MISMATCH"
+	}
+	fmt.Printf("%-28s measured %v %-12s ledger %v exactly  %s\n", name, got, unit, want, verdict)
+	return bad
 }
 
 func main() {
@@ -207,6 +267,11 @@ func main() {
 				fmt.Fprintf(os.Stderr, "holmes-benchgate: %s gates allocs/op but the bench output has none (run with -benchmem)\n", name)
 				failed = true
 			} else if check(name, "allocs/op", got.AllocsPerOp, want.AllocsPerOp, *maxAllocRegress) {
+				failed = true
+			}
+		}
+		for _, c := range want.counters() {
+			if c.want != nil && checkCounter(name, c.unit, got.Counters[c.unit], got.Reps, *c.want) {
 				failed = true
 			}
 		}

@@ -97,8 +97,9 @@ type (
 	// EngineConfig fixes an Engine's behaviour at construction.
 	EngineConfig = engine.Config
 	// SearchStats counts joint-search work: cells simulated, pruned by
-	// the admissible bound, aborted mid-simulation (branch-and-bound),
-	// and whole searches answered from the winner memo.
+	// the admissible bound, aborted as provably lost (branch-and-bound),
+	// the events the simulations fired, and whole searches answered
+	// from the winner memo.
 	SearchStats = engine.SearchStats
 	// ServePool is the serving layer over engine shards: requests hash to
 	// the shard owning their topology fingerprint, admission is bounded

@@ -680,7 +680,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // SearchResponse is the outcome of /v1/search.
 type SearchResponse struct {
 	Winner PlanResponse `json:"winner"`
-	// CellsExplored counts the feasible (t, p) candidates simulated.
+	// CellsExplored counts the feasible (t, p) cells of the search space,
+	// listed in Cells — every candidate the search weighed, most of them
+	// pruned by the bound without simulating (the /v1/stats search block
+	// counts how each fared).
 	CellsExplored int           `json:"cells_explored"`
 	Cells         []DegreesJSON `json:"cells"`
 }

@@ -228,6 +228,21 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) {
 	}
 }
 
+// TestStatsSearchBlockCountsEvents: the search block of /v1/stats
+// counts the cells of a search and the events its simulations fired.
+func TestStatsSearchBlockCountsEvents(t *testing.T) {
+	srv := newPoolServer(t, serve.New(serve.Config{Shards: 1}))
+	if code, raw := post(t, srv, "/v1/search", batchSearchCfg); code != http.StatusOK {
+		t.Fatalf("search: %d %s", code, raw)
+	}
+	var st StatsResponse
+	getJSON(t, srv, "/v1/stats", &st)
+	s := st.Search
+	if s.Searches != 1 || s.Simulated == 0 || s.Events == 0 {
+		t.Fatalf("search block after one search: %+v", s)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	pool := serve.New(serve.Config{Shards: 2})
 	srv := newPoolServer(t, pool)

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -91,18 +90,20 @@ func (pl *Planner) engine() *engine.Engine {
 // built (or fetched from the engine's LRU cache) once and handed to the
 // simulation, which previously rebuilt the identical structures itself.
 func (pl *Planner) Plan(t, p int) (*Plan, error) {
-	return pl.plan(t, p, 0)
+	plan, _, err := pl.plan(t, p, nil)
+	return plan, err
 }
 
-// plan is Plan with a branch-and-bound deadline: a positive abortAbove
-// makes the simulation stop (trainer.ErrAboveBound) as soon as its
-// clock proves the candidate slower than the caller's incumbent.
-func (pl *Planner) plan(t, p int, abortAbove float64) (*Plan, error) {
+// plan is Plan against a branch-and-bound deadline (nil = none): the
+// simulation stops (trainer.ErrAboveBound) as soon as it proves the
+// candidate slower than the deadline. The outcome counts the events the
+// simulation fired and says whether the candidate lost.
+func (pl *Planner) plan(t, p int, dl *trainer.Deadline) (*Plan, trainer.Outcome, error) {
 	eng := pl.engine()
 	n := pl.Topo.NumDevices()
 	deg, err := parallel.TileDegrees(n, t, p)
 	if err != nil {
-		return nil, err
+		return nil, trainer.Outcome{}, err
 	}
 	opt := trainer.DefaultOptions(pl.Framework)
 	if pl.Opt != nil {
@@ -110,17 +111,16 @@ func (pl *Planner) plan(t, p int, abortAbove float64) (*Plan, error) {
 	}
 	assign, world, err := eng.World(pl.Topo, deg, opt.NICSelection)
 	if err != nil {
-		return nil, err
+		return nil, trainer.Outcome{}, err
 	}
-	rep, err := trainer.Simulate(trainer.Config{
+	rep, out, err := trainer.SimulateBounded(trainer.Config{
 		Topo: pl.Topo, Spec: pl.Spec,
 		TensorSize: t, PipelineSize: p,
 		Framework: pl.Framework, Opt: pl.Opt,
 		World: world, Engine: eng,
-		AbortAbove: abortAbove,
-	})
+	}, dl)
 	if err != nil {
-		return nil, err
+		return nil, out, err
 	}
 	return &Plan{
 		Degrees:   deg,
@@ -128,7 +128,7 @@ func (pl *Planner) plan(t, p int, abortAbove float64) (*Plan, error) {
 		World:     world,
 		Partition: rep.Partition,
 		Report:    rep,
-	}, nil
+	}, out, nil
 }
 
 // feasibleTensorDegrees lists every tensor degree the topology admits:
@@ -204,8 +204,8 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 	memoKey := pl.searchMemoKey(space)
 	if v, ok := eng.Plan(memoKey); ok {
 		if win, ok := v.(searchMemoVal); ok {
-			if plan, err := pl.Plan(win.T, win.P); err == nil {
-				eng.NoteSearch(1, len(cells)-1, 0, true)
+			if plan, out, err := pl.plan(win.T, win.P, nil); err == nil {
+				eng.NoteSearch(engine.SearchStats{Simulated: 1, Pruned: uint64(len(cells) - 1), Events: out.Events, MemoHits: 1})
 				return plan, nil
 			}
 			// A memo entry that no longer replays (a snapshot from an
@@ -239,8 +239,8 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 
 	plans := make([]*Plan, len(cells))
 	errs := make([]error, len(cells))
-	simulated := make([]bool, len(cells))
-	aborted := make([]bool, len(cells))
+	outs := make([]trainer.Outcome, len(cells))
+	var st engine.SearchStats
 	bestThr, bestIdx := math.Inf(-1), -1
 	bestIter := 0.0
 	// beats reports whether simulating cell i could still change the
@@ -256,6 +256,7 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 		width = 1
 	}
 	wave := make([]int, 0, width)
+	lost := make([]bool, 0, width)
 	for next := 0; next < len(order); {
 		wave = wave[:0]
 		for next < len(order) && len(wave) < width {
@@ -263,33 +264,59 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 			next++
 			if beats(i) {
 				wave = append(wave, i)
+			} else {
+				st.Pruned++
 			}
 		}
 		if len(wave) == 0 {
 			continue
 		}
-		// With an incumbent in hand, candidates stop simulating the
-		// moment their clock passes its iteration time (branch-and-bound
-		// on the event clock). A candidate aborted against any incumbent
-		// stays lost against every later one — the incumbent's iteration
-		// time only falls — so winner identity is preserved; ties at
-		// exactly the deadline simulate to completion and tie-break by
-		// input index as usual. No incumbent (or an all-fail search)
-		// means no deadline, so error semantics stay the oracle's.
-		deadline := 0.0
+		// Branch-and-bound on the event clock. The wave's cells share one
+		// deadline: the incumbent's iteration time, lowered to each
+		// wave-mate's the moment it completes, so a losing cell stops as
+		// soon as any known result proves it lost. No incumbent and no
+		// completed wave-mate (in particular an all-fail search) means no
+		// deadline, so error semantics stay the oracle's.
+		deadline := math.Inf(1)
 		if bestIdx >= 0 {
 			deadline = bestIter
 		}
+		live := trainer.NewDeadline(deadline)
 		eng.Go(len(wave), func(k int) {
 			i := wave[k]
-			plans[i], errs[i] = pl.plan(cells[i].T, cells[i].P, deadline)
+			plans[i], outs[i], errs[i] = pl.plan(cells[i].T, cells[i].P, live)
+			if errs[i] == nil {
+				live.Lower(plans[i].Report.IterSeconds)
+			}
 		})
+		// Classify each cell against D = the smaller of the wave's
+		// deadline and its wave-mates' completed times: it lost if it
+		// stopped, its projection ever exceeded D, or it completed after
+		// D. An admissible projection never stops the wave's fastest
+		// cell, so which wave-mates complete depends on the threads'
+		// timing only among the losers, and the counters and the winner
+		// are deterministic at a fixed width. A cell aborted against D
+		// stays lost against every later incumbent (the incumbent's
+		// iteration time only falls), and the fastest cell of a wave is
+		// never aborted, so the winner is the oracle's.
+		lost = lost[:0]
 		for _, i := range wave {
-			if errors.Is(errs[i], trainer.ErrAboveBound) {
-				aborted[i] = true
+			d := deadline
+			for _, j := range wave {
+				if j != i && errs[j] == nil {
+					d = math.Min(d, plans[j].Report.IterSeconds)
+				}
+			}
+			lost = append(lost, outs[i].LostTo(d))
+		}
+		for k, i := range wave {
+			st.Events += outs[i].Events
+			if lost[k] {
+				st.Aborted++
+				plans[i], errs[i] = nil, nil
 				continue
 			}
-			simulated[i] = true
+			st.Simulated++
 			if errs[i] != nil {
 				continue
 			}
@@ -300,21 +327,12 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 			}
 		}
 	}
-	simCount, abortCount := 0, 0
-	for i := range cells {
-		if simulated[i] {
-			simCount++
-		}
-		if aborted[i] {
-			abortCount++
-		}
-	}
-	eng.NoteSearch(simCount, len(cells)-simCount-abortCount, abortCount, false)
+	eng.NoteSearch(st)
 
 	if bestIdx < 0 {
-		// No incumbent ever formed, so nothing was pruned: every cell
-		// simulated and failed. Report the first error by input order,
-		// exactly as the oracle does.
+		// No incumbent ever formed, so nothing was pruned or aborted:
+		// every cell simulated and failed. Report the first error by
+		// input order, exactly as the oracle does.
 		for i := range cells {
 			if errs[i] != nil {
 				return nil, errs[i]
@@ -336,11 +354,18 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 func (pl *Planner) searchExhaustive(cells []parallel.Degrees) (*Plan, error) {
 	plans := make([]*Plan, len(cells))
 	errs := make([]error, len(cells))
+	events := make([]uint64, len(cells))
 	eng := pl.engine()
 	eng.Go(len(cells), func(i int) {
-		plans[i], errs[i] = pl.Plan(cells[i].T, cells[i].P)
+		var out trainer.Outcome
+		plans[i], out, errs[i] = pl.plan(cells[i].T, cells[i].P, nil)
+		events[i] = out.Events
 	})
-	eng.NoteSearch(len(cells), 0, 0, false)
+	st := engine.SearchStats{Simulated: uint64(len(cells))}
+	for _, n := range events {
+		st.Events += n
+	}
+	eng.NoteSearch(st)
 	var best *Plan
 	var firstErr error
 	for i := range cells {

@@ -115,17 +115,28 @@ type lruPair[K comparable, V any] struct {
 	val V
 }
 
-// SearchStats counts joint-search work over the engine's lifetime:
-// how many searches ran, how many candidate cells were event-simulated
-// to completion, how many were pruned by the admissible lower bound
-// without simulation, how many started simulating but aborted the moment
-// the virtual clock passed the incumbent (branch-and-bound), and how
-// many whole searches were answered from the winner memo.
+// SearchStats counts joint-search work over the engine's lifetime: how
+// many searches ran, and how their candidate cells fared. A cell is
+// pruned when the admissible lower bound proves it cannot beat the
+// incumbent, so it is never simulated. A simulated cell runs to its
+// result or its error. An aborted cell provably lost: against D, the
+// smaller of its wave's incumbent time and its wave-mates' completed
+// iteration times, its abort projection exceeded D at some op completion
+// or it completed after D (the simulation stops early whenever it can
+// prove either). The tests read the cell's own trajectory and its
+// wave-mates' completed times, never when the threads ran, so the
+// counters are deterministic at a fixed wave width. Events sums the
+// events fired by every simulation a search ran — completed, failed or
+// aborted, the memo's replay included; the number of events an aborted
+// cell fires before it stops may vary with the threads' timing at wave
+// widths above 1. MemoHits counts whole searches the winner memo
+// answered.
 type SearchStats struct {
 	Searches  uint64 `json:"searches"`
 	Simulated uint64 `json:"simulated"`
 	Pruned    uint64 `json:"pruned"`
 	Aborted   uint64 `json:"aborted"`
+	Events    uint64 `json:"events"`
 	MemoHits  uint64 `json:"memo_hits"`
 }
 
@@ -136,6 +147,7 @@ func (s SearchStats) Add(o SearchStats) SearchStats {
 		Simulated: s.Simulated + o.Simulated,
 		Pruned:    s.Pruned + o.Pruned,
 		Aborted:   s.Aborted + o.Aborted,
+		Events:    s.Events + o.Events,
 		MemoHits:  s.MemoHits + o.MemoHits,
 	}
 }
@@ -146,20 +158,20 @@ type searchCounters struct {
 	simulated atomic.Uint64
 	pruned    atomic.Uint64
 	aborted   atomic.Uint64
+	events    atomic.Uint64
 	memoHits  atomic.Uint64
 }
 
-// NoteSearch records one finished search: how many cells it simulated to
-// completion, how many the bound pruned outright, how many aborted
-// mid-simulation, and whether the winner memo answered it.
-func (e *Engine) NoteSearch(simulated, pruned, aborted int, memoHit bool) {
+// NoteSearch records one finished search: the counts of its cells, the
+// events its simulations fired, and MemoHits 1 when the winner memo
+// answered it. Its Searches field is ignored; the engine counts one.
+func (e *Engine) NoteSearch(s SearchStats) {
 	e.search.searches.Add(1)
-	e.search.simulated.Add(uint64(simulated))
-	e.search.pruned.Add(uint64(pruned))
-	e.search.aborted.Add(uint64(aborted))
-	if memoHit {
-		e.search.memoHits.Add(1)
-	}
+	e.search.simulated.Add(s.Simulated)
+	e.search.pruned.Add(s.Pruned)
+	e.search.aborted.Add(s.Aborted)
+	e.search.events.Add(s.Events)
+	e.search.memoHits.Add(s.MemoHits)
 }
 
 // SearchStats snapshots the search counters.
@@ -169,6 +181,7 @@ func (e *Engine) SearchStats() SearchStats {
 		Simulated: e.search.simulated.Load(),
 		Pruned:    e.search.pruned.Load(),
 		Aborted:   e.search.aborted.Load(),
+		Events:    e.search.events.Load(),
 		MemoHits:  e.search.memoHits.Load(),
 	}
 }

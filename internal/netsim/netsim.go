@@ -133,6 +133,8 @@ type Link struct {
 	kind  linkKind
 	a, b  int     // node index; a trunk's cluster pair
 	flows []*flow // active flows, swap-removed on departure
+	// admitted sums the bytes of every flow the link has admitted.
+	admitted float64
 
 	// Rebalance scratch, meaningful only inside Fabric.rebalance.
 	residual  float64
@@ -174,6 +176,12 @@ func (l *Link) Name() string {
 
 // ID is the link's index in its fabric, in [0, Fabric.NumLinks()).
 func (l *Link) ID() int { return l.id }
+
+// Admitted reports the bytes of every flow the link has admitted so far,
+// as they went on the wire (a lossy path's retransmissions included).
+// Bytes not yet admitted are still to cross the link, at no more than
+// its capacity: a branch-and-bound projection reads the counter.
+func (l *Link) Admitted() float64 { return l.admitted }
 
 // FlowID is a handle to a flow, returned by StartFlow and
 // StartFlowRateCapped. The zero FlowID refers to no flow, and a handle
@@ -557,6 +565,7 @@ func (f *Fabric) admit(fl *flow) {
 		l := fl.path[i]
 		fl.pathPos[i] = len(l.flows)
 		l.flows = append(l.flows, fl)
+		l.admitted += fl.remaining
 	}
 	f.scheduleRebalance(fl)
 }

@@ -71,7 +71,7 @@ func LowerBound(cfg Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return it.lowerBound(), nil
+	return it.bound().value, nil
 }
 
 // ThroughputUpperBound converts the iteration-time lower bound into a
@@ -89,8 +89,22 @@ func ThroughputUpperBound(cfg Config) (float64, error) {
 	return float64(cfg.Spec.GlobalBatch) / lb, nil
 }
 
-// lowerBound evaluates the prepared iteration's bound (see LowerBound).
-func (it *iteration) lowerBound() float64 {
+// boundTerms is the bound together with the terms it computes on the way
+// that the abort projection reuses.
+type boundTerms struct {
+	value float64
+	// hops[g·p+s], for s < p−1, is pipeline g's backward hop from stage
+	// s+1 to stage s: Latency + bytes/PairBandwidth on its class.
+	hops []float64
+	// tails holds each data-parallel group's tail (see dpTail), by row.
+	tails []float64
+	// bytes holds the traffic charged to each link, by link id.
+	bytes []float64
+}
+
+// bound evaluates the prepared iteration's bound (see LowerBound) and its
+// terms.
+func (it *iteration) bound() boundTerms {
 	p, m := it.deg.P, float64(it.m)
 	tf, tb := it.tf, it.tb
 	fab := it.fab
@@ -100,10 +114,12 @@ func (it *iteration) lowerBound() float64 {
 	// admitted.
 	vol := newLinkVolume(fab.NumLinks())
 
-	// Per-pipeline chains, flattened pipeline-major.
+	// Per-pipeline chains and hops, flattened pipeline-major, and the
+	// group tails, all in one allocation.
 	n := len(pipes) * p
-	chains := make([]float64, 3*n)
-	start, firstB, lastB := chains[:n], chains[n:2*n], chains[2*n:]
+	buf := make([]float64, 4*n+len(it.world.DPGroups))
+	start, firstB, lastB, hops := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n]
+	tails := buf[4*n:]
 	pipeEnd := 0.0
 	for g, pg := range pipes {
 		r := pg.Ranks
@@ -119,6 +135,7 @@ func (it *iteration) lowerBound() float64 {
 		for s := p - 2; s >= 0; s-- {
 			bwd := fab.Route(r[s+1], r[s], pg.Class)
 			hop := bwd.Latency + it.actBytes/bwd.Bandwidth
+			hops[g*p+s] = hop
 			lb[s] = math.Max(st[s]+m*(tf[s]+tb[s]), lb[s+1]+hop+tb[s])
 			fb[s] = math.Max(st[s]+tf[s], fb[s+1]+hop) + tb[s]
 			vol.charge(bwd, m*it.actBytes, fb[s+1])
@@ -129,7 +146,7 @@ func (it *iteration) lowerBound() float64 {
 
 	// Per-group tails; every ring edge's bytes are charged as well.
 	rings := newRingScratch(fab.NumLinks())
-	for _, g := range it.world.DPGroups {
+	for row, g := range it.world.DPGroups {
 		s := it.assign.StageOf(g.Ranks[0])
 		gFirst, gLast := 0.0, 0.0
 		for _, r := range g.Ranks {
@@ -146,6 +163,7 @@ func (it *iteration) lowerBound() float64 {
 		grad, param := it.dpBytes(s)
 		perEdge := float64(len(g.Ranks)-1) / float64(len(g.Ranks)) * (grad + param)
 		bucket, tail := it.dpTail(rings, g, func(e netsim.Route) { vol.charge(e, perEdge, rsFrom) })
+		tails[row] = tail
 		end := pipeEnd + tail
 		if it.opt.OverlappedOptimizer {
 			// Buckets run one at a time, the first from gFirst, the last
@@ -160,18 +178,7 @@ func (it *iteration) lowerBound() float64 {
 			bound = math.Max(bound, vol.from[id]+bytes/fab.Link(id).Capacity)
 		}
 	}
-	return bound * (1 - boundSlack)
-}
-
-// groupTails returns each data-parallel group's tail (see dpTail): the
-// abort projection stacks it on a stage's remaining work.
-func (it *iteration) groupTails() []float64 {
-	tails := make([]float64, len(it.world.DPGroups))
-	rings := newRingScratch(it.fab.NumLinks())
-	for i, g := range it.world.DPGroups {
-		_, tails[i] = it.dpTail(rings, g, nil)
-	}
-	return tails
+	return boundTerms{value: bound * (1 - boundSlack), hops: hops, tails: tails, bytes: vol.bytes}
 }
 
 // dpTail bounds a data-parallel group's collectives on its own links:

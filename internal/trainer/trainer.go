@@ -51,13 +51,6 @@ type Config struct {
 	// means build communicators ad hoc and use the incremental
 	// rebalancer.
 	Engine *engine.Engine
-	// AbortAbove, when positive, stops the event simulation as soon as
-	// the virtual clock strictly exceeds it and returns ErrAboveBound:
-	// the caller has a complete plan at that iteration time, so a
-	// candidate still running past it has strictly lost (the clock is
-	// monotone). Iterations finishing at or before the deadline are
-	// reported exactly. Zero simulates to completion.
-	AbortAbove float64
 	// Scenario scripts cluster events (NIC degradation, node failure,
 	// background traffic) onto the iteration's fabric at their simulated
 	// instants, so the report measures step time under the events rather
@@ -110,11 +103,8 @@ func EnvLabel(topo *topology.Topology) string {
 
 // Simulate runs one training iteration and reports the paper's metrics.
 func Simulate(cfg Config) (Report, error) {
-	it, err := prepare(cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	return it.run()
+	rep, _, err := SimulateBounded(cfg, nil)
+	return rep, err
 }
 
 // iteration is one training iteration prepared for its event run: the
@@ -289,16 +279,17 @@ func (it *iteration) buckets() int {
 	return 1
 }
 
-// run executes the prepared iteration on its event engine.
-func (it *iteration) run() (Report, error) {
+// run executes the prepared iteration on its event engine, against a
+// branch-and-bound deadline unless dl is nil (see SimulateBounded).
+func (it *iteration) run(dl *Deadline) (Report, Outcome, error) {
 	cfg, eng, fab := it.cfg, it.eng, it.fab
 	p := it.deg.P
 	tf, tb := it.tf, it.tb
-	// The per-group tails of the abort projection read the fabric before
-	// any scenario event can change it.
-	var tails []float64
-	if cfg.AbortAbove > 0 {
-		tails = it.groupTails()
+	// The abort projection reads the fabric before any scenario event can
+	// change it.
+	var proj *projection
+	if dl != nil {
+		proj = it.newProjection(dl)
 	}
 
 	// Bind the scenario before the pipelines so that, at equal instants,
@@ -306,10 +297,10 @@ func (it *iteration) run() (Report, error) {
 	// An empty scenario binds to an inert runtime and schedules nothing.
 	rt, err := cfg.Scenario.Bind(eng, fab)
 	if err != nil {
-		return Report{}, err
+		return Report{}, Outcome{}, err
 	}
 
-	st := newIterState(it)
+	st := newIterState(it, dl)
 	// When the iteration completes, stop the scenario: open-ended
 	// background traffic and events scripted past the end must not keep
 	// the engine (or the measurement) alive.
@@ -321,7 +312,7 @@ func (it *iteration) run() (Report, error) {
 
 	// Launch all t·d pipeline groups concurrently on the shared fabric,
 	// each at its stagger.
-	for _, pg := range it.world.PPGroups {
+	for g, pg := range it.world.PPGroups {
 		pg := pg
 		cfgExec := pipeline.ExecConfig{
 			Ranks:           pg.Ranks,
@@ -334,71 +325,54 @@ func (it *iteration) run() (Report, error) {
 			},
 			OnDone: func(now sim.Time) { st.pipelineDone(now) },
 		}
-		if cfg.AbortAbove > 0 {
-			// Branch-and-bound projection. A stage executes its remaining
-			// ops serially at fixed compute durations, so at every op
-			// completion two lower bounds on the iteration end hold:
-			//   end ≥ now + remF·tf + remB·tb            (the pipe must drain)
-			//   end ≥ now + remB·tb + tail(stage)        (the stage's DP group
-			//       reduces, steps, and gathers only after its last backward)
-			// Under the non-overlapped optimizer every group waits for the
-			// full flush, so the tail stacks on the whole drain. The moment
-			// either bound provably exceeds the incumbent's iteration time
-			// the candidate has lost and the engine halts — this fires long
-			// before the clock itself reaches the incumbent's time, which is
-			// what makes losing cells cheap. The relative slack keeps a
-			// product-form projection from out-rounding the simulator's
-			// sequential additions: a candidate inside the slack simulates on
-			// to the RunUntil deadline and aborts there instead, so the
-			// search outcome is unchanged either way.
-			tail := make([]float64, p)
-			for s := 0; s < p; s++ {
-				tail[s] = tails[it.assign.DPRow(pg.Ranks[s])]
-			}
-			deadline := cfg.AbortAbove * (1 + boundSlack)
-			overlapped := it.opt.OverlappedOptimizer
+		if proj != nil {
+			// Branch-and-bound: the moment the projection proves the
+			// iteration ends after the deadline, the candidate has lost
+			// and the engine halts — long before the clock itself gets
+			// there, which is what makes losing cells cheap. The relative
+			// slack keeps a sum-form projection from out-rounding the
+			// simulator's sequential additions: a candidate inside the
+			// slack simulates on and stops at the clock checks instead, so
+			// the search outcome is unchanged either way.
+			chain := proj.chains[g*p : (g+1)*p]
 			cfgExec.OnOpDone = func(s, remF, remB int, now sim.Time) {
-				drain := float64(remF)*tf[s] + float64(remB)*tb[s]
-				var lb float64
-				if overlapped {
-					lb = math.Max(drain, float64(remB)*tb[s]+tail[s])
-				} else {
-					lb = drain + tail[s]
-				}
-				if now+lb > deadline {
-					eng.Halt()
-				}
+				proj.opDone(chain, s, remF, remB, now)
 			}
 		}
 		ex, err := pipeline.NewExecutor(eng, fab, sched, cfgExec)
 		if err != nil {
-			return Report{}, err
+			return Report{}, Outcome{}, err
 		}
 		eng.At(it.stagger(pg), ex.Start)
 	}
-	if cfg.AbortAbove > 0 {
-		// Branch-and-bound arm: the caller knows a plan finishing in
-		// AbortAbove seconds, and the event clock only moves forward, so
-		// the moment the clock passes it this candidate has strictly lost
-		// — stop paying for events that cannot change the search outcome.
-		// An iteration finishing exactly at the deadline still completes
-		// (RunUntil fires events at the deadline), so ties simulate fully
-		// and tie-breaking stays bit-identical.
-		eng.RunUntil(cfg.AbortAbove)
-		if !st.finished() {
-			if eng.Halted() || eng.Pending() > 0 {
-				return Report{}, ErrAboveBound
-			}
-			return Report{}, fmt.Errorf("trainer: iteration did not complete (deadlock in simulation)")
-		}
-	} else {
+	deadline := math.Inf(1)
+	if dl != nil {
+		deadline = dl.Load()
+	}
+	if math.IsInf(deadline, 1) {
 		eng.Run()
+	} else {
+		// The event clock only moves forward, so a candidate whose clock
+		// passes the deadline has strictly lost. An iteration finishing
+		// exactly at the deadline still completes (RunUntil fires events
+		// at the deadline), so ties simulate fully and tie-breaking stays
+		// bit-identical.
+		eng.RunUntil(deadline)
+	}
+	out := Outcome{Events: eng.Fired()}
+	if proj != nil {
+		out.peak = proj.peak
+		if eng.Halted() || (!st.finished() && eng.Pending() > 0) {
+			out.halted = true
+			return Report{}, out, ErrAboveBound
+		}
 	}
 	if !st.finished() {
-		return Report{}, fmt.Errorf("trainer: iteration did not complete (deadlock in simulation)")
+		return Report{}, out, fmt.Errorf("trainer: iteration did not complete (deadlock in simulation)")
 	}
 
 	iter := st.endTime
+	out.end = iter
 	n := cfg.Topo.NumDevices()
 	rep := Report{
 		Framework:            cfg.Framework,
@@ -414,7 +388,7 @@ func (it *iteration) run() (Report, error) {
 		Scenario:             cfg.Scenario.String(),
 		ScenarioEvents:       rt.Applied(),
 	}
-	return rep, nil
+	return rep, out, nil
 }
 
 // exposedDPFraction returns the share of a stage's data-parallel
@@ -562,6 +536,8 @@ type iterState struct {
 	// pipelines flushed and all DP groups stepped); the scenario runtime
 	// hooks it to stop generating events.
 	onFinish func()
+	// dl is a bounded run's deadline (nil when unbounded).
+	dl *Deadline
 }
 
 type dpGroupState struct {
@@ -585,11 +561,12 @@ type dpGroupState struct {
 	rsDone, stepped, agDone func()
 }
 
-func newIterState(it *iteration) *iterState {
+func newIterState(it *iteration, dl *Deadline) *iterState {
 	st := &iterState{
 		eng: it.eng, assign: it.assign,
 		opt: it.opt, calib: it.calib,
 		pipesLeft: len(it.world.PPGroups),
+		dl:        dl,
 	}
 	buckets := it.buckets()
 	for _, g := range it.world.DPGroups {
@@ -605,6 +582,7 @@ func newIterState(it *iteration) *iterState {
 		gs.rsDone = func() { st.bucketDone(gs) }
 		gs.stepped = func() { gs.ring.AllGather(gs.paramBytes, gs.agDone) }
 		gs.agDone = func() {
+			st.checkClock()
 			gs.done = true
 			st.groupDone()
 		}
@@ -649,6 +627,7 @@ func (st *iterState) pumpRS(gs *dpGroupState) {
 // ready bucket starts; after the last, the optimizer steps on the sharded
 // state, then the group all-gathers the updated fp16 parameters.
 func (st *iterState) bucketDone(gs *dpGroupState) {
+	st.checkClock()
 	gs.rsInFlight = false
 	gs.nextBucket++
 	if gs.nextBucket == gs.buckets {
@@ -657,6 +636,16 @@ func (st *iterState) bucketDone(gs *dpGroupState) {
 		return
 	}
 	st.pumpRS(gs)
+}
+
+// checkClock halts a bounded run whose clock has passed its deadline's
+// current value. The projection looks only at op completions, so a
+// deadline that fell while the run sat in a data-parallel tail is caught
+// at the next collective completion.
+func (st *iterState) checkClock() {
+	if st.dl != nil && st.eng.Now() > st.dl.Load() {
+		st.eng.Halt()
+	}
 }
 
 func (st *iterState) pipelineDone(now sim.Time) {
