@@ -358,11 +358,6 @@ func BenchmarkFleetMutate(b *testing.B) {
 	if _, err := m.Schedule(); err != nil {
 		b.Fatal(err)
 	}
-	poll := func() {
-		if _, err := m.Schedule(); err != nil {
-			b.Fatal(err)
-		}
-	}
 	churn := FleetJob{ID: "churn", Submit: 40, GPUs: topo.GPUsPerNode, Model: FleetModel{Group: 1}}
 	fail := &Scenario{Events: []ScenarioEvent{
 		{Kind: "fail_node", At: 45, Node: 1},
@@ -372,25 +367,94 @@ func BenchmarkFleetMutate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Submit(churn); err != nil {
-			b.Fatal(err)
-		}
-		poll()
-		if err := m.SetScenario(fail); err != nil {
-			b.Fatal(err)
-		}
-		poll()
-		if err := m.SetScenario(nil); err != nil {
-			b.Fatal(err)
-		}
-		poll()
-		if !m.Cancel(churn.ID) {
-			b.Fatal("cancel failed")
-		}
-		poll()
+		mutateScript(b, m, churn, fail)
 	}
 	reportSearches(b, eng, warm)
 	b.ReportMetric(4, "polls/op")
+}
+
+// BenchmarkFleetMutateLarge runs BenchmarkFleetMutate's script at the
+// fleet-churn workload's scale: a 24-node fleet (eight nodes each of
+// InfiniBand, RoCE and Ethernet) holding 60 live jobs of one or two
+// nodes, with the churn job and the node failure half-way through the
+// submits, so each poll resumes mid-trace. One round of the script runs
+// before the timer and warms the plan cache, so the benchmark measures
+// the polls, not the search: searches/op reads 0.
+func BenchmarkFleetMutateLarge(b *testing.B) {
+	topo, err := BuildTopology(
+		ClusterSpec{NIC: InfiniBand, Nodes: 8},
+		ClusterSpec{NIC: RoCE, Nodes: 8},
+		ClusterSpec{NIC: Ethernet, Nodes: 8},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEngine(EngineConfig{Concurrency: benchWidth})
+	m, err := NewFleetManager(eng, topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Jobs arrive 0–39 s apart (a fixed stride, not a draw), each on one
+	// or two nodes for one to five iterations, the four parameter groups
+	// in turn.
+	var submit, mid float64
+	for i := range 60 {
+		submit += float64((i * 23) % 40)
+		j := FleetJob{
+			ID:         fmt.Sprintf("j%02d", i),
+			Submit:     submit,
+			GPUs:       topo.GPUsPerNode * (1 + i%2),
+			Iterations: 1 + (i*7)%5,
+			Model:      FleetModel{Group: 1 + i%4},
+		}
+		if err := m.Submit(j); err != nil {
+			b.Fatal(err)
+		}
+		if i == 30 {
+			mid = submit
+		}
+	}
+	churn := FleetJob{ID: "churn", Submit: mid + 1, GPUs: topo.GPUsPerNode, Model: FleetModel{Group: 1}}
+	fail := &Scenario{Events: []ScenarioEvent{
+		{Kind: "fail_node", At: mid + 5, Node: 9},
+		{Kind: "restore_node", At: mid + 60, Node: 9},
+	}}
+	mutateScript(b, m, churn, fail)
+	warm := eng.SearchStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mutateScript(b, m, churn, fail)
+	}
+	reportSearches(b, eng, warm)
+	b.ReportMetric(4, "polls/op")
+}
+
+// mutateScript is one op of the mutate benchmarks: submit the churn job,
+// set a fail-and-restore timeline, clear it, and cancel the churn job,
+// with a schedule poll after each.
+func mutateScript(b *testing.B, m *FleetManager, churn FleetJob, fail *Scenario) {
+	poll := func() {
+		if _, err := m.Schedule(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Submit(churn); err != nil {
+		b.Fatal(err)
+	}
+	poll()
+	if err := m.SetScenario(fail); err != nil {
+		b.Fatal(err)
+	}
+	poll()
+	if err := m.SetScenario(nil); err != nil {
+		b.Fatal(err)
+	}
+	poll()
+	if !m.Cancel(churn.ID) {
+		b.Fatal("cancel failed")
+	}
+	poll()
 }
 
 // BenchmarkPlannerSearch measures the pipeline-degree search itself.
@@ -430,7 +494,7 @@ func runSearchCorpus(b *testing.B, eng *Engine, topos []*Topology) {
 }
 
 // benchWidth pins the engine concurrency of every benchmark that
-// searches (the cold-search pair and the three fleet benchmarks) to the
+// searches (the cold-search pair and the fleet benchmarks) to the
 // reference host's core count: the search's wave width decides which
 // incumbent each cell meets, so an unpinned engine would do a different
 // amount of work — and report different counters — on every runner.

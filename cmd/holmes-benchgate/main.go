@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^(BenchmarkTable3|BenchmarkPlanBatch|BenchmarkFleetSchedule|BenchmarkFleetScheduleWarm|BenchmarkFleetMutate)$' -benchmem -count 3 . | tee bench.txt
+//	go test -run '^$' -bench '^(BenchmarkTable3|BenchmarkPlanBatch|BenchmarkFleetSchedule|BenchmarkFleetScheduleWarm|BenchmarkFleetMutate|BenchmarkFleetMutateLarge)$' -benchmem -count 3 . | tee bench.txt
 //	holmes-benchgate -max-regress 0.25 < bench.txt
 //	holmes-benchgate -gate BenchmarkTable3=BENCH_baseline.json -gate BenchmarkPlanBatch=BENCH_serve.json < bench.txt
 //
@@ -19,11 +19,13 @@
 // which later changes must hold. A gated name with no usable entry there
 // is an error (exit 2).
 //
-// Work counters are gated exactly. When an entry records
-// pruned_per_op, aborted_per_op or simulated_per_op, every repetition's
-// pruned/op, aborted/op or simulated/op must equal it, and a recorded
-// counter the output lacks fails: the counts are deterministic, so any
-// difference is a change in the work done, never host noise.
+// Work counters are gated exactly. An entry's `counters` map is keyed
+// by the unit the benchmark reports a counter in ("searches/op",
+// "pruned/op"); every repetition must report each recorded unit at
+// exactly the recorded value, and a unit the output lacks, in one
+// repetition or in all of them, fails: the counts are deterministic, so
+// any difference is a change in the work done, never host noise. A
+// metric the map does not name is reported, not gated.
 package main
 
 import (
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -53,31 +56,12 @@ func (g gates) Set(s string) error {
 }
 
 // target is one gated level: ns/op always, allocs/op when the ledger
-// records it (0 = not gated), and each work counter it records (nil =
-// not gated).
+// records it (0 = not gated), and the work counters it holds exactly,
+// by unit.
 type target struct {
-	NsPerOp        float64  `json:"ns_per_op"`
-	AllocsPerOp    float64  `json:"allocs_per_op,omitempty"`
-	PrunedPerOp    *float64 `json:"pruned_per_op,omitempty"`
-	AbortedPerOp   *float64 `json:"aborted_per_op,omitempty"`
-	SimulatedPerOp *float64 `json:"simulated_per_op,omitempty"`
-}
-
-// counter is one work counter the gate holds exactly: the unit the
-// benchmark reports it in, and the level the target records (nil when
-// it records none).
-type counter struct {
-	unit string
-	want *float64
-}
-
-// counters lists the target's work counters.
-func (t target) counters() []counter {
-	return []counter{
-		{"pruned/op", t.PrunedPerOp},
-		{"aborted/op", t.AbortedPerOp},
-		{"simulated/op", t.SimulatedPerOp},
-	}
+	NsPerOp     float64            `json:"ns_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	Counters    map[string]float64 `json:"counters,omitempty"`
 }
 
 // ledger is the subset of a BENCH_*.json document the gate reads: the
@@ -95,7 +79,7 @@ func (l ledger) resolve(name string) (target, bool) {
 // measurement is one parsed benchmark result: min ns/op across
 // repetitions, the allocs/op of that same fastest repetition (-1 when
 // the output had no -benchmem columns), the number of repetitions, and
-// every repetition's work counters by unit.
+// every repetition's value of each other metric, by unit.
 type measurement struct {
 	NsPerOp     float64
 	AllocsPerOp float64
@@ -108,9 +92,9 @@ type measurement struct {
 //
 //	BenchmarkPlanBatch-8   3   98861041 ns/op   32.00 plans/req  33411216 B/op  648282 allocs/op
 //
-// the -8 GOMAXPROCS suffix is stripped, and multiple repetitions (from
-// -count) collapse to the one with minimum ns/op, keeping every
-// repetition's counters.
+// value-unit pairs after the iteration count; the -8 GOMAXPROCS suffix is
+// stripped, and multiple repetitions (from -count) collapse to the one
+// with minimum ns/op, keeping every repetition's other metrics.
 func parseBench(r io.Reader) (map[string]measurement, error) {
 	best := make(map[string]measurement)
 	sc := bufio.NewScanner(r)
@@ -119,13 +103,19 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		ns, ok := metric(fields, "ns/op")
+		vals := make(map[string]float64)
+		for i := 2; i+1 < len(fields); i += 2 {
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				vals[fields[i+1]] = v
+			}
+		}
+		ns, ok := vals["ns/op"]
 		if !ok {
 			continue
 		}
-		m := measurement{NsPerOp: ns, AllocsPerOp: -1}
-		if allocs, ok := metric(fields, "allocs/op"); ok {
-			m.AllocsPerOp = allocs
+		allocs, ok := vals["allocs/op"]
+		if !ok {
+			allocs = -1
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
@@ -138,33 +128,17 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			cur.Counters = make(map[string][]float64)
 		}
 		cur.Reps++
-		for _, c := range (target{}).counters() {
-			if v, ok := metric(fields, c.unit); ok {
-				cur.Counters[c.unit] = append(cur.Counters[c.unit], v)
+		for unit, v := range vals {
+			if unit != "ns/op" && unit != "B/op" && unit != "allocs/op" {
+				cur.Counters[unit] = append(cur.Counters[unit], v)
 			}
 		}
-		if !seen || m.NsPerOp < cur.NsPerOp {
-			cur.NsPerOp, cur.AllocsPerOp = m.NsPerOp, m.AllocsPerOp
+		if !seen || ns < cur.NsPerOp {
+			cur.NsPerOp, cur.AllocsPerOp = ns, allocs
 		}
 		best[name] = cur
 	}
 	return best, sc.Err()
-}
-
-// metric extracts the value preceding a unit token ("ns/op",
-// "allocs/op") from one benchmark line.
-func metric(fields []string, unit string) (float64, bool) {
-	for i := 1; i < len(fields); i++ {
-		if fields[i] != unit {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[i-1], 64)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	return 0, false
 }
 
 // check gates one measured value against one ledger level; returns true
@@ -200,11 +174,29 @@ func checkCounter(name, unit string, got []float64, reps int, want float64) bool
 	return bad
 }
 
+// checkCounters gates every work counter the target records, in unit
+// order; it returns true when any mismatches. A unit the benchmark never
+// reports fails like a missing one.
+func checkCounters(name string, want target, got measurement) bool {
+	units := make([]string, 0, len(want.Counters))
+	for unit := range want.Counters {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	bad := false
+	for _, unit := range units {
+		if checkCounter(name, unit, got.Counters[unit], got.Reps, want.Counters[unit]) {
+			bad = true
+		}
+	}
+	return bad
+}
+
 func main() {
 	g := gates{}
 	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression vs the ledger")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0.25, "allowed fractional allocs/op regression vs the ledger (for ledger entries that record allocs_per_op)")
-	flag.Var(g, "gate", "BenchmarkName=ledger.json (repeatable; default gates Table3, ScenarioImpaired, PlanBatch, the three fleet benchmarks, SearchCold, and WarmBoot)")
+	flag.Var(g, "gate", "BenchmarkName=ledger.json (repeatable; default gates Table3, ScenarioImpaired, PlanBatch, the four fleet benchmarks, SearchCold, and WarmBoot)")
 	input := flag.String("input", "-", "bench output file (- = stdin)")
 	flag.Parse()
 	if len(g) == 0 {
@@ -215,6 +207,7 @@ func main() {
 			"BenchmarkFleetSchedule":     "BENCH_fleet.json",
 			"BenchmarkFleetScheduleWarm": "BENCH_fleet.json",
 			"BenchmarkFleetMutate":       "BENCH_fleet.json",
+			"BenchmarkFleetMutateLarge":  "BENCH_fleet.json",
 			"BenchmarkSearchCold":        "BENCH_coldpath.json",
 			"BenchmarkWarmBoot":          "BENCH_coldpath.json",
 		}
@@ -270,10 +263,8 @@ func main() {
 				failed = true
 			}
 		}
-		for _, c := range want.counters() {
-			if c.want != nil && checkCounter(name, c.unit, got.Counters[c.unit], got.Reps, *c.want) {
-				failed = true
-			}
+		if checkCounters(name, want, got) {
+			failed = true
 		}
 	}
 	if failed {

@@ -125,21 +125,24 @@ func TestParseBenchCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := got["BenchmarkSearchCold"]
-	// Every repetition's counters, in order; the level stays the fastest.
-	if !reflect.DeepEqual(sc.Counters["aborted/op"], []float64{213, 214}) ||
-		!reflect.DeepEqual(sc.Counters["pruned/op"], []float64{462, 462}) ||
-		!reflect.DeepEqual(sc.Counters["simulated/op"], []float64{73, 72}) {
-		t.Fatalf("SearchCold counters: %v", sc.Counters)
+	// Every repetition's metrics, in order, by unit; the level stays the
+	// fastest.
+	want := map[string][]float64{
+		"aborted/op":   {213, 214},
+		"events/op":    {2324990, 2311358},
+		"pruned/op":    {462, 462},
+		"simulated/op": {73, 72},
+	}
+	if !reflect.DeepEqual(sc.Counters, want) {
+		t.Fatalf("SearchCold counters: %v, want %v", sc.Counters, want)
 	}
 	if sc.NsPerOp != 584121094 || sc.AllocsPerOp != 277789 || sc.Reps != 2 {
 		t.Fatalf("SearchCold level: %+v", sc)
 	}
-	// events/op is reported, not gated: it is not collected.
-	if _, ok := sc.Counters["events/op"]; ok {
-		t.Fatalf("collected events/op: %v", sc.Counters)
-	}
-	if n := len(got["BenchmarkWarmBoot"].Counters); n != 0 {
-		t.Fatalf("WarmBoot reports no counters, parsed %v", got["BenchmarkWarmBoot"].Counters)
+	// ns/op, B/op and allocs/op are levels, not counters.
+	wb := got["BenchmarkWarmBoot"].Counters
+	if !reflect.DeepEqual(wb, map[string][]float64{"snapshot-bytes": {1234}, "cache-hit-%": {100}}) {
+		t.Fatalf("WarmBoot counters: %v", wb)
 	}
 }
 
@@ -167,7 +170,7 @@ func TestCheckCounter(t *testing.T) {
 
 func TestLedgerCounters(t *testing.T) {
 	raw := `{"benchmarks": {
-		"BenchmarkA": {"ns_per_op": 42, "pruned_per_op": 462, "aborted_per_op": 0},
+		"BenchmarkA": {"ns_per_op": 42, "counters": {"pruned/op": 462, "aborted/op": 0}},
 		"BenchmarkB": {"ns_per_op": 42}
 	}}`
 	var led ledger
@@ -175,17 +178,48 @@ func TestLedgerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := led.resolve("BenchmarkA")
-	want := map[string]float64{"pruned/op": 462, "aborted/op": 0}
-	for _, c := range a.counters() {
-		w, recorded := want[c.unit]
-		if recorded != (c.want != nil) || (recorded && *c.want != w) {
-			t.Fatalf("BenchmarkA %s: ledger level %v, want recorded=%v %v", c.unit, c.want, recorded, w)
-		}
+	if want := map[string]float64{"pruned/op": 462, "aborted/op": 0}; !reflect.DeepEqual(a.Counters, want) {
+		t.Fatalf("BenchmarkA counters: %v, want %v", a.Counters, want)
 	}
 	b, _ := led.resolve("BenchmarkB")
-	for _, c := range b.counters() {
-		if c.want != nil {
-			t.Fatalf("BenchmarkB gates %s without recording it", c.unit)
+	if len(b.Counters) != 0 {
+		t.Fatalf("BenchmarkB gates %v without recording them", b.Counters)
+	}
+}
+
+const fleetSample = `BenchmarkFleetMutate-2 	      12	   7475039 ns/op	         4.000 polls/op	         0.5000 searches/op	  525204 B/op	    4797 allocs/op
+BenchmarkFleetMutate-2 	      12	   6976132 ns/op	         4.000 polls/op	         0.5000 searches/op	  525552 B/op	    4809 allocs/op
+BenchmarkFleetMutate-2 	      12	   7497918 ns/op	         4.000 polls/op	         0.5833 searches/op	  525670 B/op	    4802 allocs/op
+`
+
+// TestCheckCounters gates a parsed benchmark against a ledger's counters
+// map: a recorded unit every repetition reports at the level passes; one
+// repetition off, a unit one repetition lacks, and a unit the benchmark
+// never reports each fail; a reported metric the map does not name is
+// not gated.
+func TestCheckCounters(t *testing.T) {
+	got, err := parseBench(strings.NewReader(fleetSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := got["BenchmarkFleetMutate"]
+	for _, c := range []struct {
+		name     string
+		counters map[string]float64
+		bad      bool
+	}{
+		{"match", map[string]float64{"polls/op": 4}, false},
+		{"none recorded", nil, false},
+		{"off by one repetition", map[string]float64{"polls/op": 4, "searches/op": 0.5}, true},
+		{"unknown unit", map[string]float64{"polls/op": 4, "events/op": 0}, true},
+	} {
+		if bad := checkCounters("BenchmarkFleetMutate", target{NsPerOp: 1, Counters: c.counters}, m); bad != c.bad {
+			t.Errorf("%s: mismatch=%v, want %v", c.name, bad, c.bad)
 		}
+	}
+	lacking := m
+	lacking.Counters = map[string][]float64{"polls/op": {4, 4}}
+	if !checkCounters("BenchmarkFleetMutate", target{NsPerOp: 1, Counters: map[string]float64{"polls/op": 4}}, lacking) {
+		t.Error("a unit one repetition lacks must fail")
 	}
 }

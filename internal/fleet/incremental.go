@@ -14,30 +14,37 @@ import (
 // equal instants. So a mutation whose earliest observable effect is at
 // virtual time t — a submit at t, a cancel of a job submitted at t, an
 // event scripted at t — cannot change anything the replay decided at
-// instants strictly before t. The recorder snapshots the full replay
-// state after every instant's placement pass; a mutated trace resumes
-// from the last snapshot taken strictly before its change point and
-// replays only the suffix. The from-scratch Replay stays available (and
-// is the differential oracle): by construction both paths run the same
-// state.run loop over the same state, so their schedules are
-// bit-identical — the differential and golden tests hold each release to
-// that.
+// instants strictly before t. The one decision that looks ahead —
+// declaring the queue head unplaced because no arrival or event is left
+// — ends the recording (see state.run). The recorder snapshots the full
+// replay state after every other instant's placement pass; a mutated
+// trace resumes from the last snapshot taken strictly before its change
+// point and replays only the suffix. The from-scratch Replay stays
+// available (and is the differential oracle): by construction both
+// paths run the same state.run loop over the same state, so their
+// schedules are bit-identical — the differential and golden tests hold
+// each release to that.
 //
-// Most placement rows do not change from one instant to the next (a
-// finished job's row never does), so a snapshot does not copy them: its
-// row table points at immutable rows, and a row unchanged since the
-// previous recorded snapshot is that snapshot's row. Rows are copied
-// out again on restore, so neither the live state nor a returned
-// schedule ever holds a checkpoint row.
+// A snapshot costs what its instant changed, not what the replay has
+// accumulated. Its row table points at immutable rows, and a row
+// unchanged since the previous recorded snapshot is that snapshot's row;
+// only the rows of queued and running jobs can change (see record), so
+// only those are compared. Its node tables are the previous snapshot's
+// when equal, and the tenant table is empty under every policy that
+// does not read it. Rows and tables are copied out again on restore, so
+// neither the live state nor a returned schedule ever holds a
+// checkpoint's.
 
 // maxCheckpoints bounds the recorder. Beyond the bound new instants are
-// simply not recorded, and do not move the base the next recorded
-// instant's rows are compared against: resume then starts earlier and
-// replays more, which is slower but never wrong. With MaxJobs = 64 the
-// bound is never approached in practice. Rows are shared, not chained
-// as deltas, so a checkpoint costs its state plus one pointer per trace
-// job, and restoring it walks no chain that would need a bound of its
-// own.
+// simply not recorded, and do not move what the next recorded instant
+// is compared against: resume then starts earlier and replays more,
+// which is slower but never wrong. Nothing drops checkpoints while a
+// replay runs, so a replay that skips one record stores none after it,
+// and every resume restarts the recorder from its restored state. With
+// MaxJobs = 64 the bound is never approached in practice. Rows are
+// shared, not chained as deltas, so a checkpoint costs its state plus
+// one pointer per trace job, and restoring it walks no chain that would
+// need a bound of its own.
 const maxCheckpoints = 4096
 
 // qcheck snapshots one queue entry. Jobs are identified by ID, not trace
@@ -66,8 +73,9 @@ type runCheck struct {
 }
 
 // checkpoint is the full replay state at one instant, after that
-// instant's placement pass. The node and tenant tables are copies by
-// value, one allocation each.
+// instant's placement pass. Its node tables are never written, so
+// neighbouring checkpoints share a table that did not change; the
+// tenant table is a copy, empty unless the policy reads tenant usage.
 type checkpoint struct {
 	clock      float64
 	free       []bool
@@ -83,36 +91,79 @@ type checkpoint struct {
 	results []*Placement
 }
 
-// recorder accumulates checkpoints during a recorded replay. base is
-// the row table of the previous recorded checkpoint, aligned to the
-// running replay's trace indices: nil entries (or a short table) mark
-// jobs with no row to share yet.
+// recorder accumulates checkpoints during a recorded replay. It keeps
+// what the next record compares against:
+//
+//   - base is the row table of the previous recorded checkpoint, aligned
+//     to the running replay's trace indices: nil entries (or a short
+//     table) mark jobs with no row to share yet;
+//   - prev is that checkpoint, whose node tables an equal live table
+//     shares (nil: none to share);
+//   - live holds the trace indices of the jobs queued or running at it;
+//     spare is the second buffer of the pair, so a record allocates no
+//     index set.
 type recorder struct {
-	checks []*checkpoint
-	base   []*Placement
+	checks      []*checkpoint
+	base        []*Placement
+	prev        *checkpoint
+	live, spare []int
 }
 
-// record snapshots the state: the node and tenant tables by value, and
-// the placement rows by sharing every row the previous recorded
-// checkpoint holds unchanged and copying the rest, Nodes included.
-// Called by state.run after each instant's placement pass.
+// start readies the recorder for a replay that runs on from st: base is
+// the row table st's rows were restored from and from the checkpoint
+// they came from, both nil for a replay from scratch, which copies every
+// row at its first record.
+func (rec *recorder) start(st *state, base []*Placement, from *checkpoint) {
+	rec.base, rec.prev = base, from
+	rec.live = rec.live[:0]
+	for _, q := range st.queue {
+		rec.live = append(rec.live, q.j.idx)
+	}
+	for _, r := range st.runs {
+		rec.live = append(rec.live, r.q.j.idx)
+	}
+}
+
+// record snapshots the state. Called by state.run after each instant's
+// placement pass.
+//
+// The placement rows rest on one invariant: the replay writes a job's
+// row only through the qentry of a queued or running job (start and
+// recordPlan, completeFinished, evictOn, replanOn, preemptFor, and the
+// unplaced queue head in run). A job that leaves the queue and the runs
+// between two records was in one of them at the earlier record: a run
+// completes only after a record, and a head is declared unplaced right
+// after one. So only the rows of jobs live at this record or at the
+// previous one can differ from the base. Those are compared and copied,
+// Nodes included, when they differ; every other row is the base's,
+// unchecked. A row with no base is copied.
+//
+// A node table equal to the previous checkpoint's is that checkpoint's
+// table. The factors are positive products of factors in (0, 1], never
+// -0 or NaN, so == compares them exactly.
 func (rec *recorder) record(st *state) {
 	if len(rec.checks) >= maxCheckpoints {
 		return
 	}
+	prev := rec.prev
+	if prev == nil {
+		prev = &checkpoint{}
+	}
 	cp := &checkpoint{
 		clock:      st.clock,
-		free:       slices.Clone(st.free),
-		failed:     slices.Clone(st.failed),
-		factors:    slices.Clone(st.factors),
+		free:       shareTable(prev.free, st.free),
+		failed:     shareTable(prev.failed, st.failed),
+		factors:    shareTable(prev.factors, st.factors),
 		queue:      make([]qcheck, len(st.queue)),
 		runs:       make([]runCheck, len(st.runs)),
 		busy:       st.busy,
 		tenantBusy: slices.Clone(st.tenantBusy),
 		results:    make([]*Placement, len(st.results)),
 	}
+	live := rec.spare[:0]
 	for i, q := range st.queue {
 		cp.queue[i] = snapQ(q)
+		live = append(live, q.j.idx)
 	}
 	for i, r := range st.runs {
 		cp.runs[i] = runCheck{
@@ -124,19 +175,46 @@ func (rec *recorder) record(st *state) {
 			segStart: r.segStart,
 			finish:   r.finish,
 		}
+		live = append(live, r.q.j.idx)
 	}
-	for i := range st.results {
-		live := &st.results[i]
-		if i < len(rec.base) && rec.base[i] != nil && sameRow(rec.base[i], live) {
-			cp.results[i] = rec.base[i]
-			continue
+	for _, set := range [2][]int{live, rec.live} {
+		for _, i := range set {
+			if cp.results[i] == nil {
+				cp.results[i] = rec.row(i, &st.results[i], true)
+			}
 		}
-		row := *live
-		row.Nodes = append([]int(nil), live.Nodes...)
-		cp.results[i] = &row
 	}
-	rec.base = cp.results
+	for i, row := range cp.results {
+		if row == nil {
+			cp.results[i] = rec.row(i, &st.results[i], false)
+		}
+	}
+	rec.base, rec.prev = cp.results, cp
+	rec.live, rec.spare = live, rec.live
 	rec.checks = append(rec.checks, cp)
+}
+
+// row returns the checkpoint row for trace index i: the base's row when
+// there is one and it is unchanged — compared with the live row only when
+// compare is set — and otherwise a copy of the live row.
+func (rec *recorder) row(i int, live *Placement, compare bool) *Placement {
+	if i < len(rec.base) {
+		if b := rec.base[i]; b != nil && (!compare || sameRow(b, live)) {
+			return b
+		}
+	}
+	row := *live
+	row.Nodes = append([]int(nil), live.Nodes...)
+	return &row
+}
+
+// shareTable returns prev when it holds the live table's values and a
+// copy of live otherwise.
+func shareTable[T comparable](prev, live []T) []T {
+	if prev != nil && slices.Equal(prev, live) {
+		return prev
+	}
+	return slices.Clone(live)
 }
 
 // sameRow reports whether two placement rows are identical. Floats are
@@ -286,22 +364,22 @@ func restoreQ(qc qcheck, byID map[string]*rjob, st *state) (*qentry, bool) {
 // resume replays a Manager's live set, reusing the recorder's newest
 // surviving checkpoint as the starting state when one exists. jobs are
 // the live jobs as resolved at Submit, in trace order with their trace
-// indices stamped; sc and policy were validated when they were set, so
-// nothing here re-resolves or re-validates. The caller must have
+// indices stamped; evs is the live timeline as lowered when it was last
+// edited, and policy was validated when it was set, so nothing here
+// re-resolves, re-validates or re-lowers. The caller must have
 // invalidated the recorder from every mutation's change point since the
 // last recorded replay; under that contract resume is bit-identical to
 // Replay of the same live trace (see the package differential tests).
-func (s *Scheduler) resume(jobs []*rjob, sc *scenario.Scenario, policy string, rec *recorder) (*Schedule, error) {
+func (s *Scheduler) resume(jobs []*rjob, evs []scenario.Event, policy string, rec *recorder) (*Schedule, error) {
 	pol, err := PolicyByName(policy)
 	if err != nil {
 		rec.reset()
 		return nil, err
 	}
 	arr := arrivalOrder(jobs)
-	evs := lowerEvents(s.topo, sc)
 	if cp := rec.popLast(); cp != nil {
 		if st, base, ok := cp.restore(s, pol, jobs); ok {
-			rec.base = base
+			rec.start(st, base, cp)
 			ai, ei := 0, 0
 			for ai < len(arr) && arr[ai].job.Submit <= st.clock {
 				ai++
@@ -315,7 +393,7 @@ func (s *Scheduler) resume(jobs []*rjob, sc *scenario.Scenario, policy string, r
 		rec.reset()
 	}
 	st := newState(s, pol, jobs)
-	rec.base = nil
+	rec.start(st, nil, nil)
 	ei := st.run(arr, evs, 0, 0, rec)
 	return buildSchedule("", policy, jobs, st, ei), nil
 }

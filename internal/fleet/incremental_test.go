@@ -3,9 +3,12 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"holmes/internal/config"
 	"holmes/internal/engine"
 	"holmes/internal/scenario"
 	"holmes/internal/topology"
@@ -46,6 +49,26 @@ func compareManagers(t *testing.T, inc, oracle *Manager, log []string) {
 	if g, w := marshalSched(t, got), marshalSched(t, want); g != w {
 		t.Fatalf("incremental schedule diverged from the from-scratch oracle after:\n%s\nincremental: %s\noracle:      %s",
 			joinLog(log), g, w)
+	}
+}
+
+// compareWithReplay fails the test unless the manager's schedule equals
+// ref's from-scratch replay of the manager's live trace.
+func compareWithReplay(t *testing.T, m *Manager, ref *Scheduler, log []string) {
+	t.Helper()
+	got, err := m.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	tr := m.trace()
+	m.mu.Unlock()
+	want, err := ref.Replay(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := marshalSched(t, got), marshalSched(t, want); g != w {
+		t.Fatalf("diverged from the replay of the live trace after:\n%s\n got %s\nwant %s", joinLog(log), g, w)
 	}
 }
 
@@ -336,5 +359,143 @@ func TestPlanCacheSharedAcrossSchedulers(t *testing.T) {
 	}
 	if marshalSched(t, first) != marshalSched(t, second) {
 		t.Fatal("a warm plan cache changed the schedule")
+	}
+}
+
+// TestIncrementalMatchesReplayAtChurnScale drives managers at the
+// fleet-churn workload's scale — 24 nodes, eight each of InfiniBand,
+// RoCE and Ethernet, up to 60 live jobs — through seeded submits,
+// cancels of recent jobs, and fail, degrade and restore events, under
+// every policy. After every poll a manager's schedule must equal Replay
+// of its live trace on a second engine.
+func TestIncrementalMatchesReplayAtChurnScale(t *testing.T) {
+	topo, err := (Spec{Clusters: []config.ClusterConfig{
+		{NIC: "InfiniBand", Nodes: 8}, {NIC: "RoCE", Nodes: 8}, {NIC: "Ethernet", Nodes: 8},
+	}}).Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Config{})
+	ref, err := NewScheduler(engine.New(engine.Config{}), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		initial, maxLive, recent, maxImpaired = 40, 60, 8, 4
+		mutations                             = 500
+	)
+	for pi, policy := range PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100 + pi)))
+			m, err := NewManager(eng, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetPolicy(policy); err != nil {
+				t.Fatal(err)
+			}
+			clock, next := 0.0, 0
+			var live []string
+			var failed, degraded []int
+			submit := func() mutator {
+				clock += math.Round(rng.ExpFloat64()*20*1000) / 1000
+				j := Job{
+					ID:         fmt.Sprintf("j%03d", next),
+					Submit:     clock,
+					GPUs:       8 * (1 + rng.Intn(2)),
+					Iterations: 1 + rng.Intn(5),
+					Model:      config.ModelConfig{Group: 1 + rng.Intn(4)},
+					Priority:   rng.Intn(3),
+					Tenant:     fmt.Sprintf("t%d", rng.Intn(4)),
+				}
+				if rng.Intn(3) == 0 {
+					j.Deadline = clock + 50 + float64(rng.Intn(200))
+				}
+				next++
+				live = append(live, j.ID)
+				return mutator{fmt.Sprintf("submit %s at %g gpus=%d group=%d", j.ID, j.Submit, j.GPUs, j.Model.Group),
+					func(m *Manager) error { return m.Submit(j) }}
+			}
+			take := func(set *[]int) int {
+				i := rng.Intn(len(*set))
+				n := (*set)[i]
+				*set = slices.Delete(*set, i, i+1)
+				return n
+			}
+			event := func(kind scenario.Kind) mutator {
+				clock += math.Round(rng.ExpFloat64()*10*1000) / 1000
+				if kind != scenario.RestoreNode && len(failed)+len(degraded) >= maxImpaired {
+					kind = scenario.RestoreNode
+				}
+				ev := scenario.Event{Kind: kind, At: clock}
+				switch kind {
+				case scenario.RestoreNode:
+					switch {
+					case len(failed) > 0:
+						ev.Node = take(&failed)
+					case len(degraded) > 0:
+						ev.Node = take(&degraded)
+					default:
+						ev.Node = rng.Intn(topo.NumNodes())
+					}
+				default:
+					for {
+						ev.Node = rng.Intn(topo.NumNodes())
+						if !slices.Contains(failed, ev.Node) && !slices.Contains(degraded, ev.Node) {
+							break
+						}
+					}
+					if kind == scenario.FailNode {
+						failed = append(failed, ev.Node)
+					} else {
+						ev.Class = scenario.ClassRDMA
+						ev.Factor = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
+						degraded = append(degraded, ev.Node)
+					}
+				}
+				return mutator{fmt.Sprintf("%s node %d at %g factor %g", ev.Kind, ev.Node, ev.At, ev.Factor),
+					func(m *Manager) error { return m.ApplyEvent(ev) }}
+			}
+			var log []string
+			apply := func(mut mutator, poll bool) {
+				t.Helper()
+				log = append(log, mut.desc)
+				if err := mut.apply(m); err != nil {
+					t.Fatalf("%s: %v", mut.desc, err)
+				}
+				if poll {
+					compareWithReplay(t, m, ref, log)
+				}
+			}
+			for i := 0; i < initial; i++ {
+				apply(submit(), i == initial-1)
+			}
+			full := false
+			for range mutations {
+				full = full || len(live) >= maxLive
+				switch r := rng.Float64(); {
+				case r < 0.40 && len(live) >= maxLive:
+					id := live[0]
+					live = live[1:]
+					apply(mutator{"cancel oldest " + id, func(m *Manager) error { m.Cancel(id); return nil }}, true)
+				case r < 0.40 || len(live) == 0:
+					apply(submit(), true)
+				case r < 0.65:
+					i := len(live) - 1 - rng.Intn(min(recent, len(live)))
+					id := live[i]
+					live = slices.Delete(live, i, i+1)
+					apply(mutator{"cancel " + id, func(m *Manager) error { m.Cancel(id); return nil }}, true)
+				case r < 0.80:
+					apply(event(scenario.DegradeNIC), true)
+				case r < 0.90:
+					apply(event(scenario.FailNode), true)
+				default:
+					apply(event(scenario.RestoreNode), true)
+				}
+			}
+			if !full {
+				t.Fatalf("the live set never reached %d jobs", maxLive)
+			}
+		})
 	}
 }

@@ -50,9 +50,12 @@ var (
 type Manager struct {
 	sch *Scheduler
 
-	mu      sync.Mutex
-	jobs    map[string]*rjob // the live set by ID, resolved at Submit
-	scn     *scenario.Scenario
+	mu   sync.Mutex
+	jobs map[string]*rjob // the live set by ID, resolved at Submit
+	scn  *scenario.Scenario
+	// evs is scn lowered to the replay's node events (lowerEvents),
+	// refreshed by every timeline edit, so a poll lowers nothing.
+	evs     []scenario.Event
 	policy  string // "" = DefaultPolicy
 	version uint64 // bumped on every mutation
 	cached  *Schedule
@@ -165,6 +168,7 @@ func (m *Manager) SetScenario(sc *scenario.Scenario) error {
 		t = min(t, eventChange(sc.Events))
 	}
 	m.scn = sc.Clone()
+	m.evs = lowerEvents(m.sch.topo, m.scn)
 	m.invalidateFrom(t)
 	return nil
 }
@@ -184,6 +188,7 @@ func (m *Manager) ApplyEvent(ev scenario.Event) error {
 		return err
 	}
 	m.scn = next
+	m.evs = lowerEvents(m.sch.topo, next)
 	m.invalidateFrom(ev.At)
 	return nil
 }
@@ -255,7 +260,7 @@ func (m *Manager) Schedule() (*Schedule, error) {
 		for i, j := range jobs {
 			j.idx = i
 		}
-		sched, err = m.sch.resume(jobs, m.scn, m.policy, &m.rec)
+		sched, err = m.sch.resume(jobs, m.evs, m.policy, &m.rec)
 	}
 	if err != nil {
 		return nil, err

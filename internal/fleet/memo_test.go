@@ -13,9 +13,9 @@ import (
 )
 
 // A poll derives only what its mutation changed: the replay's node and
-// tenant state are tables a checkpoint copies whole, candidate slice
-// fingerprints are memoized on the plan cache, and a manager resolves
-// each job once, at Submit. The tests here pin each saving and the keys
+// tenant state are tables a checkpoint copies whole or shares, candidate
+// slice fingerprints are memoized on the plan cache, and a manager
+// resolves each job once, at Submit. The tests here pin each saving and the keys
 // and bounds that keep it invisible in the schedule.
 
 // sliceEntries counts the engine's memoized slice fingerprints.
@@ -42,14 +42,16 @@ func freshReplay(m *Manager) (*Schedule, error) {
 	return s.Replay(tr)
 }
 
-// TestRecordCostIgnoresFaultsAndTenants pins the node and tenant tables:
-// recording an instant allocates the same with no impaired node as with
-// every node failed or degraded, and with one tenant as with nine,
-// because each table is copied whole. The copies are values: writing the
-// live tables afterwards leaves the checkpoint as it was.
+// TestRecordCostIgnoresFaultsAndTenants pins the node and tenant tables
+// under fair, the policy that keeps a tenant table: recording an instant
+// allocates the same with no impaired node as with every node failed or
+// degraded, and with one tenant as with nine, because each table is
+// shared or copied whole. The copies are values: writing the live tables
+// afterwards leaves the checkpoint as it was.
 func TestRecordCostIgnoresFaultsAndTenants(t *testing.T) {
 	setup := func(impaired, tenants int) *state {
 		st := rowState(t, 8)
+		st.pol = fairPolicy{}
 		for n := 0; n < impaired; n++ {
 			if n%2 == 0 {
 				st.failed[n], st.free[n] = true, false
@@ -123,7 +125,9 @@ func TestRestoreRejectsShortNodeTables(t *testing.T) {
 // TestRecordStopsAtMaxCheckpoints records up to the bound and once past
 // it: the bound-th checkpoint is stored, the one after it is not and
 // leaves the comparison base on the last stored row table, and once
-// invalidateFrom drops checkpoints recording resumes.
+// invalidateFrom drops checkpoints recording resumes. Then a manager's
+// recorder reaches the bound part-way through a resumed replay, and
+// every later poll still equals the replay of the live trace.
 func TestRecordStopsAtMaxCheckpoints(t *testing.T) {
 	st := rowState(t, 2)
 	var rec recorder
@@ -168,6 +172,66 @@ func TestRecordStopsAtMaxCheckpoints(t *testing.T) {
 	if newest.results[0] != last.results[0] {
 		t.Fatal("the resumed record copied an unchanged row")
 	}
+
+	topo := hybridTopo(t)
+	m, err := NewManager(engine.New(engine.Config{}), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewScheduler(engine.New(engine.Config{}), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	step := func(desc string, f func() error) {
+		t.Helper()
+		log = append(log, desc)
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		compareWithReplay(t, m, ref, log)
+	}
+	for _, j := range []Job{
+		{ID: "a", GPUs: 16, Iterations: 3, Model: pg1()},
+		{ID: "b", Submit: 1, GPUs: 16, Iterations: 5, Model: pg1()},
+		{ID: "c", Submit: 2, GPUs: 8, Iterations: 2, Model: pg1()},
+		{ID: "d", Submit: 3, GPUs: 32, Iterations: 1, Model: pg1()},
+	} {
+		step("submit "+j.ID, func() error { return m.Submit(j) })
+	}
+	step("fail node 1 at 4", func() error {
+		return m.ApplyEvent(scenario.Event{Kind: scenario.FailNode, At: 4, Node: 1})
+	})
+	// Fill the history to two short of the bound with the first
+	// checkpoint, a valid state to resume from: the next resume stores
+	// its first two instants and then reaches the bound.
+	first := m.rec.checks[0]
+	m.rec.checks = m.rec.checks[:0]
+	for range maxCheckpoints - 2 {
+		m.rec.checks = append(m.rec.checks, first)
+	}
+	step("submit e at 1.5", func() error {
+		return m.Submit(Job{ID: "e", Submit: 1.5, GPUs: 8, Iterations: 2, Model: pg1()})
+	})
+	if len(m.rec.checks) != maxCheckpoints {
+		t.Fatalf("%d checkpoints after the padded resume, want the bound %d", len(m.rec.checks), maxCheckpoints)
+	}
+	stored := m.rec.checks[maxCheckpoints-1].clock
+	if stored >= 4 {
+		t.Fatalf("the bound was reached at %g, not part-way through the trace", stored)
+	}
+	step("restore node 1 at 30", func() error {
+		return m.ApplyEvent(scenario.Event{Kind: scenario.RestoreNode, At: 30, Node: 1})
+	})
+	step("submit f at 40", func() error {
+		return m.Submit(Job{ID: "f", Submit: 40, GPUs: 16, Iterations: 2, Model: pg1()})
+	})
+	step("cancel c", func() error {
+		if !m.Cancel("c") {
+			return fmt.Errorf("c was not live")
+		}
+		return nil
+	})
 }
 
 // TestSliceMemoKeysTheFleet runs the same jobs and events on two fleets

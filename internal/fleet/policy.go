@@ -62,6 +62,11 @@ type Policy interface {
 	// cover the demand — a policy returning true never causes an
 	// eviction that cannot help the head.
 	Preempts(ps PolicyState, head, running JobView) bool
+	// readsUsage reports whether Less or Preempts reads
+	// PolicyState.TenantUsage. The replay accrues usage by tenant only
+	// for a policy that reads it, and TenantUsage panics under one that
+	// declares it does not, so no policy can read an empty table.
+	readsUsage() bool
 }
 
 // DefaultPolicy is the policy used when a trace or fleet names none.
@@ -99,6 +104,8 @@ type fifoPolicy struct{}
 
 func (fifoPolicy) Name() string { return "fifo" }
 
+func (fifoPolicy) readsUsage() bool { return false }
+
 func (fifoPolicy) Less(_ PolicyState, a, b JobView) bool {
 	if a.Ready != b.Ready {
 		return a.Ready < b.Ready
@@ -115,6 +122,8 @@ func (fifoPolicy) Preempts(PolicyState, JobView, JobView) bool { return false }
 type priorityPolicy struct{}
 
 func (priorityPolicy) Name() string { return "priority" }
+
+func (priorityPolicy) readsUsage() bool { return false }
 
 func (priorityPolicy) Less(_ PolicyState, a, b JobView) bool {
 	if a.Priority != b.Priority {
@@ -137,6 +146,8 @@ func (priorityPolicy) Preempts(_ PolicyState, head, running JobView) bool {
 type edfPolicy struct{}
 
 func (edfPolicy) Name() string { return "edf" }
+
+func (edfPolicy) readsUsage() bool { return false }
 
 func deadlineOf(v JobView) float64 {
 	if v.Deadline > 0 {
@@ -168,6 +179,8 @@ func (edfPolicy) Preempts(PolicyState, JobView, JobView) bool { return false }
 type fairPolicy struct{}
 
 func (fairPolicy) Name() string { return "fair" }
+
+func (fairPolicy) readsUsage() bool { return true }
 
 func (fairPolicy) Less(ps PolicyState, a, b JobView) bool {
 	ua := ps.TenantUsage(a.Tenant) / a.Weight
@@ -211,8 +224,12 @@ func (st *state) Now() float64 { return st.clock }
 
 // TenantUsage implements PolicyState: accrued GPU-seconds (completed
 // and evicted segments) plus the elapsed part of every live run, in
-// slice order — all deterministic accumulation orders.
+// slice order — all deterministic accumulation orders. It panics under a
+// policy that declares it does not read usage, which accrues none.
 func (st *state) TenantUsage(tenant string) float64 {
+	if !st.pol.readsUsage() {
+		panic(fmt.Sprintf("fleet: policy %q reads tenant usage but does not declare it", st.pol.Name()))
+	}
 	var u float64
 	if i := st.tenantIndex(tenant); i >= 0 {
 		u = st.tenantBusy[i].busy

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -195,32 +196,74 @@ func TestRecordSharesUnchangedRows(t *testing.T) {
 	}
 }
 
-// TestRecordCopiesChangedRows: a row that differs from the base in any
-// field is copied, a sign-of-zero change included, and its Nodes never
-// alias the live row's.
+// TestRecordCopiesChangedRows pins record's row contract: the row of a
+// job queued or running at this record or at the previous one is copied
+// when it differs from the base in any field, a sign-of-zero change
+// included, and a copy's Nodes never alias the live row's. Every other
+// row is shared unchecked — by design, since the replay writes only
+// live jobs' rows — so a finished row edited outside the replay is not
+// seen.
 func TestRecordCopiesChangedRows(t *testing.T) {
-	st := rowState(t, 3)
+	st := rowState(t, 3) // j0..j2 finished, j3 running
+	// j2 was requeued: it waits in the queue.
+	st.queue = []*qentry{{
+		j:     &rjob{idx: 2, job: Job{ID: "j2", Tenant: "t"}, tenant: "t", weight: 1},
+		ready: 95, remIters: 1, started: true, res: &st.results[2],
+	}}
 	var rec recorder
+	noAlias := func(cp *checkpoint) {
+		t.Helper()
+		for i, row := range cp.results {
+			if len(row.Nodes) > 0 && &row.Nodes[0] == &st.results[i].Nodes[0] {
+				t.Fatalf("row %d's checkpoint Nodes alias the live row's", i)
+			}
+		}
+	}
+	shares := func(cp, base *checkpoint, copied ...int) {
+		t.Helper()
+		for i, row := range cp.results {
+			want := !slices.Contains(copied, i)
+			if shared := row == base.results[i]; shared != want {
+				t.Fatalf("row %d: shared=%v, want shared=%v", i, shared, want)
+			}
+		}
+	}
 	rec.record(st)
 	first := rec.checks[0]
-	for i, row := range first.results {
-		if len(row.Nodes) > 0 && &row.Nodes[0] == &st.results[i].Nodes[0] {
-			t.Fatalf("row %d's checkpoint Nodes alias the live row's", i)
-		}
-	}
-	st.results[1].Waited = math.Copysign(0, -1) // was +0
-	st.results[3].Finish = 130
+	noAlias(first)
+
+	st.results[2].Waited = math.Copysign(0, -1) // queued; was +0
+	st.results[3].Finish = 130                  // running
+	st.results[1].Finish = 999                  // finished, edited outside the replay
 	rec.record(st)
 	second := rec.checks[1]
-	for i, row := range second.results {
-		changed := i == 1 || i == 3
-		if shared := row == first.results[i]; shared == changed {
-			t.Fatalf("row %d: shared=%v, want shared=%v", i, shared, !changed)
-		}
+	noAlias(second)
+	shares(second, first, 2, 3)
+	if !math.Signbit(second.results[2].Waited) || second.results[3].Finish != 130 {
+		t.Fatalf("copied rows do not hold the live values: %+v %+v", *second.results[2], *second.results[3])
 	}
-	if !math.Signbit(second.results[1].Waited) || second.results[3].Finish != 130 {
-		t.Fatalf("copied rows do not hold the live values: %+v %+v", *second.results[1], *second.results[3])
+	if second.results[1].Finish != 2 {
+		t.Fatalf("the finished row was compared: checkpoint Finish %v, want the base's 2", second.results[1].Finish)
 	}
+
+	// j3 completes and j2 is declared unplaced: neither is live now, but
+	// both were at the previous record, so their rows are still compared.
+	st.runs, st.queue = nil, nil
+	st.results[3].Finish = 140
+	st.results[2].Unplaced = "gone"
+	rec.record(st)
+	third := rec.checks[2]
+	noAlias(third)
+	shares(third, second, 2, 3)
+	if third.results[3].Finish != 140 || third.results[2].Unplaced != "gone" {
+		t.Fatalf("rows of jobs that left the queue and runs were not copied: %+v %+v", *third.results[2], *third.results[3])
+	}
+
+	// Nothing is live at the previous record or at this one: every row is
+	// shared, even one edited outside the replay.
+	st.results[3].Finish = 150
+	rec.record(st)
+	shares(rec.checks[3], third)
 }
 
 // TestSameRowSeesEveryField changes each Placement field in turn: a
@@ -387,4 +430,177 @@ func churnWithEvictions(eng, oracleEng *engine.Engine, topo *topology.Topology, 
 		}
 	}
 	return nil
+}
+
+// TestRecordSharesEqualNodeTables: a checkpoint's node table is the
+// previous checkpoint's when the live table holds the same values, and a
+// copy of the live table as soon as one entry differs; a table of the
+// same length is not enough to share.
+func TestRecordSharesEqualNodeTables(t *testing.T) {
+	st := rowState(t, 2)
+	var rec recorder
+	rec.record(st)
+	rec.record(st)
+	first, second := rec.checks[0], rec.checks[1]
+	if &second.free[0] != &first.free[0] || &second.failed[0] != &first.failed[0] || &second.factors[0] != &first.factors[0] {
+		t.Fatal("unchanged node tables were copied, not shared")
+	}
+	st.failed[1], st.free[1] = true, false
+	st.factors[0] = nodeFactors{rdma: 0.5, eth: 1, degraded: true}
+	rec.record(st)
+	third := rec.checks[2]
+	if !third.failed[1] || third.free[1] || third.factors[0] != st.factors[0] {
+		t.Fatalf("changed node tables were shared: free %v failed %v factors %v", third.free, third.failed, third.factors)
+	}
+	if &third.free[0] == &st.free[0] || &third.failed[0] == &st.failed[0] || &third.factors[0] == &st.factors[0] {
+		t.Fatal("a checkpoint holds a live node table")
+	}
+	if first.failed[1] || !first.free[1] || first.factors[0] != pristineFactors {
+		t.Fatalf("recording a change wrote an earlier checkpoint: free %v failed %v factors %v", first.free, first.failed, first.factors)
+	}
+}
+
+// TestResumeAfterJobsLeaveTheLiveSet resumes just after a job left the
+// queue and the runs: after a run completed, from the checkpoint
+// recorded at its completion; and after a queue head was declared
+// unplaced. That decision rests on no arrival or event being left, so
+// the replay records nothing after it, and a submit or an event that
+// follows it resumes from the instant's record made before it: the late
+// job is backfilled behind the still-queued head, and a restored node
+// lets the head run after all.
+func TestResumeAfterJobsLeaveTheLiveSet(t *testing.T) {
+	topo := hybridTopo(t)
+	hasJob := func(cp *checkpoint, id string) bool {
+		for _, q := range cp.queue {
+			if q.id == id {
+				return true
+			}
+		}
+		for _, r := range cp.runs {
+			if r.q.id == id {
+				return true
+			}
+		}
+		return false
+	}
+	cases := []struct {
+		name string
+		jobs []Job
+		evs  []scenario.Event
+		// left names the job that leaves the live set and the instant it
+		// leaves at.
+		left func(sched *Schedule) (id string, at float64)
+		// queued reports whether the newest checkpoint up to that instant
+		// still holds the job.
+		queued bool
+		then   []mutator
+	}{
+		{
+			name: "completed",
+			jobs: []Job{
+				{ID: "a", GPUs: 16, Iterations: 2, Model: pg1()},
+				{ID: "b", GPUs: 16, Iterations: 6, Model: pg1()},
+			},
+			left: func(s *Schedule) (string, float64) { return "a", s.Jobs[0].Finish },
+		},
+		{
+			name: "unplaced",
+			// Losing node 2 leaves three nodes for a four-node job: it is
+			// evicted and, the fleet idle, declared unplaced at 10.
+			jobs:   []Job{{ID: "whole", GPUs: 32, Iterations: 400, Model: pg1()}},
+			evs:    []scenario.Event{{Kind: scenario.FailNode, At: 10, Node: 2}},
+			left:   func(*Schedule) (string, float64) { return "whole", 10 },
+			queued: true,
+			then: []mutator{{"restore node 2 at 50", func(m *Manager) error {
+				return m.ApplyEvent(scenario.Event{Kind: scenario.RestoreNode, At: 50, Node: 2})
+			}}},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			inc, err := NewManager(engine.New(engine.Config{}), topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := NewManager(engine.New(engine.Config{FullRecompute: true}), topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log []string
+			step := func(mut mutator) {
+				t.Helper()
+				log = append(log, mut.desc)
+				for _, m := range []*Manager{inc, oracle} {
+					if err := mut.apply(m); err != nil {
+						t.Fatalf("%s: %v", mut.desc, err)
+					}
+				}
+				compareManagers(t, inc, oracle, log)
+			}
+			for _, j := range c.jobs {
+				step(mutator{"submit " + j.ID, func(m *Manager) error { return m.Submit(j) }})
+			}
+			for _, ev := range c.evs {
+				step(mutator{fmt.Sprintf("%s node %d at %g", ev.Kind, ev.Node, ev.At), func(m *Manager) error { return m.ApplyEvent(ev) }})
+			}
+			sched, err := inc.Schedule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, at := c.left(sched)
+			if c.queued && placementOf(t, sched, id).Unplaced == "" {
+				t.Fatalf("%s was placed: the test no longer declares a head unplaced", id)
+			}
+			newest := inc.rec.checks[len(inc.rec.checks)-1]
+			for _, cp := range inc.rec.checks {
+				if cp.clock <= at {
+					newest = cp
+				}
+			}
+			if newest.clock != at || hasJob(newest, id) != c.queued {
+				t.Fatalf("the checkpoint to resume from is at %g holding %s=%v, want at %g holding it=%v",
+					newest.clock, id, hasJob(newest, id), at, c.queued)
+			}
+			if c.queued && inc.rec.checks[len(inc.rec.checks)-1] != newest {
+				t.Fatal("an instant after the unplaced decision was recorded")
+			}
+			late := Job{ID: "late", Submit: math.Nextafter(at, math.Inf(1)), GPUs: 8, Iterations: 1, Model: pg1()}
+			step(mutator{"submit late just after " + id + " left", func(m *Manager) error { return m.Submit(late) }})
+			for _, mut := range c.then {
+				step(mut)
+			}
+		})
+	}
+}
+
+// TestFairOrdersByCompletedUsage: under fair, a tenant that finished a
+// job earlier waits behind a tenant that has not, though it queued
+// first. Neither tenant has a live run when the queue is sorted, so only
+// the usage accrued by the completed segment tells them apart; fifo, the
+// control, keeps the arrival order.
+func TestFairOrdersByCompletedUsage(t *testing.T) {
+	tr := hybridTrace(
+		Job{ID: "a1", GPUs: 8, Iterations: 1, Model: pg1(), Tenant: "A"},
+		Job{ID: "blocker", GPUs: 24, Iterations: 400, Model: pg1(), Tenant: "C"},
+		Job{ID: "a2", Submit: 30, GPUs: 24, Iterations: 1, Model: pg1(), Tenant: "A"},
+		Job{ID: "b1", Submit: 31, GPUs: 24, Iterations: 1, Model: pg1(), Tenant: "B"},
+	)
+	for _, c := range []struct {
+		policy, first, second string
+	}{{"fair", "b1", "a2"}, {"fifo", "a2", "b1"}} {
+		tr.Policy = c.policy
+		sched, err := Replay(engine.New(engine.Config{}), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a1, blocker := placementOf(t, sched, "a1"), placementOf(t, sched, "blocker")
+		if a1.Finish >= 30 || blocker.Start != 0 || blocker.Finish <= 31 {
+			t.Fatalf("%s: a1 runs %g..%g and the blocker %g..%g: a2 and b1 no longer queue behind a finished a1",
+				c.policy, a1.Start, a1.Finish, blocker.Start, blocker.Finish)
+		}
+		first, second := placementOf(t, sched, c.first), placementOf(t, sched, c.second)
+		if first.Start >= second.Start {
+			t.Errorf("%s: %s starts at %g, not before %s at %g", c.policy, c.first, first.Start, c.second, second.Start)
+		}
+	}
 }

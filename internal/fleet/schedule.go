@@ -88,7 +88,8 @@ type state struct {
 	busy    float64 // accumulated busy GPU-seconds
 	// tenantBusy is busy split by tenant (completed and evicted
 	// segments; live-run accrual is added on read by TenantUsage), one
-	// entry per tenant in the order each first accrued.
+	// entry per tenant in the order each first accrued. It stays empty
+	// under a policy that does not read tenant usage.
 	tenantBusy []tenantUse
 	results    []Placement
 }
@@ -203,7 +204,11 @@ func (st *state) run(arr []*rjob, evs []scenario.Event, ai, ei int, rec *recorde
 		if math.IsInf(next, 1) {
 			if len(st.queue) > 0 {
 				// The whole surviving fleet is idle and the head still
-				// cannot start: it never will.
+				// cannot start: it never will. That rests on no arrival or
+				// event being left, which a later mutation can change
+				// without touching any instant up to this one, so nothing
+				// from here on is recorded: a resume replays from this
+				// instant's record, made before the decision.
 				head := st.queue[0]
 				st.queue = st.queue[1:]
 				reason := head.lastErr
@@ -211,6 +216,7 @@ func (st *state) run(arr []*rjob, evs []scenario.Event, ai, ei int, rec *recorde
 					reason = "demand exceeds the fleet's surviving capacity"
 				}
 				head.res.Unplaced = reason
+				rec = nil
 				continue
 			}
 			break
@@ -680,12 +686,16 @@ func (st *state) gpus(r *run) float64 {
 	return float64(len(r.nodes) * st.sch.topo.GPUsPerNode)
 }
 
-// accrue books dt seconds of the run's GPUs into the fleet total and
-// the run's tenant. Callers invoke it in replay-deterministic order, so
-// the floating-point sums are reproducible bit for bit. A tenant's first
-// accrual adds to an explicit 0, as a map's missing entry would.
+// accrue books dt seconds of the run's GPUs into the fleet total and,
+// when the policy reads tenant usage, the run's tenant. Callers invoke
+// it in replay-deterministic order, so the floating-point sums are
+// reproducible bit for bit. A tenant's first accrual adds to an explicit
+// 0, as a map's missing entry would.
 func (st *state) accrue(r *run, dt float64) {
 	st.busy += st.gpus(r) * dt
+	if !st.pol.readsUsage() {
+		return
+	}
 	i := st.tenantIndex(r.q.j.tenant)
 	if i < 0 {
 		i = len(st.tenantBusy)
