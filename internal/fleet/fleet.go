@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 
 	"holmes/internal/config"
 	"holmes/internal/core"
@@ -184,6 +185,9 @@ type Scheduler struct {
 	topo *topology.Topology
 	eng  *engine.Engine
 	fp   string // topo's fingerprint: the fleet half of every sliceKey
+	// fanned counts the plan-cache misses handed to the engine's worker
+	// pool (see fanOut).
+	fanned atomic.Uint64
 }
 
 // planKey identifies one joint (t, p) search: the carved slice's
@@ -351,15 +355,31 @@ func validateScenario(topo *topology.Topology, sc *scenario.Scenario) error {
 		return err
 	}
 	for i, ev := range sc.Events {
-		switch ev.Kind {
-		case scenario.FailNode, scenario.RestoreNode, scenario.DegradeNIC,
-			scenario.Straggler, scenario.FailCluster, scenario.FlapLink,
-			scenario.Loss, scenario.Corrupt, scenario.Delay, scenario.Jitter:
-		default:
-			return fmt.Errorf("fleet: event %d: kind %q is not supported by the fleet scheduler (node, impairment, and cluster fault kinds only)", i, ev.Kind)
+		if err := supportedKind(i, ev); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// validateEvent checks the i-th event of a timeline whose earlier events
+// validateScenario already accepted, with the error validateScenario
+// would report for the whole timeline.
+func validateEvent(topo *topology.Topology, i int, ev scenario.Event) error {
+	if err := scenario.ValidateEvent(i, ev, topo); err != nil {
+		return err
+	}
+	return supportedKind(i, ev)
+}
+
+func supportedKind(i int, ev scenario.Event) error {
+	switch ev.Kind {
+	case scenario.FailNode, scenario.RestoreNode, scenario.DegradeNIC,
+		scenario.Straggler, scenario.FailCluster, scenario.FlapLink,
+		scenario.Loss, scenario.Corrupt, scenario.Delay, scenario.Jitter:
+		return nil
+	}
+	return fmt.Errorf("fleet: event %d: kind %q is not supported by the fleet scheduler (node, impairment, and cluster fault kinds only)", i, ev.Kind)
 }
 
 // Validate checks a whole trace against its own fleet spec.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -26,34 +27,47 @@ import (
 // each release to that.
 //
 // A snapshot costs what its instant changed, not what the replay has
-// accumulated. Its row table points at immutable rows, and a row
-// unchanged since the previous recorded snapshot is that snapshot's row;
-// only the rows of queued and running jobs can change (see record), so
-// only those are compared. Its node tables are the previous snapshot's
-// when equal, and the tenant table is empty under every policy that
-// does not read it. Rows and tables are copied out again on restore, so
-// neither the live state nor a returned schedule ever holds a
-// checkpoint's.
+// accumulated. Checkpoints are taken in clock order and only ever
+// dropped as a suffix, so the recorder keeps them as a stack of marks
+// into flat logs, which invalidateFrom and popLast rewind by truncation.
+// A record appends the queue and the runs, each entry naming its job's
+// row in a rows log, plus any node or tenant table that changed. A row
+// is logged when it differs from the job's row at the previous record,
+// and shared otherwise; a job's final row is named once, at the first
+// record after the job left the queue and the runs. Restoring walks that
+// final-row log and the checkpoint's own entries once, copying every row
+// out, so neither the live state nor a returned schedule ever holds a
+// checkpoint's memory.
 
 // maxCheckpoints bounds the recorder. Beyond the bound new instants are
-// simply not recorded, and do not move what the next recorded instant
-// is compared against: resume then starts earlier and replays more,
+// simply not recorded: resume then starts earlier and replays more,
 // which is slower but never wrong. Nothing drops checkpoints while a
 // replay runs, so a replay that skips one record stores none after it,
 // and every resume restarts the recorder from its restored state. With
-// MaxJobs = 64 the bound is never approached in practice. Rows are
-// shared, not chained as deltas, so a checkpoint costs its state plus
-// one pointer per trace job, and restoring it walks no chain that would
-// need a bound of its own.
+// MaxJobs = 64 the bound is never approached in practice.
 const maxCheckpoints = 4096
 
-// qcheck snapshots one queue entry. Jobs are identified by ID, not trace
-// index: a mutation shifts the indices of jobs submitted at or after the
-// change point, while every job captured in a usable checkpoint was
-// submitted strictly before it (and so keeps both its identity and its
-// index-order relative to its peers).
+// span is the range [from, to) of one of the recorder's logs.
+type span struct{ from, to int }
+
+// rowCheck names one job's placement row at a record: the job's trace
+// index, checked against the row's JobID on restore — a mutation shifts
+// the indices only of jobs that sort after its change point, while every
+// job a usable checkpoint names was submitted strictly before it — and
+// the row's entry in the rows log.
+type rowCheck struct {
+	idx, row int
+}
+
+// rowEntry is one logged row, its Nodes moved into the nodes log.
+type rowEntry struct {
+	row   Placement // Nodes nil
+	nodes span
+}
+
+// qcheck snapshots one queue entry.
 type qcheck struct {
-	id       string
+	rowCheck
 	ready    float64
 	remIters int
 	started  bool
@@ -65,63 +79,55 @@ type qcheck struct {
 // replay only ever swaps them, never mutates through them.
 type runCheck struct {
 	q                qcheck
-	nodes            []int
+	nodes            span
 	planner          *core.Planner
 	plan             *core.Plan
 	iters            int
 	segStart, finish float64
 }
 
-// checkpoint is the full replay state at one instant, after that
-// instant's placement pass. Its node tables are never written, so
-// neighbouring checkpoints share a table that did not change; the
-// tenant table is a copy, empty unless the policy reads tenant usage.
+// checkpoint is the replay state at one instant, after that instant's
+// placement pass, as marks into the recorder's logs. Its queue and runs
+// are its own ranges; rec.finals[:finals] names the final row of every
+// job that had left the queue and the runs by its instant; its node
+// tables are the width-long entries of the table logs at free, failed
+// and factors, shared with the previous checkpoint when they did not
+// change, as its tenant table is.
 type checkpoint struct {
-	clock      float64
-	free       []bool
-	failed     []bool
-	factors    []nodeFactors
-	queue      []qcheck
-	runs       []runCheck
-	busy       float64
-	tenantBusy []tenantUse
-	// results holds one immutable row per trace job of the recording
-	// replay, in its trace order; restore matches them by JobID. Rows
-	// are shared with neighbouring checkpoints and never written.
-	results []*Placement
+	clock, busy           float64
+	queue, runs, tenants  span
+	finals, rows, nodes   int // log lengths after its record
+	free, failed, factors int
 }
 
-// recorder accumulates checkpoints during a recorded replay. It keeps
-// what the next record compares against:
+// recorder accumulates checkpoints during a recorded replay. Every log
+// holds the entries of the checkpoints in stack order, so the logs end
+// where the newest checkpoint's entries end.
 //
-//   - base is the row table of the previous recorded checkpoint, aligned
-//     to the running replay's trace indices: nil entries (or a short
-//     table) mark jobs with no row to share yet;
-//   - prev is that checkpoint, whose node tables an equal live table
-//     shares (nil: none to share);
-//   - live holds the trace indices of the jobs queued or running at it;
-//     spare is the second buffer of the pair, so a record allocates no
-//     index set.
+// The recorder follows the newest checkpoint: live holds the trace
+// indices of the jobs queued or running at it — the jobs whose final
+// rows the next record may owe — and, by trace index, seen holds the
+// stamp of the newest record a job was live at and rowAt its row entry
+// there, which the next record shares when the row has not changed.
+// spare is the second buffer of the live pair, so a record allocates no
+// index set.
 type recorder struct {
-	checks      []*checkpoint
-	base        []*Placement
-	prev        *checkpoint
-	live, spare []int
-}
+	checks  []checkpoint
+	queue   []qcheck
+	runs    []runCheck
+	finals  []rowCheck
+	rows    []rowEntry
+	nodes   []int
+	free    []bool
+	failed  []bool
+	factors []nodeFactors
+	tenants []tenantUse
+	width   int // fleet nodes: the length of one node table
 
-// start readies the recorder for a replay that runs on from st: base is
-// the row table st's rows were restored from and from the checkpoint
-// they came from, both nil for a replay from scratch, which copies every
-// row at its first record.
-func (rec *recorder) start(st *state, base []*Placement, from *checkpoint) {
-	rec.base, rec.prev = base, from
-	rec.live = rec.live[:0]
-	for _, q := range st.queue {
-		rec.live = append(rec.live, q.j.idx)
-	}
-	for _, r := range st.runs {
-		rec.live = append(rec.live, r.q.j.idx)
-	}
+	live, spare []int
+	seen        []uint32
+	rowAt       []int
+	stamp       uint32
 }
 
 // record snapshots the state. Called by state.run after each instant's
@@ -133,93 +139,123 @@ func (rec *recorder) start(st *state, base []*Placement, from *checkpoint) {
 // unplaced queue head in run). A job that leaves the queue and the runs
 // between two records was in one of them at the earlier record: a run
 // completes only after a record, and a head is declared unplaced right
-// after one. So only the rows of jobs live at this record or at the
-// previous one can differ from the base. Those are compared and copied,
-// Nodes included, when they differ; every other row is the base's,
-// unchecked. A row with no base is copied.
+// after one, which ends the recording. So a record names the rows of the
+// jobs live now, and the row of each job live at the previous record but
+// not now, which is final; the rows of jobs that have not arrived are
+// their zero rows and are not logged.
 //
-// A node table equal to the previous checkpoint's is that checkpoint's
-// table. The factors are positive products of factors in (0, 1], never
-// -0 or NaN, so == compares them exactly.
+// A node or tenant table equal to the previous checkpoint's is that
+// checkpoint's. The factors are positive products of factors in (0, 1]
+// and usage sums of non-negative terms, never -0 or NaN, so == compares
+// them exactly.
 func (rec *recorder) record(st *state) {
 	if len(rec.checks) >= maxCheckpoints {
 		return
 	}
-	prev := rec.prev
-	if prev == nil {
-		prev = &checkpoint{}
+	if len(rec.checks) == 0 {
+		rec.width = len(st.free)
 	}
-	cp := &checkpoint{
-		clock:      st.clock,
-		free:       shareTable(prev.free, st.free),
-		failed:     shareTable(prev.failed, st.failed),
-		factors:    shareTable(prev.factors, st.factors),
-		queue:      make([]qcheck, len(st.queue)),
-		runs:       make([]runCheck, len(st.runs)),
-		busy:       st.busy,
-		tenantBusy: slices.Clone(st.tenantBusy),
-		results:    make([]*Placement, len(st.results)),
-	}
+	rec.grow(len(st.results))
+	rec.nextStamp()
+	cp := checkpoint{clock: st.clock, busy: st.busy}
 	live := rec.spare[:0]
-	for i, q := range st.queue {
-		cp.queue[i] = snapQ(q)
+	cp.queue.from = len(rec.queue)
+	for _, q := range st.queue {
 		live = append(live, q.j.idx)
+		rec.queue = append(rec.queue, rec.qcheck(q))
 	}
-	for i, r := range st.runs {
-		cp.runs[i] = runCheck{
-			q:        snapQ(r.q),
-			nodes:    append([]int(nil), r.nodes...),
+	cp.queue.to = len(rec.queue)
+	cp.runs.from = len(rec.runs)
+	for _, r := range st.runs {
+		live = append(live, r.q.j.idx)
+		rec.runs = append(rec.runs, runCheck{
+			q:        rec.qcheck(r.q),
+			nodes:    rec.appendNodes(r.nodes),
 			planner:  r.planner,
 			plan:     r.plan,
 			iters:    r.iters,
 			segStart: r.segStart,
 			finish:   r.finish,
-		}
-		live = append(live, r.q.j.idx)
+		})
 	}
-	for _, set := range [2][]int{live, rec.live} {
-		for _, i := range set {
-			if cp.results[i] == nil {
-				cp.results[i] = rec.row(i, &st.results[i], true)
-			}
+	cp.runs.to = len(rec.runs)
+	for _, i := range rec.live {
+		if rec.seen[i] != rec.stamp {
+			rec.finals = append(rec.finals, rec.logRow(i, &st.results[i]))
 		}
 	}
-	for i, row := range cp.results {
-		if row == nil {
-			cp.results[i] = rec.row(i, &st.results[i], false)
-		}
+	cp.finals, cp.rows, cp.nodes = len(rec.finals), len(rec.rows), len(rec.nodes)
+	prev := checkpoint{free: -1, failed: -1, factors: -1, tenants: span{-1, -1}}
+	if k := len(rec.checks); k > 0 {
+		prev = rec.checks[k-1]
 	}
-	rec.base, rec.prev = cp.results, cp
-	rec.live, rec.spare = live, rec.live
+	cp.free = logTable(&rec.free, st.free, prev.free, rec.width)
+	cp.failed = logTable(&rec.failed, st.failed, prev.failed, rec.width)
+	cp.factors = logTable(&rec.factors, st.factors, prev.factors, rec.width)
+	if prev.tenants.from >= 0 && slices.Equal(rec.tenants[prev.tenants.from:prev.tenants.to], st.tenantBusy) {
+		cp.tenants = prev.tenants
+	} else {
+		cp.tenants.from = len(rec.tenants)
+		rec.tenants = append(rec.tenants, st.tenantBusy...)
+		cp.tenants.to = len(rec.tenants)
+	}
 	rec.checks = append(rec.checks, cp)
+	rec.live, rec.spare = live, rec.live
 }
 
-// row returns the checkpoint row for trace index i: the base's row when
-// there is one and it is unchanged — compared with the live row only when
-// compare is set — and otherwise a copy of the live row.
-func (rec *recorder) row(i int, live *Placement, compare bool) *Placement {
-	if i < len(rec.base) {
-		if b := rec.base[i]; b != nil && (!compare || sameRow(b, live)) {
-			return b
+// logRow names the row of the job at trace index i at this record and
+// marks the job seen at it: the job's row entry at the previous record
+// when the job was live there and its row has not changed since, and
+// otherwise a new entry.
+func (rec *recorder) logRow(i int, row *Placement) rowCheck {
+	prev := rec.seen[i] == rec.stamp-1
+	rec.seen[i] = rec.stamp
+	if prev {
+		e := &rec.rows[rec.rowAt[i]]
+		logged := e.row
+		logged.Nodes = rec.nodes[e.nodes.from:e.nodes.to]
+		if sameRow(&logged, row) {
+			return rowCheck{i, rec.rowAt[i]}
 		}
 	}
-	row := *live
-	row.Nodes = append([]int(nil), live.Nodes...)
-	return &row
+	e := rowEntry{row: *row, nodes: rec.appendNodes(row.Nodes)}
+	e.row.Nodes = nil
+	rec.rowAt[i] = len(rec.rows)
+	rec.rows = append(rec.rows, e)
+	return rowCheck{i, rec.rowAt[i]}
 }
 
-// shareTable returns prev when it holds the live table's values and a
-// copy of live otherwise.
-func shareTable[T comparable](prev, live []T) []T {
-	if prev != nil && slices.Equal(prev, live) {
+func (rec *recorder) qcheck(q *qentry) qcheck {
+	return qcheck{
+		rowCheck: rec.logRow(q.j.idx, q.res),
+		ready:    q.ready,
+		remIters: q.remIters,
+		started:  q.started,
+		lastErr:  q.lastErr,
+	}
+}
+
+func (rec *recorder) appendNodes(nodes []int) span {
+	from := len(rec.nodes)
+	rec.nodes = append(rec.nodes, nodes...)
+	return span{from, len(rec.nodes)}
+}
+
+// logTable returns where the live node table sits in its log: at prev,
+// the previous checkpoint's entry (-1: none), when that holds the same
+// values, and otherwise appended as a new entry.
+func logTable[T comparable](log *[]T, live []T, prev, width int) int {
+	if prev >= 0 && slices.Equal((*log)[prev:prev+width], live) {
 		return prev
 	}
-	return slices.Clone(live)
+	i := len(*log)
+	*log = append(*log, live...)
+	return i
 }
 
 // sameRow reports whether two placement rows are identical. Floats are
 // compared by their bits, so a row whose value only changed sign of zero
-// is still copied rather than shared away.
+// is logged again rather than shared away.
 func sameRow(a, b *Placement) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	return a.JobID == b.JobID && slices.Equal(a.Nodes, b.Nodes) && a.Degrees == b.Degrees &&
@@ -230,143 +266,192 @@ func sameRow(a, b *Placement) bool {
 		a.Preemptions == b.Preemptions && a.MissedDeadline == b.MissedDeadline && a.Unplaced == b.Unplaced
 }
 
-func snapQ(q *qentry) qcheck {
-	return qcheck{
-		id:       q.j.job.ID,
-		ready:    q.ready,
-		remIters: q.remIters,
-		started:  q.started,
-		lastErr:  q.lastErr,
+// grow sizes the per-job tables for a trace of n jobs, keeping what they
+// hold.
+func (rec *recorder) grow(n int) {
+	if d := n - len(rec.seen); d > 0 {
+		rec.seen = append(rec.seen, make([]uint32, d)...)
+		rec.rowAt = append(rec.rowAt, make([]int, d)...)
+	}
+}
+
+// nextStamp starts a record. Stamps start at 2, so a job whose seen
+// entry is 0 never reads as seen at the previous record; on wrap-around
+// every job is marked unseen again.
+func (rec *recorder) nextStamp() {
+	if rec.stamp++; rec.stamp < 2 {
+		clear(rec.seen)
+		rec.stamp = 2
+	}
+}
+
+// truncate keeps the oldest k checkpoints, rewinds every log to where the
+// newest of them ends, and follows that checkpoint again: the next
+// record owes the final rows of its live jobs and shares their rows.
+func (rec *recorder) truncate(k int) {
+	rec.checks = rec.checks[:k]
+	rec.live = rec.live[:0]
+	rec.nextStamp()
+	if k == 0 {
+		rec.queue, rec.runs, rec.finals = rec.queue[:0], rec.runs[:0], rec.finals[:0]
+		rec.rows, rec.nodes, rec.tenants = rec.rows[:0], rec.nodes[:0], rec.tenants[:0]
+		rec.free, rec.failed, rec.factors = rec.free[:0], rec.failed[:0], rec.factors[:0]
+		return
+	}
+	top := &rec.checks[k-1]
+	rec.queue, rec.runs, rec.finals = rec.queue[:top.queue.to], rec.runs[:top.runs.to], rec.finals[:top.finals]
+	rec.rows, rec.nodes, rec.tenants = rec.rows[:top.rows], rec.nodes[:top.nodes], rec.tenants[:top.tenants.to]
+	rec.free = rec.free[:top.free+rec.width]
+	rec.failed = rec.failed[:top.failed+rec.width]
+	rec.factors = rec.factors[:top.factors+rec.width]
+	follow := func(rc rowCheck) {
+		rec.live = append(rec.live, rc.idx)
+		rec.grow(rc.idx + 1)
+		rec.seen[rc.idx], rec.rowAt[rc.idx] = rec.stamp, rc.row
+	}
+	for i := top.queue.from; i < top.queue.to; i++ {
+		follow(rec.queue[i].rowCheck)
+	}
+	for i := top.runs.from; i < top.runs.to; i++ {
+		follow(rec.runs[i].q.rowCheck)
 	}
 }
 
 // invalidateFrom drops every checkpoint taken at or after the change
 // point: state at those instants can depend on the mutation.
 func (rec *recorder) invalidateFrom(t float64) {
-	keep := rec.checks[:0]
-	for _, cp := range rec.checks {
-		if cp.clock < t {
-			keep = append(keep, cp)
-		}
-	}
-	for i := len(keep); i < len(rec.checks); i++ {
-		rec.checks[i] = nil
-	}
-	rec.checks = keep
+	k, _ := slices.BinarySearchFunc(rec.checks, t, func(cp checkpoint, t float64) int { return cmp.Compare(cp.clock, t) })
+	rec.truncate(k)
 }
 
 // reset discards all checkpoints.
-func (rec *recorder) reset() { rec.invalidateFrom(math.Inf(-1)) }
+func (rec *recorder) reset() { rec.truncate(0) }
 
-// popLast removes and returns the newest checkpoint (nil when empty).
-// Resume re-runs the checkpoint's own instant — a fixed-point no-op on
-// the restored state — and re-records it, so the caller pops it first to
-// keep the list free of duplicates.
-func (rec *recorder) popLast() *checkpoint {
-	if len(rec.checks) == 0 {
-		return nil
+// popLast drops the newest checkpoint. Resume restores it first, then
+// re-runs its instant — a fixed-point no-op on the restored state — and
+// re-records it, so the stack stays free of duplicates.
+func (rec *recorder) popLast() {
+	if len(rec.checks) > 0 {
+		rec.truncate(len(rec.checks) - 1)
 	}
-	cp := rec.checks[len(rec.checks)-1]
-	rec.checks[len(rec.checks)-1] = nil
-	rec.checks = rec.checks[:len(rec.checks)-1]
-	return cp
 }
 
-// restore rebuilds a live replay state from the checkpoint against the
-// live job set in trace order, copying the tables and every row out. Its
-// second result is the checkpoint's row table re-aligned to the new
-// trace's indices, nil for jobs new to the trace: the base the resumed
-// replay's first record compares against. It returns false when a node
-// table does not cover the fleet, or when any snapshotted job is missing
-// from the trace — a sign the caller's invalidation missed a mutation —
-// so the caller falls back to a full recorded replay instead of resuming
-// from a stale base.
-func (cp *checkpoint) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, []*Placement, bool) {
+// restore rebuilds a live replay state from the newest checkpoint
+// against the live jobs in trace order, copying the tables and every row
+// out; the rows' Nodes share one backing array. It returns false when
+// the checkpoint's node tables do not cover the fleet, or when a
+// snapshotted job is not at its index in the trace — a sign the caller's
+// invalidation missed a mutation — so the caller falls back to a full
+// recorded replay instead of resuming from a stale base.
+func (rec *recorder) restore(s *Scheduler, pol Policy, jobs []*rjob) (*state, bool) {
+	cp := &rec.checks[len(rec.checks)-1]
 	n := s.topo.NumNodes()
-	if len(cp.free) != n || len(cp.failed) != n || len(cp.factors) != n {
-		return nil, nil, false
-	}
-	byID := make(map[string]*rjob, len(jobs))
-	for _, j := range jobs {
-		byID[j.job.ID] = j
+	if rec.width != n {
+		return nil, false
 	}
 	st := &state{
 		sch:        s,
 		pol:        pol,
 		clock:      cp.clock,
-		free:       slices.Clone(cp.free),
-		failed:     slices.Clone(cp.failed),
-		factors:    slices.Clone(cp.factors),
+		free:       slices.Clone(rec.free[cp.free : cp.free+n]),
+		failed:     slices.Clone(rec.failed[cp.failed : cp.failed+n]),
+		factors:    slices.Clone(rec.factors[cp.factors : cp.factors+n]),
 		busy:       cp.busy,
-		tenantBusy: slices.Clone(cp.tenantBusy),
+		tenantBusy: slices.Clone(rec.tenants[cp.tenants.from:cp.tenants.to]),
 		results:    make([]Placement, len(jobs)),
 	}
 	for i, j := range jobs {
 		st.results[i] = Placement{JobID: j.job.ID}
 	}
-	// Carry forward every snapshotted placement row: finished jobs keep
-	// their final rows, started jobs their start/wait bookkeeping. Rows
-	// of jobs the mutation removed are dropped; jobs new to the trace
-	// keep their fresh zero rows.
-	base := make([]*Placement, len(jobs))
-	for _, p := range cp.results {
-		j, ok := byID[p.JobID]
-		if !ok {
-			continue
-		}
-		row := *p
-		row.Nodes = append([]int(nil), p.Nodes...)
-		st.results[j.idx] = row
-		base[j.idx] = p
+	finals := rec.finals[:cp.finals]
+	queue := rec.queue[cp.queue.from:cp.queue.to]
+	runs := rec.runs[cp.runs.from:cp.runs.to]
+	size := func(sp span) int { return sp.to - sp.from }
+	total := 0
+	for _, f := range finals {
+		total += size(rec.rows[f.row].nodes)
 	}
-	st.queue = make([]*qentry, 0, len(cp.queue))
-	for _, qc := range cp.queue {
-		q, ok := restoreQ(qc, byID, st)
-		if !ok {
-			return nil, nil, false
-		}
-		st.queue = append(st.queue, q)
+	for _, q := range queue {
+		total += size(rec.rows[q.row].nodes)
 	}
-	st.runs = make([]*run, 0, len(cp.runs))
-	for _, rc := range cp.runs {
-		q, ok := restoreQ(rc.q, byID, st)
-		if !ok {
-			return nil, nil, false
+	for _, r := range runs {
+		total += size(rec.rows[r.q.row].nodes) + size(r.nodes)
+	}
+	buf := make([]int, 0, total)
+	nodes := func(sp span) []int {
+		if sp.from == sp.to {
+			return nil
 		}
-		st.runs = append(st.runs, &run{
-			q:        q,
-			nodes:    append([]int(nil), rc.nodes...),
+		from := len(buf)
+		buf = append(buf, rec.nodes[sp.from:sp.to]...)
+		return buf[from:len(buf):len(buf)]
+	}
+	put := func(rc rowCheck) bool {
+		e := &rec.rows[rc.row]
+		if rc.idx >= len(jobs) || jobs[rc.idx].job.ID != e.row.JobID {
+			return false
+		}
+		row := &st.results[rc.idx]
+		*row = e.row
+		row.Nodes = nodes(e.nodes)
+		return true
+	}
+	for _, f := range finals {
+		if !put(f) {
+			return nil, false
+		}
+	}
+	entries := make([]qentry, len(queue)+len(runs))
+	restoreQ := func(qc *qcheck, q *qentry) bool {
+		if !put(qc.rowCheck) {
+			return false
+		}
+		*q = qentry{
+			j:        jobs[qc.idx],
+			ready:    qc.ready,
+			remIters: qc.remIters,
+			started:  qc.started,
+			lastErr:  qc.lastErr,
+			res:      &st.results[qc.idx],
+		}
+		return true
+	}
+	st.queue = make([]*qentry, len(queue))
+	for i := range queue {
+		if !restoreQ(&queue[i], &entries[i]) {
+			return nil, false
+		}
+		st.queue[i] = &entries[i]
+	}
+	entries = entries[len(queue):]
+	rs := make([]run, len(runs))
+	st.runs = make([]*run, len(runs))
+	for i := range runs {
+		rc := &runs[i]
+		if !restoreQ(&rc.q, &entries[i]) {
+			return nil, false
+		}
+		rs[i] = run{
+			q:        &entries[i],
+			nodes:    nodes(rc.nodes),
 			planner:  rc.planner,
 			plan:     rc.plan,
 			iters:    rc.iters,
 			segStart: rc.segStart,
 			finish:   rc.finish,
-		})
+		}
+		st.runs[i] = &rs[i]
 	}
-	return st, base, true
-}
-
-func restoreQ(qc qcheck, byID map[string]*rjob, st *state) (*qentry, bool) {
-	j, ok := byID[qc.id]
-	if !ok {
-		return nil, false
-	}
-	return &qentry{
-		j:        j,
-		ready:    qc.ready,
-		remIters: qc.remIters,
-		started:  qc.started,
-		lastErr:  qc.lastErr,
-		res:      &st.results[j.idx],
-	}, true
+	return st, true
 }
 
 // resume replays a Manager's live set, reusing the recorder's newest
 // surviving checkpoint as the starting state when one exists. jobs are
-// the live jobs as resolved at Submit, in trace order with their trace
-// indices stamped; evs is the live timeline as lowered when it was last
+// the live jobs as resolved at Submit, in the manager's (submit, id)
+// trace order with their trace indices stamped — so they are their own
+// arrival order; evs is the live timeline as lowered when it was last
 // edited, and policy was validated when it was set, so nothing here
-// re-resolves, re-validates or re-lowers. The caller must have
+// re-resolves, re-validates, re-lowers or re-sorts. The caller must have
 // invalidated the recorder from every mutation's change point since the
 // last recorded replay; under that contract resume is bit-identical to
 // Replay of the same live trace (see the package differential tests).
@@ -376,29 +461,28 @@ func (s *Scheduler) resume(jobs []*rjob, evs []scenario.Event, policy string, re
 		rec.reset()
 		return nil, err
 	}
-	arr := arrivalOrder(jobs)
-	if cp := rec.popLast(); cp != nil {
-		if st, base, ok := cp.restore(s, pol, jobs); ok {
-			rec.start(st, base, cp)
+	if len(rec.checks) > 0 {
+		st, ok := rec.restore(s, pol, jobs)
+		rec.popLast()
+		if ok {
 			ai, ei := 0, 0
-			for ai < len(arr) && arr[ai].job.Submit <= st.clock {
+			for ai < len(jobs) && jobs[ai].job.Submit <= st.clock {
 				ai++
 			}
 			for ei < len(evs) && evs[ei].At <= st.clock {
 				ei++
 			}
-			ei = st.run(arr, evs, ai, ei, rec)
+			ei = st.run(jobs, evs, ai, ei, rec)
 			return buildSchedule("", policy, jobs, st, ei), nil
 		}
 		rec.reset()
 	}
 	st := newState(s, pol, jobs)
-	rec.start(st, nil, nil)
-	ei := st.run(arr, evs, 0, 0, rec)
+	ei := st.run(jobs, evs, 0, 0, rec)
 	return buildSchedule("", policy, jobs, st, ei), nil
 }
 
-// changePoint reports the earliest instant an event mutation can alter
+// eventChange reports the earliest instant an event mutation can alter
 // the replay.
 func eventChange(evs []scenario.Event) float64 {
 	t := math.Inf(1)

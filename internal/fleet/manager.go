@@ -52,10 +52,16 @@ type Manager struct {
 
 	mu   sync.Mutex
 	jobs map[string]*rjob // the live set by ID, resolved at Submit
-	scn  *scenario.Scenario
+	// order is the live set in the canonical trace order, (submit, id):
+	// the order every schedule replays and every snapshot writes,
+	// whatever order the jobs arrived in. Submit and Cancel keep it so.
+	order []*rjob
+	scn   *scenario.Scenario
 	// evs is scn lowered to the replay's node events (lowerEvents),
-	// refreshed by every timeline edit, so a poll lowers nothing.
+	// refreshed by every timeline edit, so a poll lowers nothing; latest
+	// is the latest instant of scn's events (-Inf: none).
 	evs     []scenario.Event
+	latest  float64
 	policy  string // "" = DefaultPolicy
 	version uint64 // bumped on every mutation
 	cached  *Schedule
@@ -71,7 +77,7 @@ func NewManager(eng *engine.Engine, topo *topology.Topology) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{sch: sch, jobs: make(map[string]*rjob)}, nil
+	return &Manager{sch: sch, jobs: make(map[string]*rjob), latest: math.Inf(-1)}, nil
 }
 
 // Topology exposes the fleet topology.
@@ -130,8 +136,19 @@ func (m *Manager) Submit(j Job) error {
 		return fmt.Errorf("fleet: %w (%d jobs, the per-fleet limit)", ErrFleetFull, MaxJobs)
 	}
 	m.jobs[j.ID] = &rj
+	i, _ := slices.BinarySearchFunc(m.order, &rj, traceOrder)
+	m.order = slices.Insert(m.order, i, &rj)
 	m.invalidateFrom(j.Submit)
 	return nil
+}
+
+// traceOrder compares two jobs in the canonical trace order, (submit,
+// id).
+func traceOrder(a, b *rjob) int {
+	if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
+		return c
+	}
+	return strings.Compare(a.job.ID, b.job.ID)
 }
 
 // Cancel removes a job from the set; false = unknown ID.
@@ -143,6 +160,8 @@ func (m *Manager) Cancel(id string) bool {
 		return false
 	}
 	delete(m.jobs, id)
+	i, _ := slices.BinarySearchFunc(m.order, j, traceOrder)
+	m.order = slices.Delete(m.order, i, i+1)
 	m.invalidateFrom(j.job.Submit)
 	return true
 }
@@ -169,26 +188,41 @@ func (m *Manager) SetScenario(sc *scenario.Scenario) error {
 	}
 	m.scn = sc.Clone()
 	m.evs = lowerEvents(m.sch.topo, m.scn)
+	m.latest = math.Inf(-1)
+	if !m.scn.Empty() {
+		for _, ev := range m.scn.Events {
+			m.latest = max(m.latest, ev.At)
+		}
+	}
 	m.invalidateFrom(t)
 	return nil
 }
 
-// ApplyEvent appends one event to the fleet's timeline. Only the replay
-// suffix from the event's instant onward recomputes.
+// ApplyEvent appends one event to the fleet's timeline. The timeline
+// was validated when it was set, so only the appended event is
+// validated, and its lowered events merge into the kept lowered slice;
+// an event earlier than the timeline's latest relowers the whole
+// timeline, since its primitives may have to go before a later event's
+// at one instant. Only the replay suffix from the event's instant onward
+// recomputes.
 func (m *Manager) ApplyEvent(ev scenario.Event) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next := &scenario.Scenario{Name: "fleet"}
+	var prev []scenario.Event
+	name := "fleet"
 	if !m.scn.Empty() {
-		next.Name = m.scn.Name
-		next.Events = append(next.Events, m.scn.Events...)
+		prev, name = m.scn.Events, m.scn.Name
 	}
-	next.Events = append(next.Events, ev)
-	if err := validateScenario(m.sch.topo, next); err != nil {
+	if err := validateEvent(m.sch.topo, len(prev), ev); err != nil {
 		return err
 	}
-	m.scn = next
-	m.evs = lowerEvents(m.sch.topo, next)
+	m.scn = &scenario.Scenario{Name: name, Events: append(prev, ev)}
+	if ev.At < m.latest {
+		m.evs = lowerEvents(m.sch.topo, m.scn)
+	} else {
+		m.evs = appendLowered(m.sch.topo, m.evs, ev)
+	}
+	m.latest = max(m.latest, ev.At)
 	m.invalidateFrom(ev.At)
 	return nil
 }
@@ -209,28 +243,10 @@ func (m *Manager) Len() int {
 	return len(m.jobs)
 }
 
-// live lists the live set in the canonical trace order, (submit, id):
-// the order every schedule replays and every snapshot writes, whatever
-// order the jobs arrived in. Callers hold m.mu.
-func (m *Manager) live() []*rjob {
-	jobs := make([]*rjob, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	slices.SortFunc(jobs, func(a, b *rjob) int {
-		if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
-			return c
-		}
-		return strings.Compare(a.job.ID, b.job.ID)
-	})
-	return jobs
-}
-
 // trace folds the live set into the canonical trace. Callers hold m.mu.
 func (m *Manager) trace() *Trace {
-	live := m.live()
-	jobs := make([]Job, len(live))
-	for i, j := range live {
+	jobs := make([]Job, len(m.order))
+	for i, j := range m.order {
 		jobs[i] = j.job
 	}
 	return &Trace{Jobs: jobs, Scenario: m.scn, Policy: m.policy}
@@ -256,11 +272,10 @@ func (m *Manager) Schedule() (*Schedule, error) {
 	if m.sch.eng.FullRecompute() {
 		sched, err = m.sch.Replay(m.trace())
 	} else {
-		jobs := m.live()
-		for i, j := range jobs {
+		for i, j := range m.order {
 			j.idx = i
 		}
-		sched, err = m.sch.resume(jobs, m.evs, m.policy, &m.rec)
+		sched, err = m.sch.resume(m.order, m.evs, m.policy, &m.rec)
 	}
 	if err != nil {
 		return nil, err

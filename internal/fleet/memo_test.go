@@ -13,7 +13,7 @@ import (
 )
 
 // A poll derives only what its mutation changed: the replay's node and
-// tenant state are tables a checkpoint copies whole or shares, candidate
+// tenant state are tables a checkpoint logs whole or shares, candidate
 // slice fingerprints are memoized on the plan cache, and a manager
 // resolves each job once, at Submit. The tests here pin each saving and the keys
 // and bounds that keep it invisible in the schedule.
@@ -43,11 +43,11 @@ func freshReplay(m *Manager) (*Schedule, error) {
 }
 
 // TestRecordCostIgnoresFaultsAndTenants pins the node and tenant tables
-// under fair, the policy that keeps a tenant table: recording an instant
-// allocates the same with no impaired node as with every node failed or
-// degraded, and with one tenant as with nine, because each table is
-// shared or copied whole. The copies are values: writing the live tables
-// afterwards leaves the checkpoint as it was.
+// under fair, the policy that keeps a tenant table: re-recording an
+// instant allocates nothing, with no impaired node as with every node
+// failed or degraded, and with one tenant as with nine, because each
+// table is shared or logged whole. The logged tables are values: writing
+// the live tables afterwards leaves the checkpoint as it was.
 func TestRecordCostIgnoresFaultsAndTenants(t *testing.T) {
 	setup := func(impaired, tenants int) *state {
 		st := rowState(t, 8)
@@ -64,28 +64,23 @@ func TestRecordCostIgnoresFaultsAndTenants(t *testing.T) {
 		}
 		return st
 	}
-	measure := func(impaired, tenants int) float64 {
-		st := setup(impaired, tenants)
+	for _, c := range []struct{ impaired, tenants int }{{0, 1}, {4, 1}, {0, 9}, {4, 9}} {
+		st := setup(c.impaired, c.tenants)
 		var rec recorder
 		rec.record(st)
-		return testing.AllocsPerRun(20, func() {
-			rec.checks = rec.checks[:0]
+		if got := testing.AllocsPerRun(20, func() {
+			rec.popLast()
 			rec.record(st)
-		})
-	}
-	base := measure(0, 1)
-	for _, c := range []struct{ impaired, tenants int }{{4, 1}, {0, 9}, {4, 9}} {
-		if got := measure(c.impaired, c.tenants); got != base {
-			t.Errorf("record allocates %v with %d impaired nodes and %d tenants, %v with none impaired and 1 tenant",
-				got, c.impaired, c.tenants, base)
+		}); got != 0 {
+			t.Errorf("record allocates %v with %d impaired nodes and %d tenants, want 0", got, c.impaired, c.tenants)
 		}
 	}
 
 	st := setup(4, 9)
 	var rec recorder
 	rec.record(st)
-	cp := rec.checks[0]
 	st.failed[0], st.factors[1].rdma, st.tenantBusy[2].busy = false, 1, -1
+	cp := restoreCheck(t, &rec, 0, st)
 	if !cp.failed[0] || cp.factors[1].rdma != 0.5 || cp.tenantBusy[2].busy != 3 {
 		t.Fatalf("writes to the live tables reached the checkpoint: failed %v factors %v tenants %v",
 			cp.failed, cp.factors, cp.tenantBusy)
@@ -94,37 +89,39 @@ func TestRecordCostIgnoresFaultsAndTenants(t *testing.T) {
 
 // TestRestoreRejectsShortNodeTables: a checkpoint whose node tables do
 // not cover the fleet cannot seed a replay, so restore refuses it and
-// resume falls back to replaying from scratch.
+// resume falls back to replaying from scratch; so does one holding a
+// job that is not at its trace index in the live set.
 func TestRestoreRejectsShortNodeTables(t *testing.T) {
 	st := rowState(t, 2)
-	jobs := make([]*rjob, len(st.results))
-	for i := range jobs {
-		jobs[i] = &rjob{idx: i, job: Job{ID: st.results[i].JobID}, tenant: "t", weight: 1}
+	var rec recorder
+	rec.record(st)
+	jobs := jobsOf(st)
+	if _, ok := rec.restore(st.sch, st.pol, jobs); !ok {
+		t.Fatal("a whole checkpoint was refused")
 	}
-	for _, table := range []string{"free", "failed", "factors"} {
-		var rec recorder
-		rec.record(st)
-		cp := rec.checks[0]
-		if _, _, ok := cp.restore(st.sch, st.pol, jobs); !ok {
-			t.Fatal("a whole checkpoint was refused")
-		}
-		switch table {
-		case "free":
-			cp.free = cp.free[:len(cp.free)-1]
-		case "failed":
-			cp.failed = cp.failed[:len(cp.failed)-1]
-		case "factors":
-			cp.factors = cp.factors[:len(cp.factors)-1]
-		}
-		if _, _, ok := cp.restore(st.sch, st.pol, jobs); ok {
-			t.Errorf("restore accepted a checkpoint whose %s table misses a node", table)
-		}
+	wide, err := (Spec{Env: "Hybrid", Nodes: 6}).Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScheduler(st.sch.eng, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rec.restore(s, st.pol, jobs); ok {
+		t.Error("restore accepted a checkpoint whose node tables miss two of the fleet's nodes")
+	}
+	moved := append([]*rjob{{idx: 0, job: Job{ID: "new"}}}, jobs...)
+	for i, j := range moved {
+		j.idx = i
+	}
+	if _, ok := rec.restore(st.sch, st.pol, moved); ok {
+		t.Error("restore accepted a checkpoint whose running job moved to another trace index")
 	}
 }
 
 // TestRecordStopsAtMaxCheckpoints records up to the bound and once past
 // it: the bound-th checkpoint is stored, the one after it is not and
-// leaves the comparison base on the last stored row table, and once
+// leaves the logs where the last stored checkpoint ends, and once
 // invalidateFrom drops checkpoints recording resumes. Then a manager's
 // recorder reaches the bound part-way through a resumed replay, and
 // every later poll still equals the replay of the live trace.
@@ -142,19 +139,19 @@ func TestRecordStopsAtMaxCheckpoints(t *testing.T) {
 	if last.clock != maxCheckpoints-1 {
 		t.Fatalf("the last stored checkpoint is at %v, want %v", last.clock, maxCheckpoints-1)
 	}
-	if &rec.base[0] != &last.results[0] {
-		t.Fatal("the base is not the last stored checkpoint's row table")
+	if len(rec.queue) != last.queue.to || len(rec.runs) != last.runs.to || len(rec.nodes) != last.nodes {
+		t.Fatal("the logs do not end at the last stored checkpoint")
 	}
 
 	st.clock = maxCheckpoints
-	st.results[2].Finish = 999 // a row the skipped record would have copied
+	st.results[2].Finish = 999 // the running row a skipped record would have logged
 	rec.record(st)
 	if len(rec.checks) != maxCheckpoints || rec.checks[maxCheckpoints-1] != last {
 		t.Fatalf("a record past the bound was stored: %d checkpoints, newest at %v",
 			len(rec.checks), rec.checks[len(rec.checks)-1].clock)
 	}
-	if len(rec.base) != len(last.results) || &rec.base[0] != &last.results[0] {
-		t.Fatal("a record past the bound moved the base")
+	if len(rec.queue) != last.queue.to || len(rec.runs) != last.runs.to || len(rec.nodes) != last.nodes {
+		t.Fatal("a record past the bound wrote the logs")
 	}
 
 	rec.invalidateFrom(maxCheckpoints - 10)
@@ -165,12 +162,11 @@ func TestRecordStopsAtMaxCheckpoints(t *testing.T) {
 	if len(rec.checks) != maxCheckpoints-9 || rec.checks[len(rec.checks)-1].clock != maxCheckpoints {
 		t.Fatalf("recording did not resume under the bound: %d checkpoints", len(rec.checks))
 	}
-	newest := rec.checks[len(rec.checks)-1]
-	if newest.results[2] == last.results[2] || newest.results[2].Finish != 999 {
-		t.Fatalf("the resumed record shared a changed row: %+v", *newest.results[2])
+	if got := restoreCheck(t, &rec, len(rec.checks)-1, st); got.results[2].Finish != 999 {
+		t.Fatalf("the resumed record holds a stale running row: %+v", got.results[2])
 	}
-	if newest.results[0] != last.results[0] {
-		t.Fatal("the resumed record copied an unchanged row")
+	if got := restoreCheck(t, &rec, len(rec.checks)-2, st); got.results[2].Finish != 120 {
+		t.Fatalf("the resumed record wrote an earlier checkpoint's row: %+v", got.results[2])
 	}
 
 	topo := hybridTopo(t)
@@ -205,9 +201,9 @@ func TestRecordStopsAtMaxCheckpoints(t *testing.T) {
 	// Fill the history to two short of the bound with the first
 	// checkpoint, a valid state to resume from: the next resume stores
 	// its first two instants and then reaches the bound.
+	m.rec.truncate(1)
 	first := m.rec.checks[0]
-	m.rec.checks = m.rec.checks[:0]
-	for range maxCheckpoints - 2 {
+	for range maxCheckpoints - 3 {
 		m.rec.checks = append(m.rec.checks, first)
 	}
 	step("submit e at 1.5", func() error {

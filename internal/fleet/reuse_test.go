@@ -169,40 +169,94 @@ func rowState(t *testing.T, finished int) *state {
 	return st
 }
 
-// TestRecordSharesUnchangedRows pins the checkpoint cost: recording an
-// instant allocates the same whether 8 or 60 finished rows sit in the
-// state, because rows the previous checkpoint holds unchanged are shared,
-// not copied.
+// jobsOf lists the state's jobs in trace order, as resume hands them to
+// restore.
+func jobsOf(st *state) []*rjob {
+	jobs := make([]*rjob, len(st.results))
+	for i := range jobs {
+		jobs[i] = &rjob{idx: i, job: Job{ID: st.results[i].JobID}, tenant: "t", weight: 1}
+	}
+	return jobs
+}
+
+// queueAll returns a copy of the state with the jobs at the given trace
+// indices queued ahead of its own queue: the state of an earlier
+// instant at which those jobs were still live.
+func queueAll(st *state, idx ...int) *state {
+	early := *st
+	early.queue = nil
+	for _, i := range idx {
+		early.queue = append(early.queue, &qentry{j: &rjob{idx: i, job: Job{ID: st.results[i].JobID}}, res: &st.results[i]})
+	}
+	early.queue = append(early.queue, st.queue...)
+	return &early
+}
+
+// restoreCheck restores the recorder's k-th checkpoint against the
+// state's jobs, leaving the recorder as it is.
+func restoreCheck(t *testing.T, rec *recorder, k int, st *state) *state {
+	t.Helper()
+	view := *rec
+	view.checks = rec.checks[:k+1]
+	got, ok := view.restore(st.sch, st.pol, jobsOf(st))
+	if !ok {
+		t.Fatalf("checkpoint %d was refused", k)
+	}
+	return got
+}
+
+// TestRecordSharesUnchangedRows pins the checkpoint cost: with 8 or 60
+// finished jobs in the final-row log, re-recording an instant — a
+// resume's pop and record — logs no row again and allocates nothing once
+// the logs have grown, so the same at either count, and names each
+// finished row once.
 func TestRecordSharesUnchangedRows(t *testing.T) {
-	allocs := map[int]float64{}
 	for _, finished := range []int{8, 60} {
 		st := rowState(t, finished)
 		var rec recorder
+		rec.record(queueAll(st, seq(finished)...))
 		rec.record(st)
-		first := rec.checks[0]
-		allocs[finished] = testing.AllocsPerRun(20, func() {
-			rec.checks = rec.checks[:0]
+		if len(rec.finals) != finished {
+			t.Fatalf("%d finished: %d final rows logged, want %d", finished, len(rec.finals), finished)
+		}
+		rows := len(rec.rows)
+		allocs := testing.AllocsPerRun(100, func() {
+			rec.popLast()
 			rec.record(st)
 		})
-		cp := rec.checks[0]
-		for i, row := range cp.results {
-			if row != first.results[i] {
-				t.Fatalf("%d finished: row %d of an unchanged state was copied, not shared", finished, i)
+		if allocs != 0 {
+			t.Errorf("%d finished: a record allocates %v times, want 0", finished, allocs)
+		}
+		if len(rec.checks) != 2 || len(rec.finals) != finished || len(rec.rows) != rows {
+			t.Fatalf("%d finished: %d checkpoints, %d final rows and %d logged rows after re-recording, want 2, %d and %d",
+				finished, len(rec.checks), len(rec.finals), len(rec.rows), finished, rows)
+		}
+		got := restoreCheck(t, &rec, 1, st)
+		for i := range st.results {
+			if !sameRow(&got.results[i], &st.results[i]) {
+				t.Fatalf("%d finished: row %d restored as %+v, want %+v", finished, i, got.results[i], st.results[i])
 			}
 		}
 	}
-	if allocs[8] != allocs[60] {
-		t.Fatalf("record allocates %v at 8 finished rows and %v at 60: rows are copied per checkpoint", allocs[8], allocs[60])
-	}
 }
 
-// TestRecordCopiesChangedRows pins record's row contract: the row of a
-// job queued or running at this record or at the previous one is copied
-// when it differs from the base in any field, a sign-of-zero change
-// included, and a copy's Nodes never alias the live row's. Every other
-// row is shared unchecked — by design, since the replay writes only
-// live jobs' rows — so a finished row edited outside the replay is not
-// seen.
+// seq returns 0, 1, ..., n-1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestRecordCopiesChangedRows pins record's row contract: a checkpoint
+// holds the row of every job queued or running at it as it was then, a
+// sign-of-zero change included, and the row of a job that left the queue
+// and the runs as it was at the first record after it left; a record
+// logs only the rows that changed since the previous one, and restored
+// Nodes never alias the live rows'. The row of a job live at neither
+// record is not read — by design, since the replay writes only live
+// jobs' rows — so a finished row edited outside the replay is not seen.
 func TestRecordCopiesChangedRows(t *testing.T) {
 	st := rowState(t, 3) // j0..j2 finished, j3 running
 	// j2 was requeued: it waits in the queue.
@@ -211,66 +265,79 @@ func TestRecordCopiesChangedRows(t *testing.T) {
 		ready: 95, remIters: 1, started: true, res: &st.results[2],
 	}}
 	var rec recorder
-	noAlias := func(cp *checkpoint) {
+	var want [][]Placement // per checkpoint, the rows it must restore
+	check := func() {
 		t.Helper()
-		for i, row := range cp.results {
-			if len(row.Nodes) > 0 && &row.Nodes[0] == &st.results[i].Nodes[0] {
-				t.Fatalf("row %d's checkpoint Nodes alias the live row's", i)
+		for k, rows := range want {
+			got := restoreCheck(t, &rec, k, st)
+			for i := range rows {
+				if !sameRow(&got.results[i], &rows[i]) {
+					t.Fatalf("checkpoint %d restored row %d as %+v, want %+v", k, i, got.results[i], rows[i])
+				}
+				if n := got.results[i].Nodes; len(n) > 0 && len(st.results[i].Nodes) > 0 && &n[0] == &st.results[i].Nodes[0] {
+					t.Fatalf("checkpoint %d: restored row %d's Nodes alias the live row's", k, i)
+				}
 			}
 		}
 	}
-	shares := func(cp, base *checkpoint, copied ...int) {
-		t.Helper()
-		for i, row := range cp.results {
-			want := !slices.Contains(copied, i)
-			if shared := row == base.results[i]; shared != want {
-				t.Fatalf("row %d: shared=%v, want shared=%v", i, shared, want)
+	snap := func(zero ...int) []Placement {
+		rows := make([]Placement, len(st.results))
+		for i := range rows {
+			rows[i] = st.results[i]
+			rows[i].Nodes = slices.Clone(rows[i].Nodes)
+			if slices.Contains(zero, i) {
+				rows[i] = Placement{JobID: rows[i].JobID}
 			}
+		}
+		return rows
+	}
+	logged := func(want int) {
+		t.Helper()
+		if got := len(rec.rows) - rec.checks[len(rec.checks)-2].rows; got != want {
+			t.Fatalf("record %d logged %d rows, want %d", len(rec.checks), got, want)
 		}
 	}
 	rec.record(st)
-	first := rec.checks[0]
-	noAlias(first)
+	want = append(want, snap(0, 1)) // j0 and j1 were never live at a record
+	check()
 
 	st.results[2].Waited = math.Copysign(0, -1) // queued; was +0
 	st.results[3].Finish = 130                  // running
 	st.results[1].Finish = 999                  // finished, edited outside the replay
 	rec.record(st)
-	second := rec.checks[1]
-	noAlias(second)
-	shares(second, first, 2, 3)
-	if !math.Signbit(second.results[2].Waited) || second.results[3].Finish != 130 {
-		t.Fatalf("copied rows do not hold the live values: %+v %+v", *second.results[2], *second.results[3])
-	}
-	if second.results[1].Finish != 2 {
-		t.Fatalf("the finished row was compared: checkpoint Finish %v, want the base's 2", second.results[1].Finish)
+	want = append(want, snap(0, 1))
+	check()
+	logged(2)
+	if !math.Signbit(want[1][2].Waited) {
+		t.Fatal("the test no longer changes a sign of zero")
 	}
 
 	// j3 completes and j2 is declared unplaced: neither is live now, but
-	// both were at the previous record, so their rows are still compared.
+	// both were at the previous record, so their final rows are logged.
 	st.runs, st.queue = nil, nil
 	st.results[3].Finish = 140
 	st.results[2].Unplaced = "gone"
 	rec.record(st)
-	third := rec.checks[2]
-	noAlias(third)
-	shares(third, second, 2, 3)
-	if third.results[3].Finish != 140 || third.results[2].Unplaced != "gone" {
-		t.Fatalf("rows of jobs that left the queue and runs were not copied: %+v %+v", *third.results[2], *third.results[3])
-	}
+	want = append(want, snap(0, 1))
+	check()
+	logged(2)
 
-	// Nothing is live at the previous record or at this one: every row is
-	// shared, even one edited outside the replay.
+	// Nothing is live at the previous record or at this one: no row is
+	// read again, even one edited outside the replay.
+	final := snap(0, 1)
 	st.results[3].Finish = 150
 	rec.record(st)
-	shares(rec.checks[3], third)
+	want = append(want, final)
+	check()
+	logged(0)
 }
 
 // TestSameRowSeesEveryField changes each Placement field in turn: a
-// field sameRow ignored would let a changed row be shared away.
+// field sameRow ignored would let a changed row be shared away, and a
+// field the record dropped would restore stale.
 func TestSameRowSeesEveryField(t *testing.T) {
 	base := Placement{
-		JobID: "a", Nodes: []int{1, 2}, Degrees: Degrees{Tensor: 1, Pipeline: 2, Data: 1},
+		JobID: "j2", Nodes: []int{1, 2}, Degrees: Degrees{Tensor: 1, Pipeline: 2, Data: 1},
 		Start: 1, Finish: 2, Waited: 0, IterSeconds: 0.5, Throughput: 3, TFLOPS: 4,
 		Partition: "[1 1]", Evictions: 1, Replans: 1, Recovery: 0.5, Preemptions: 1, Unplaced: "",
 	}
@@ -284,6 +351,13 @@ func TestSameRowSeesEveryField(t *testing.T) {
 		scramble(reflect.ValueOf(&other).Elem().Field(i))
 		if sameRow(&base, &other) {
 			t.Errorf("sameRow ignores a change to Placement.%s", typ.Field(i).Name)
+		}
+		st := rowState(t, 2) // j2 running
+		st.results[2] = other
+		var rec recorder
+		rec.record(st)
+		if got := restoreCheck(t, &rec, 0, st); !sameRow(&got.results[2], &other) {
+			t.Errorf("a record drops Placement.%s: restored %+v, want %+v", typ.Field(i).Name, got.results[2], other)
 		}
 	}
 	negZero := base
@@ -433,30 +507,41 @@ func churnWithEvictions(eng, oracleEng *engine.Engine, topo *topology.Topology, 
 }
 
 // TestRecordSharesEqualNodeTables: a checkpoint's node table is the
-// previous checkpoint's when the live table holds the same values, and a
-// copy of the live table as soon as one entry differs; a table of the
-// same length is not enough to share.
+// previous checkpoint's entry in its log when the live table holds the
+// same values, and a new entry as soon as one value differs; a table of
+// the same length is not enough to share, and one changed table does not
+// log the others again.
 func TestRecordSharesEqualNodeTables(t *testing.T) {
 	st := rowState(t, 2)
 	var rec recorder
 	rec.record(st)
 	rec.record(st)
 	first, second := rec.checks[0], rec.checks[1]
-	if &second.free[0] != &first.free[0] || &second.failed[0] != &first.failed[0] || &second.factors[0] != &first.factors[0] {
-		t.Fatal("unchanged node tables were copied, not shared")
+	if second.free != first.free || second.failed != first.failed || second.factors != first.factors {
+		t.Fatal("unchanged node tables were logged again, not shared")
 	}
 	st.failed[1], st.free[1] = true, false
 	st.factors[0] = nodeFactors{rdma: 0.5, eth: 1, degraded: true}
 	rec.record(st)
 	third := rec.checks[2]
-	if !third.failed[1] || third.free[1] || third.factors[0] != st.factors[0] {
-		t.Fatalf("changed node tables were shared: free %v failed %v factors %v", third.free, third.failed, third.factors)
+	if third.free == second.free || third.failed == second.failed || third.factors == second.factors {
+		t.Fatalf("changed node tables were shared: %+v after %+v", third, second)
 	}
-	if &third.free[0] == &st.free[0] || &third.failed[0] == &st.failed[0] || &third.factors[0] == &st.factors[0] {
-		t.Fatal("a checkpoint holds a live node table")
+	got := restoreCheck(t, &rec, 2, st)
+	if !got.failed[1] || got.free[1] || got.factors[0] != st.factors[0] {
+		t.Fatalf("changed node tables restored stale: free %v failed %v factors %v", got.free, got.failed, got.factors)
 	}
-	if first.failed[1] || !first.free[1] || first.factors[0] != pristineFactors {
-		t.Fatalf("recording a change wrote an earlier checkpoint: free %v failed %v factors %v", first.free, first.failed, first.factors)
+	if &got.free[0] == &st.free[0] || &got.failed[0] == &st.failed[0] || &got.factors[0] == &st.factors[0] {
+		t.Fatal("a restored state holds a live node table")
+	}
+	early := restoreCheck(t, &rec, 0, st)
+	if early.failed[1] || !early.free[1] || early.factors[0] != pristineFactors {
+		t.Fatalf("recording a change wrote an earlier checkpoint: free %v failed %v factors %v", early.free, early.failed, early.factors)
+	}
+	st.free[0] = false
+	rec.record(st)
+	if fourth := rec.checks[3]; fourth.free == third.free || fourth.failed != third.failed || fourth.factors != third.factors {
+		t.Fatalf("one changed table moved the others: %+v after %+v", fourth, third)
 	}
 }
 
@@ -470,14 +555,15 @@ func TestRecordSharesEqualNodeTables(t *testing.T) {
 // lets the head run after all.
 func TestResumeAfterJobsLeaveTheLiveSet(t *testing.T) {
 	topo := hybridTopo(t)
-	hasJob := func(cp *checkpoint, id string) bool {
-		for _, q := range cp.queue {
-			if q.id == id {
+	hasJob := func(rec *recorder, k int, id string) bool {
+		cp := rec.checks[k]
+		for _, q := range rec.queue[cp.queue.from:cp.queue.to] {
+			if rec.rows[q.row].row.JobID == id {
 				return true
 			}
 		}
-		for _, r := range cp.runs {
-			if r.q.id == id {
+		for _, r := range rec.runs[cp.runs.from:cp.runs.to] {
+			if rec.rows[r.q.row].row.JobID == id {
 				return true
 			}
 		}
@@ -551,17 +637,17 @@ func TestResumeAfterJobsLeaveTheLiveSet(t *testing.T) {
 			if c.queued && placementOf(t, sched, id).Unplaced == "" {
 				t.Fatalf("%s was placed: the test no longer declares a head unplaced", id)
 			}
-			newest := inc.rec.checks[len(inc.rec.checks)-1]
-			for _, cp := range inc.rec.checks {
+			newest := len(inc.rec.checks) - 1
+			for k, cp := range inc.rec.checks {
 				if cp.clock <= at {
-					newest = cp
+					newest = k
 				}
 			}
-			if newest.clock != at || hasJob(newest, id) != c.queued {
+			if clock := inc.rec.checks[newest].clock; clock != at || hasJob(&inc.rec, newest, id) != c.queued {
 				t.Fatalf("the checkpoint to resume from is at %g holding %s=%v, want at %g holding it=%v",
-					newest.clock, id, hasJob(newest, id), at, c.queued)
+					clock, id, hasJob(&inc.rec, newest, id), at, c.queued)
 			}
-			if c.queued && inc.rec.checks[len(inc.rec.checks)-1] != newest {
+			if c.queued && newest != len(inc.rec.checks)-1 {
 				t.Fatal("an instant after the unplaced decision was recorded")
 			}
 			late := Job{ID: "late", Submit: math.Nextafter(at, math.Inf(1)), GPUs: 8, Iterations: 1, Model: pg1()}
@@ -602,5 +688,68 @@ func TestFairOrdersByCompletedUsage(t *testing.T) {
 		if first.Start >= second.Start {
 			t.Errorf("%s: %s starts at %g, not before %s at %g", c.policy, c.first, first.Start, c.second, second.Start)
 		}
+	}
+}
+
+// TestWarmPollFansNothingOut: once the plan cache holds every slice plan,
+// carve and eviction recovery a poll needs, the poll resolves each of
+// them with one lookup on the replay goroutine and hands nothing to the
+// engine's worker pool, where goroutines start — though the engine runs
+// four workers. fleet12's timeline evicts, replans and backfills, so
+// every kind of lookup is crossed; a cold poll of the same trace must
+// fan misses out, or the test measures nothing.
+func TestWarmPollFansNothingOut(t *testing.T) {
+	tr, err := LoadFile("testdata/fleet12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := tr.Fleet.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Config{Concurrency: 4})
+	poll := func() (*Manager, *Schedule) {
+		t.Helper()
+		m, err := NewManager(eng, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range tr.Jobs {
+			if err := m.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.SetScenario(tr.Scenario); err != nil {
+			t.Fatal(err)
+		}
+		sched, err := m.Schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, sched
+	}
+	cold, coldSched := poll()
+	if cold.sch.fanned.Load() == 0 {
+		t.Fatal("a cold poll fanned no miss out: the test no longer measures the pool")
+	}
+	hits := eng.PlanCacheStats().Hits
+	warm, warmSched := poll()
+	if n := warm.sch.fanned.Load(); n != 0 {
+		t.Fatalf("a poll whose every lookup hits handed %d score(s) to the worker pool", n)
+	}
+	if eng.PlanCacheStats().Hits == hits {
+		t.Fatal("the warm poll read nothing from the plan cache")
+	}
+	if g, w := marshalSched(t, warmSched), marshalSched(t, coldSched); g != w {
+		t.Fatalf("the warm poll diverged from the cold one:\n got %s\nwant %s", g, w)
+	}
+	evicted, replanned, backfilled := false, false, false
+	for _, p := range warmSched.Jobs {
+		evicted = evicted || p.Evictions > 0
+		replanned = replanned || p.Replans > 0
+		backfilled = backfilled || p.Backfilled
+	}
+	if !evicted || !replanned || !backfilled {
+		t.Fatalf("fleet12 no longer evicts (%v), replans (%v) and backfills (%v)", evicted, replanned, backfilled)
 	}
 }

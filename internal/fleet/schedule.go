@@ -74,8 +74,7 @@ type choice struct {
 
 // state is the mutable replay state. The node state is three tables
 // indexed by original node index, one entry per fleet node, so a
-// checkpoint copies each with one allocation whatever the fleet's
-// faults.
+// checkpoint logs each whole, whatever the fleet's faults.
 type state struct {
 	sch     *Scheduler
 	pol     Policy
@@ -393,46 +392,64 @@ func (st *state) carveFingerprint(nodes []int) (string, error) {
 	return sub.Fingerprint(), nil
 }
 
-// searchSlice runs (or replays from the engine's shared plan cache) the
-// joint search for a model on the slice whose fingerprint is key.fp.
-// Scoring is a pure function of (slice fingerprint, model, framework),
-// so a cache hit — even one written by a different scheduler — cannot
-// change a schedule, and the slice is carved only on a miss.
-func (st *state) searchSlice(key planKey, nodes []int) (*core.Planner, *core.Plan, error) {
-	eng := st.sch.eng
-	if v, ok := eng.Plan(key); ok {
-		e := v.(planEntry)
-		return e.planner, e.plan, e.err
+// resolvePlans fills found[i] with the joint-search outcome for keys[i]
+// on the slice nodes[i], skipping the entries found already holds an
+// error for. Each key is looked up once in the engine's shared plan
+// cache, on the replay goroutine, so the cache counts one hit or one
+// miss per key; only the misses are searched, over the engine's worker
+// pool. Scoring is a pure function of (slice fingerprint, model,
+// framework), so a hit — even one written by a different scheduler —
+// cannot change a schedule.
+func (st *state) resolvePlans(keys []planKey, nodes [][]int, found []planEntry) {
+	var misses []int
+	for i, key := range keys {
+		if found[i].err != nil {
+			continue
+		}
+		if v, ok := st.sch.eng.Plan(key); ok {
+			found[i] = v.(planEntry)
+		} else {
+			misses = append(misses, i)
+		}
 	}
+	st.sch.fanOut(len(misses), func(k int) {
+		i := misses[k]
+		found[i] = st.searchSlice(keys[i], nodes[i])
+	})
+}
+
+// searchSlice runs the joint search for a model on the slice whose
+// fingerprint is key.fp, after a plan-cache miss, and stores the
+// outcome. The slice is carved only here.
+func (st *state) searchSlice(key planKey, nodes []int) planEntry {
+	eng := st.sch.eng
 	sub, err := st.carve(nodes)
 	if err != nil {
-		return nil, nil, err
+		return planEntry{err: err}
 	}
 	pl, err := core.NewPlannerOn(eng, sub, key.spec)
 	if err != nil {
-		return nil, nil, err
+		return planEntry{err: err}
 	}
 	pl.Framework = key.fw
 	plan, err := pl.SearchPlan()
 	eng.StorePlan(key, planEntry{planner: pl, plan: plan, err: err})
 	if err != nil {
-		return nil, nil, err
+		return planEntry{err: err}
 	}
-	return pl, plan, nil
+	return planEntry{planner: pl, plan: plan}
 }
 
-// score runs (or replays from the plan cache) the joint (t, p) search on
-// the slice.
-func (st *state) score(j *rjob, nodes []int) (choice, error) {
-	fp, err := st.fingerprint(nodes)
-	if err != nil {
-		return choice{}, err
+// fanOut runs fn for each of n plan-cache misses over the engine's
+// bounded worker pool. Hits are resolved on the replay goroutine and
+// never reach it, so a step whose every lookup hits starts no goroutine,
+// and fanned counts what did reach it.
+func (s *Scheduler) fanOut(n int, fn func(i int)) {
+	if n == 0 {
+		return
 	}
-	pl, plan, err := st.searchSlice(planKey{fp: fp, spec: j.spec, fw: j.fw}, nodes)
-	if err != nil {
-		return choice{}, err
-	}
-	return choice{nodes: nodes, planner: pl, plan: plan}, nil
+	s.fanned.Add(uint64(n))
+	s.eng.Go(n, fn)
 }
 
 // scoreJob scores every candidate slice for a job against the current
@@ -441,7 +458,8 @@ func (st *state) score(j *rjob, nodes []int) (choice, error) {
 // fingerprinted first and deduplicated by structural fingerprint, so the
 // engine searches each distinct slice exactly once and
 // fingerprint-identical slices never race each other for pool workers;
-// the searches then fan out over the engine's bounded worker pool.
+// each distinct slice's plan is looked up once, and only the misses fan
+// out over the engine's bounded worker pool.
 //
 // scoreJob never mutates the replay state. It reports the two error
 // strings the caller may fold into the job's lastErr: needErr when the
@@ -457,7 +475,6 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 	keys := make([]planKey, 0, len(cands))
 	uniqOf := make([]int, len(cands)) // candidate -> index into uniq, -1 on carve error
 	carveErrs := make([]error, len(cands))
-	seen := make(map[string]int, len(cands))
 	for i, nodes := range cands {
 		fp, err := st.fingerprint(nodes)
 		if err != nil {
@@ -465,28 +482,23 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 			carveErrs[i] = err
 			continue
 		}
-		u, dup := seen[fp]
-		if !dup {
+		u := slices.IndexFunc(keys, func(k planKey) bool { return k.fp == fp })
+		if u < 0 {
 			u = len(uniq)
-			seen[fp] = u
 			uniq = append(uniq, nodes)
 			keys = append(keys, planKey{fp: fp, spec: j.spec, fw: j.fw})
 		}
 		uniqOf[i] = u
 	}
-	planners := make([]*core.Planner, len(uniq))
-	plans := make([]*core.Plan, len(uniq))
-	errs := make([]error, len(uniq))
-	st.sch.eng.Go(len(uniq), func(u int) {
-		planners[u], plans[u], errs[u] = st.searchSlice(keys[u], uniq[u])
-	})
+	found := make([]planEntry, len(uniq))
+	st.resolvePlans(keys, uniq, found)
 	best := -1
 	for i := range cands {
 		err := carveErrs[i]
 		var plan *core.Plan
-		if uniqOf[i] >= 0 {
-			err = errs[uniqOf[i]]
-			plan = plans[uniqOf[i]]
+		if u := uniqOf[i]; u >= 0 {
+			err = found[u].err
+			plan = found[u].plan
 		}
 		if err != nil {
 			if scoreErr == "" {
@@ -494,32 +506,28 @@ func (st *state) scoreJob(j *rjob) (ch choice, ok bool, needErr, scoreErr string
 			}
 			continue
 		}
-		if best < 0 || plan.Report.Throughput > plans[uniqOf[best]].Report.Throughput {
+		if best < 0 || plan.Report.Throughput > found[uniqOf[best]].plan.Report.Throughput {
 			best = i
 		}
 	}
 	if best < 0 {
 		return choice{}, false, "", scoreErr
 	}
-	u := uniqOf[best]
-	return choice{nodes: cands[best], planner: planners[u], plan: plans[u]}, true, "", scoreErr
+	e := found[uniqOf[best]]
+	return choice{nodes: cands[best], planner: e.planner, plan: e.plan}, true, "", scoreErr
 }
 
 // pick scores a queued job and folds the scoring errors into its
 // lastErr, exactly like the historical sequential scan did.
 func (st *state) pick(q *qentry) (choice, bool) {
 	ch, ok, needErr, scoreErr := st.scoreJob(q.j)
-	applyPickErrs(q, needErr, scoreErr)
-	return ch, ok
-}
-
-func applyPickErrs(q *qentry, needErr, scoreErr string) {
 	if needErr != "" {
 		q.lastErr = needErr
 	}
 	if scoreErr != "" && q.lastErr == "" {
 		q.lastErr = scoreErr
 	}
+	return ch, ok
 }
 
 // start commits a placement choice.
@@ -564,11 +572,10 @@ func (st *state) recordPlan(res *Placement, plan *core.Plan) {
 // and let later jobs that fit the idle nodes jump ahead only if they
 // finish by the reservation, so backfilling never delays the head.
 //
-// The backfill scan scores every eligible queued job concurrently
-// against the frozen free set, then walks the results in queue order and
-// starts the first job that fits the reservation — the same job the
-// historical sequential scan started, with lastErr mutations applied
-// only up to that job, so concurrency never leaks into the schedule.
+// The backfill scan scores the eligible queued jobs in queue order
+// against the free set and starts the first that fits the reservation,
+// folding each scored job's errors into its lastErr as it goes; jobs
+// behind the one started are not scored until the next scan.
 func (st *state) placePass() {
 	for len(st.queue) > 0 {
 		head := st.queue[0]
@@ -588,44 +595,29 @@ func (st *state) placePass() {
 				continue
 			}
 		}
-		tHead := st.reserveTime(head.j.nodes)
-		freeCount := len(st.freeNodes())
-		var eligible []int
-		for i := 1; i < len(st.queue); i++ {
-			if st.queue[i].j.nodes <= freeCount {
-				eligible = append(eligible, i)
-			}
-		}
-		type backfillScore struct {
-			ch                choice
-			ok                bool
-			needErr, scoreErr string
-		}
-		scores := make([]backfillScore, len(eligible))
-		st.sch.eng.Go(len(eligible), func(k int) {
-			var s backfillScore
-			s.ch, s.ok, s.needErr, s.scoreErr = st.scoreJob(st.queue[eligible[k]].j)
-			scores[k] = s
-		})
-		progressed := false
-		for k, i := range eligible {
-			q := st.queue[i]
-			s := scores[k]
-			applyPickErrs(q, s.needErr, s.scoreErr)
-			if !s.ok {
-				continue
-			}
-			if st.clock+float64(q.remIters)*s.ch.plan.Report.IterSeconds <= tHead {
-				st.start(q, s.ch, true)
-				st.queue = append(st.queue[:i], st.queue[i+1:]...)
-				progressed = true
-				break
-			}
-		}
-		if !progressed {
+		if !st.backfill(st.reserveTime(head.j.nodes)) {
 			return
 		}
 	}
+}
+
+// backfill starts the first queued job behind the head that fits the
+// free nodes and finishes by tHead, and reports whether it started one.
+func (st *state) backfill(tHead float64) bool {
+	freeCount := len(st.freeNodes())
+	for i := 1; i < len(st.queue); i++ {
+		q := st.queue[i]
+		if q.j.nodes > freeCount {
+			continue
+		}
+		ch, ok := st.pick(q)
+		if ok && st.clock+float64(q.remIters)*ch.plan.Report.IterSeconds <= tHead {
+			st.start(q, ch, true)
+			st.queue = append(st.queue[:i], st.queue[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // reserveTime is the earliest instant the queue head could have enough
@@ -775,8 +767,8 @@ func (st *state) applyEvent(ev scenario.Event) {
 // evictOn requeues every job whose slice contains the failed node,
 // measuring what replanning on the residual slice would recover via the
 // core replanner (reuse of the single-job fault path). Bookkeeping runs
-// serially in trace order; the independent per-run recovery replans fan
-// out over the engine pool.
+// serially in trace order; recoveries looks the factors up and fans out
+// only the ones the plan cache misses.
 func (st *state) evictOn(node int) {
 	var hit []*run
 	keep := st.runs[:0]
@@ -796,10 +788,7 @@ func (st *state) evictOn(node int) {
 	}
 	st.runs = keep
 	sort.SliceStable(hit, func(a, b int) bool { return hit[a].q.j.idx < hit[b].q.j.idx })
-	recoveries := make([]float64, len(hit))
-	st.sch.eng.Go(len(hit), func(i int) {
-		recoveries[i] = st.recovery(hit[i], node)
-	})
+	recoveries := st.recoveries(hit, node)
 	for i, r := range hit {
 		rem := st.segmentProgress(r)
 		q := r.q
@@ -819,36 +808,52 @@ func (st *state) evictOn(node int) {
 	}
 }
 
-// recovery replays the failure on the job's own slice through
-// core.ReplanFrom: the factor compares a fresh joint search on the
-// residual slice against the old plan limping under the failure. A slice
-// with no survivors (or no feasible residual plan) reports 0.
+// recoveries measures, for each evicted run in turn, what replanning on
+// its residual slice would recover, through core.ReplanFrom: the factor
+// compares a fresh joint search on the residual slice against the old
+// plan limping under the failure. A slice with no survivors (or no
+// feasible residual plan) reports 0.
 //
 // The factor is a pure function of the slice's plan key — read back off
 // the run's planner, which searchSlice built from exactly that key — and
 // the failed node's index within the slice. A resumed replay crosses the
 // same evictions poll after poll, so the factor is memoized on the
-// engine's plan cache under a recoveryKey (DESIGN.md decision 10). A
-// FullRecompute engine skips the memo and recomputes every factor: the
+// engine's plan cache under a recoveryKey (DESIGN.md decision 10),
+// looked up on the replay goroutine; the misses fan out over the pool.
+// A FullRecompute engine skips the memo and recomputes every factor: the
 // oracle managers the differential tests compare against never read a
 // memoized one.
-func (st *state) recovery(r *run, failedNode int) float64 {
-	local := slices.Index(r.nodes, failedNode)
-	if local < 0 {
-		return 0
-	}
+func (st *state) recoveries(hit []*run, failedNode int) []float64 {
 	eng := st.sch.eng
-	if eng.FullRecompute() {
-		return replanRecovery(r, local)
+	out := make([]float64, len(hit))
+	keys := make([]recoveryKey, len(hit))
+	var misses []int
+	for i, r := range hit {
+		local := slices.Index(r.nodes, failedNode)
+		keys[i].local = local
+		if local < 0 {
+			continue
+		}
+		if eng.FullRecompute() {
+			misses = append(misses, i)
+			continue
+		}
+		pl := r.planner
+		keys[i].slice = planKey{fp: pl.Topo.Fingerprint(), spec: pl.Spec, fw: pl.Framework}
+		if v, ok := eng.Plan(keys[i]); ok {
+			out[i] = v.(float64)
+		} else {
+			misses = append(misses, i)
+		}
 	}
-	pl := r.planner
-	key := recoveryKey{slice: planKey{fp: pl.Topo.Fingerprint(), spec: pl.Spec, fw: pl.Framework}, local: local}
-	if v, ok := eng.Plan(key); ok {
-		return v.(float64)
-	}
-	f := replanRecovery(r, local)
-	eng.StorePlan(key, f)
-	return f
+	st.sch.fanOut(len(misses), func(k int) {
+		i := misses[k]
+		out[i] = replanRecovery(hit[i], keys[i].local)
+		if !eng.FullRecompute() {
+			eng.StorePlan(keys[i], out[i])
+		}
+	})
+	return out
 }
 
 // replanRecovery runs core.ReplanFrom for the loss of the slice's local
@@ -874,8 +879,9 @@ func replanRecovery(r *run, local int) float64 {
 // current degrade factors and the joint search re-run, so the remaining
 // iterations proceed at the slice's new speed. Progress bookkeeping runs
 // serially in trace order (busy-seconds accumulate in a fixed order);
-// the independent re-scores fan out over the engine pool and apply in
-// trace order.
+// each slice's fingerprint and plan are looked up on the replay
+// goroutine, the plan-cache misses are searched over the engine pool,
+// and the outcomes apply in trace order.
 func (st *state) replanOn(node int) {
 	var hit []*run
 	for _, r := range st.runs {
@@ -891,14 +897,22 @@ func (st *state) replanOn(node int) {
 	for i, r := range hit {
 		rems[i] = st.segmentProgress(r)
 	}
-	chs := make([]choice, len(hit))
-	errs := make([]error, len(hit))
-	st.sch.eng.Go(len(hit), func(i int) {
-		chs[i], errs[i] = st.score(hit[i].q.j, hit[i].nodes)
-	})
+	found := make([]planEntry, len(hit))
+	keys := make([]planKey, len(hit))
+	nodes := make([][]int, len(hit))
+	for i, r := range hit {
+		fp, err := st.fingerprint(r.nodes)
+		if err != nil {
+			found[i].err = err
+			continue
+		}
+		keys[i] = planKey{fp: fp, spec: r.q.j.spec, fw: r.q.j.fw}
+		nodes[i] = r.nodes
+	}
+	st.resolvePlans(keys, nodes, found)
 	for i, r := range hit {
 		rem := rems[i]
-		if errs[i] != nil {
+		if found[i].err != nil {
 			// The degraded slice admits no plan; let the old projection
 			// stand rather than lose the job.
 			r.segStart = st.clock
@@ -907,13 +921,13 @@ func (st *state) replanOn(node int) {
 			r.q.res.Finish = r.finish
 			continue
 		}
-		ch := chs[i]
-		r.planner, r.plan = ch.planner, ch.plan
+		e := found[i]
+		r.planner, r.plan = e.planner, e.plan
 		r.segStart = st.clock
 		r.iters = rem
-		r.finish = st.clock + float64(rem)*ch.plan.Report.IterSeconds
+		r.finish = st.clock + float64(rem)*e.plan.Report.IterSeconds
 		r.q.res.Finish = r.finish
 		r.q.res.Replans++
-		st.recordPlan(r.q.res, ch.plan)
+		st.recordPlan(r.q.res, e.plan)
 	}
 }

@@ -43,19 +43,22 @@ type Executor struct {
 	sched *Schedule
 	cfg   ExecConfig
 
-	pos      []int    // index of the first unexecuted op per stage
 	executed [][]bool // per stage, per op index: already run out of order
 	busy     []bool   // stage compute engine in use
 	running  []Op     // the op a busy stage is computing
 	opDone   []func() // per stage, completes running[s]; bound once
-	remF     []int    // forwards not yet completed, per stage
-	remB     []int    // backwards not yet completed, per stage
-	fReady   [][]bool // activation for F_{s,i} arrived
-	bReady   [][]bool // gradient for B_{s,i} arrived
-	fDone    [][]bool
-	done     int
-	total    int
-	finished bool
+	// Per stage, carved from one backing array: the index of the first
+	// unexecuted op (pos), of the first unexecuted backward (nextB), the
+	// forwards and backwards not yet completed (remF, remB), and the
+	// forwards whose activation has arrived but that have not run
+	// (readyF).
+	pos, nextB, remF, remB, readyF []int
+	fReady                         [][]bool // activation for F_{s,i} arrived
+	bReady                         [][]bool // gradient for B_{s,i} arrived
+	fDone                          [][]bool
+	done                           int
+	total                          int
+	finished                       bool
 
 	// In-flight inter-stage transfers by slot, each slot with its arrival
 	// callback bound once, and the slots free for reuse.
@@ -90,15 +93,15 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 	}
 	e := &Executor{
 		eng: eng, fab: fab, sched: sched, cfg: cfg,
-		pos:      make([]int, p),
 		executed: make([][]bool, p),
 		busy:     make([]bool, p),
 		running:  make([]Op, p),
 		opDone:   make([]func(), p),
-		remF:     make([]int, p),
-		remB:     make([]int, p),
 		total:    p * 2 * sched.Micro,
 	}
+	counts := make([]int, 5*p)
+	e.pos, e.nextB, e.remF, e.remB, e.readyF = counts[:p:p], counts[p:2*p:2*p], counts[2*p:3*p:3*p], counts[3*p:4*p:4*p], counts[4*p:]
+	e.readyF[0] = sched.Micro // stage 0 reads micro-batches locally
 	for s := 0; s < p; s++ {
 		e.remF[s] = sched.Micro
 		e.remB[s] = sched.Micro
@@ -164,6 +167,13 @@ func (e *Executor) ready(s int, op Op) bool {
 // only releases activation memory, so the 1F1B residency bound still
 // holds; forwards are never promoted past pending backwards (that would
 // grow memory toward GPipe's footprint).
+//
+// The scan stops at the first unexecuted backward whatever its state, so
+// backwards run in schedule order and that backward is the stage's next
+// one, nextB. Once a blocked forward is reached with no forward of the
+// stage ready, no op before nextB can run, so the scan jumps there
+// instead of walking the forwards still waiting for their activations,
+// as an idle GPipe stage's would.
 func (e *Executor) tryAdvance(s int) {
 	if e.busy[s] {
 		return
@@ -186,7 +196,16 @@ func (e *Executor) tryAdvance(s int) {
 			// forward would exceed the 1F1B memory bound.
 			return
 		}
-		// Blocked forward: keep scanning for a ready backward.
+		// Blocked forward: keep scanning for a ready op, from the next
+		// backward on when no forward is ready.
+		if e.readyF[s] == 0 {
+			nb := e.nextB[s]
+			for nb < len(ops) && (ops[nb].Kind == Forward || e.executed[s][nb]) {
+				nb++
+			}
+			e.nextB[s] = nb
+			idx = max(idx, nb-1)
+		}
 	}
 }
 
@@ -194,6 +213,9 @@ func (e *Executor) launch(s, idx int, op Op) {
 	e.executed[s][idx] = true
 	if idx == e.pos[s] {
 		e.pos[s]++
+	}
+	if op.Kind == Forward {
+		e.readyF[s]--
 	}
 	e.busy[s] = true
 	e.running[s] = op
@@ -266,6 +288,7 @@ func (e *Executor) arrived(slot int32) {
 	e.freeHops = append(e.freeHops, slot)
 	if h.fwd {
 		e.fReady[h.to][h.micro] = true
+		e.readyF[h.to]++
 	} else {
 		e.bReady[h.to][h.micro] = true
 	}

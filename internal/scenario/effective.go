@@ -15,25 +15,43 @@ func (s *Scenario) ValidateFor(topo *topology.Topology) error {
 	if s.Empty() {
 		return nil
 	}
-	nodes, clusters := topo.NumNodes(), topo.NumClusters()
 	for i, ev := range s.Events {
-		switch ev.Kind {
-		case DegradeNIC, FailNode, RestoreNode, Delay, Jitter, Loss, Corrupt, FlapLink, Straggler:
-			if ev.Node >= nodes {
-				return fmt.Errorf("scenario: event %d: node %d outside topology (%d nodes)", i, ev.Node, nodes)
-			}
-		case BackgroundTraffic:
-			if ev.Src >= nodes || ev.Dst >= nodes {
-				return fmt.Errorf("scenario: event %d: background traffic %d->%d outside topology (%d nodes)", i, ev.Src, ev.Dst, nodes)
-			}
-		case JoinNodes, FailCluster:
-			if ev.Cluster >= clusters {
-				return fmt.Errorf("scenario: event %d: cluster %d outside topology (%d clusters)", i, ev.Cluster, clusters)
-			}
-		case Partition:
-			if ev.Cluster >= clusters || ev.Peer >= clusters {
-				return fmt.Errorf("scenario: event %d: partition %d|%d outside topology (%d clusters)", i, ev.Cluster, ev.Peer, clusters)
-			}
+		if err := ev.validateFor(i, topo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateEvent checks one event as Validate and then ValidateFor check
+// the i-th event of a timeline on topo, with the same error text: for a
+// holder that appends events one at a time to a timeline it has already
+// validated, and so need not re-check the rest.
+func ValidateEvent(i int, ev Event, topo *topology.Topology) error {
+	if err := ev.validate(); err != nil {
+		return fmt.Errorf("scenario: event %d: %w", i, err)
+	}
+	return ev.validateFor(i, topo)
+}
+
+func (ev Event) validateFor(i int, topo *topology.Topology) error {
+	nodes, clusters := topo.NumNodes(), topo.NumClusters()
+	switch ev.Kind {
+	case DegradeNIC, FailNode, RestoreNode, Delay, Jitter, Loss, Corrupt, FlapLink, Straggler:
+		if ev.Node >= nodes {
+			return fmt.Errorf("scenario: event %d: node %d outside topology (%d nodes)", i, ev.Node, nodes)
+		}
+	case BackgroundTraffic:
+		if ev.Src >= nodes || ev.Dst >= nodes {
+			return fmt.Errorf("scenario: event %d: background traffic %d->%d outside topology (%d nodes)", i, ev.Src, ev.Dst, nodes)
+		}
+	case JoinNodes, FailCluster:
+		if ev.Cluster >= clusters {
+			return fmt.Errorf("scenario: event %d: cluster %d outside topology (%d clusters)", i, ev.Cluster, clusters)
+		}
+	case Partition:
+		if ev.Cluster >= clusters || ev.Peer >= clusters {
+			return fmt.Errorf("scenario: event %d: partition %d|%d outside topology (%d clusters)", i, ev.Cluster, ev.Peer, clusters)
 		}
 	}
 	return nil

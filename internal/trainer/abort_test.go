@@ -97,9 +97,10 @@ func TestProjectionAdmissible(t *testing.T) {
 // shapes (internal/topogen): 1–3 clusters of any technology in any
 // order, uneven sizes, PCIe nodes and degraded NICs, and every (t, p)
 // cell under both schedules, with and without overlap. The shapes take
-// the frameworks' NIC selections in turn. GPipe runs at t = 1 only: its
-// executor scans every pending forward, so its events cost several times
-// 1F1B's, and more so at the larger micro-batch counts of higher t.
+// the frameworks' NIC selections in turn. GPipe runs at t = 1 only: a
+// GPipe run keeps more transfers in flight, so each of its events costs
+// the fabric's rebalance several times a 1F1B event's, and more so at
+// the larger micro-batch counts of higher t.
 func TestProjectionAdmissibleGenerated(t *testing.T) {
 	shapes, err := topogen.Shapes(16, 12)
 	if err != nil {
