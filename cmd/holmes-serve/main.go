@@ -119,7 +119,7 @@ func main() {
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = max(8, 2x CPU count))")
 		queue    = flag.Int("max-queue", 0, "max requests waiting for admission (0 = 8x max-inflight, negative = none); beyond this the server answers 429")
 		retry    = flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 responses")
-		resp     = flag.Int("response-cache", 0, "completed-answer LRU entries (0 = default 4096, negative = disabled)")
+		resp     = flag.Int("response-cache", 0, "completed answers cached, typed or as a repeated request body's stored bytes, which count one per answer they encode and are evicted first (0 = default 4096, negative = disabled)")
 		oracle   = flag.Bool("full-recompute", false, "run every reference arm: full-recompute netsim, unpruned search, and from-scratch fleet replay (slow; for validation)")
 		snapshot = flag.String("cache-snapshot", "", "cache snapshot file: loaded at boot, written on graceful shutdown (and every -snapshot-interval)")
 		interval = flag.Duration("snapshot-interval", 0, "also rewrite -cache-snapshot periodically (0 = only on shutdown)")

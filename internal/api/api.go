@@ -4,7 +4,8 @@
 // answers 429 with Retry-After), routed to the shard owning its topology
 // fingerprint, and — for deterministic plan/search work — coalesced with
 // identical in-flight requests so duplicate traffic costs one
-// computation (see DESIGN.md decision 8).
+// computation, and a byte-identical repeat is answered its stored bytes
+// before any decode (see DESIGN.md decision 8).
 //
 // Routes:
 //
@@ -32,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -112,10 +114,10 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/{$}", s.route(epDashboard, http.MethodGet, false, s.handleDashboardIndex))
 		mux.HandleFunc("/static/", s.route(epDashboard, http.MethodGet, false, s.handleDashboardAsset))
 	}
-	mux.HandleFunc("/v1/plan", s.route(epPlan, http.MethodPost, true, s.handlePlan))
+	mux.HandleFunc("/v1/plan", s.route(epPlan, http.MethodPost, true, configRoute(s, epPlan, s.runPlan)))
 	mux.HandleFunc("/v1/plan/batch", s.route(epBatch, http.MethodPost, true, s.handleBatch))
-	mux.HandleFunc("/v1/search", s.route(epSearch, http.MethodPost, true, s.handleSearch))
-	mux.HandleFunc("/v1/simulate", s.route(epSimulate, http.MethodPost, true, s.handleSimulate))
+	mux.HandleFunc("/v1/search", s.route(epSearch, http.MethodPost, true, configRoute(s, epSearch, s.runSearch)))
+	mux.HandleFunc("/v1/simulate", s.route(epSimulate, http.MethodPost, true, configRoute(s, epSimulate, s.runSimulate)))
 	mux.HandleFunc("/v1/experiments/{id}", s.route(epExperiments, http.MethodPost, true, s.handleExperiment))
 	mux.HandleFunc("/v1/jobs", s.routeMethods(epJobs, true, map[string]http.HandlerFunc{
 		http.MethodPost: s.handleJobSubmit,
@@ -281,18 +283,6 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 // errorBody is the uniform error envelope.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers are out; nothing useful to do on failure
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // apiError carries the HTTP status a failed operation maps to, so the
@@ -501,17 +491,21 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// badBody is the error of a body that does not decode, with the status
+// decodeStatus gives it.
+func badBody(err error) error {
+	return &apiError{status: decodeStatus(err), msg: err.Error()}
+}
+
 // decode parses a config.Config request body strictly and applies the
-// server-side resource bounds.
-func decode(w http.ResponseWriter, r *http.Request) (*config.Config, error) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close()
+// server-side resource bounds; its errors are badBody's.
+func decode(body io.Reader) (*config.Config, error) {
 	c, err := config.Load(body)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = checkBounds(c)
 	}
-	if err := checkBounds(c); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, badBody(err)
 	}
 	return c, nil
 }
@@ -529,19 +523,30 @@ func coalesceKey(op string, c *config.Config) string {
 	return op + "\x00" + string(b)
 }
 
+// sighting is what the canonical lookup of one answer saw: the key the
+// answer is cached under, and whether it was asked for before — found in
+// the response cache or shared with an identical in-flight request.
+type sighting struct {
+	key   string
+	again bool
+}
+
 // coalesce answers one deterministic operation with at most one
 // computation per distinct (op, config): completed answers replay from
 // the pool's response cache, identical in-flight requests share the
 // leader's result, and only genuinely new work runs fn. Sharers are
-// credited to the endpoint's counters. The resp type parameter keeps the
-// any-typed plumbing out of the callers.
-func coalesce[T any](s *Server, ep string, op string, c *config.Config, fn func() (*T, error)) (*T, error) {
+// credited to the endpoint's counters, and seen records what the lookup
+// saw. The resp type parameter keeps the any-typed plumbing out of the
+// callers.
+func coalesce[T any](s *Server, ep string, op string, c *config.Config, seen *sighting, fn func() (*T, error)) (*T, error) {
 	key := coalesceKey(op, c)
 	if key == "" {
 		return fn()
 	}
+	seen.key = key
 	if v, ok := s.pool.CachedResponse(key); ok {
 		s.pool.Stats().Endpoint(ep).Cached()
+		seen.again = true
 		return v.(*T), nil
 	}
 	v, coalesced, err := s.pool.Coalesce(key, func() (any, error) { return fn() })
@@ -551,6 +556,7 @@ func coalesce[T any](s *Server, ep string, op string, c *config.Config, fn func(
 	if err != nil {
 		return nil, err
 	}
+	seen.again = coalesced
 	// Only successful answers are cacheable; errors stay cheap to retry
 	// and must not shadow a later feasible answer (they can't — the key
 	// pins the config — but an error cache would still pin allocation).
@@ -575,15 +581,16 @@ func (s *Server) plannerFor(c *config.Config) (*core.Planner, error) {
 }
 
 // runPlan executes one plan request (shared by /v1/plan and batch
-// items). Errors are *apiError carrying the HTTP status.
-func (s *Server) runPlan(ep string, c *config.Config) (*PlanResponse, error) {
+// items), recording its canonical lookup in seen. Errors are *apiError
+// carrying the HTTP status.
+func (s *Server) runPlan(ep string, c *config.Config, seen *sighting) (*PlanResponse, error) {
 	if c.TensorSize < 1 || c.PipelineSize < 1 {
 		return nil, errf(http.StatusBadRequest, "plan needs tensor_size >= 1 and pipeline_size >= 1 (use /v1/search to search degrees)")
 	}
 	if !c.Scenario.Empty() {
 		return nil, errf(http.StatusBadRequest, "plan evaluates a pristine fabric; use /v1/simulate to run under a scenario")
 	}
-	return coalesce(s, ep, "plan", c, func() (*PlanResponse, error) {
+	return coalesce(s, ep, "plan", c, seen, func() (*PlanResponse, error) {
 		pl, err := s.plannerFor(c)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
@@ -600,20 +607,6 @@ func (s *Server) runPlan(ep string, c *config.Config) (*PlanResponse, error) {
 	})
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	c, err := decode(w, r)
-	if err != nil {
-		writeError(w, decodeStatus(err), "%v", err)
-		return
-	}
-	resp, err := s.runPlan(epPlan, c)
-	if err != nil {
-		writeError(w, errStatus(err), "%s", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // SimulateResponse is the outcome of /v1/simulate.
 type SimulateResponse struct {
 	Degrees   DegreesJSON `json:"degrees"`
@@ -627,13 +620,17 @@ type SimulateResponse struct {
 }
 
 // runSimulate executes one simulate request (shared by /v1/simulate and
-// batch items). Simulations are deterministic too, so identical in-flight
-// requests coalesce just like plans.
-func (s *Server) runSimulate(ep string, c *config.Config) (*SimulateResponse, error) {
+// batch items): one training iteration, optionally under a scripted
+// scenario, reported in the paper's metrics. Unlike a plan it never
+// builds a Planner: the degrees are the caller's to fix, and the fabric
+// carries whatever the scenario scripts onto it. Simulations are
+// deterministic too, so identical in-flight requests coalesce just like
+// plans; seen records the canonical lookup.
+func (s *Server) runSimulate(ep string, c *config.Config, seen *sighting) (*SimulateResponse, error) {
 	if c.TensorSize < 1 || c.PipelineSize < 1 {
 		return nil, errf(http.StatusBadRequest, "simulate needs tensor_size >= 1 and pipeline_size >= 1")
 	}
-	return coalesce(s, ep, "simulate", c, func() (*SimulateResponse, error) {
+	return coalesce(s, ep, "simulate", c, seen, func() (*SimulateResponse, error) {
 		tc, err := c.TrainerConfig()
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
@@ -659,24 +656,6 @@ func (s *Server) runSimulate(ep string, c *config.Config) (*SimulateResponse, er
 	})
 }
 
-// handleSimulate runs one training iteration — optionally under a
-// scripted scenario — and reports the paper's metrics. Unlike /v1/plan it
-// never builds a Planner: the degrees are the caller's to fix, and the
-// fabric carries whatever the scenario scripts onto it.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	c, err := decode(w, r)
-	if err != nil {
-		writeError(w, decodeStatus(err), "%v", err)
-		return
-	}
-	resp, err := s.runSimulate(epSimulate, c)
-	if err != nil {
-		writeError(w, errStatus(err), "%s", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // SearchResponse is the outcome of /v1/search.
 type SearchResponse struct {
 	Winner PlanResponse `json:"winner"`
@@ -689,15 +668,15 @@ type SearchResponse struct {
 }
 
 // runSearch executes one joint-search request (shared by /v1/search and
-// batch items).
-func (s *Server) runSearch(ep string, c *config.Config) (*SearchResponse, error) {
+// batch items), recording its canonical lookup in seen.
+func (s *Server) runSearch(ep string, c *config.Config, seen *sighting) (*SearchResponse, error) {
 	if c.TensorSize != 0 || c.PipelineSize != 0 {
 		return nil, errf(http.StatusBadRequest, "search picks tensor_size and pipeline_size itself; omit them (use /v1/plan for fixed degrees)")
 	}
 	if !c.Scenario.Empty() {
 		return nil, errf(http.StatusBadRequest, "search evaluates a pristine fabric; use /v1/simulate to run under a scenario")
 	}
-	return coalesce(s, ep, "search", c, func() (*SearchResponse, error) {
+	return coalesce(s, ep, "search", c, seen, func() (*SearchResponse, error) {
 		pl, err := s.plannerFor(c)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
@@ -717,20 +696,6 @@ func (s *Server) runSearch(ep string, c *config.Config) (*SearchResponse, error)
 		}
 		return resp, nil
 	})
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	c, err := decode(w, r)
-	if err != nil {
-		writeError(w, decodeStatus(err), "%v", err)
-		return
-	}
-	resp, err := s.runSearch(epSearch, c)
-	if err != nil {
-		writeError(w, errStatus(err), "%s", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ExperimentResponse is the outcome of /v1/experiments/{id}.

@@ -64,9 +64,10 @@ type BatchResponse struct {
 
 // batchJob is one decoded, validated batch item ready to execute.
 type batchJob struct {
-	op  string
-	cfg *config.Config
-	key string // canonical (op, config) identity, for duplicate detection
+	op   string
+	cfg  *config.Config
+	key  string   // canonical (op, config) identity, for duplicate detection
+	seen sighting // what the item's canonical lookup saw
 }
 
 // parseBatch decodes and validates a batch envelope: strict JSON, item
@@ -116,15 +117,33 @@ func parseBatch(r io.Reader) ([]batchJob, error) {
 	return jobs, nil
 }
 
+// handleBatch answers a batch envelope. Its bytes are stored under its
+// digest once every item was asked for before; an item that failed never
+// was, since an error is never cached (DESIGN.md decision 8), so a batch
+// with an item error runs again on its next copy.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-	defer body.Close()
-	jobs, err := parseBatch(body)
-	if err != nil {
-		writeError(w, decodeStatus(err), "%v", err)
-		return
-	}
-	resp := BatchResponse{Count: len(jobs), Results: make([]BatchItemResult, len(jobs))}
+	s.serveBody(w, r, epBatch, maxBatchBodyBytes, func(body io.Reader) (any, []string, error) {
+		jobs, err := parseBatch(body)
+		if err != nil {
+			return nil, nil, badBody(err)
+		}
+		resp := s.runBatch(jobs)
+		for _, j := range jobs {
+			if !j.seen.again {
+				return resp, nil, nil
+			}
+		}
+		keys := make([]string, len(jobs))
+		for i, j := range jobs {
+			keys[i] = j.seen.key
+		}
+		return resp, keys, nil
+	})
+}
+
+// runBatch answers decoded batch items.
+func (s *Server) runBatch(jobs []batchJob) *BatchResponse {
+	resp := &BatchResponse{Count: len(jobs), Results: make([]BatchItemResult, len(jobs))}
 	// Fan the items over the pool's total worker budget. Results land at
 	// their input index, so ordering never depends on scheduling; item
 	// failures land in their slot as (status, error).
@@ -134,11 +153,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		var opErr error
 		switch jobs[i].op {
 		case "plan":
-			res.Plan, opErr = s.runPlan(epBatch, jobs[i].cfg)
+			res.Plan, opErr = s.runPlan(epBatch, jobs[i].cfg, &jobs[i].seen)
 		case "search":
-			res.Search, opErr = s.runSearch(epBatch, jobs[i].cfg)
+			res.Search, opErr = s.runSearch(epBatch, jobs[i].cfg, &jobs[i].seen)
 		case "simulate":
-			res.Simulate, opErr = s.runSimulate(epBatch, jobs[i].cfg)
+			res.Simulate, opErr = s.runSimulate(epBatch, jobs[i].cfg, &jobs[i].seen)
 		}
 		if opErr != nil {
 			res.Error = opErr.Error()
@@ -151,5 +170,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Errors++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }

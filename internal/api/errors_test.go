@@ -19,6 +19,11 @@ func bigScenario(n int) string {
 	return fmt.Sprintf(`{"env":"InfiniBand","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2,"scenario":{"name":"big","events":[%s]}}`, strings.Join(events, ","))
 }
 
+// overLimit pads body with whitespace to one byte over limit.
+func overLimit(body string, limit int) string {
+	return body + strings.Repeat(" ", limit+1-len(body))
+}
+
 // bigBatch renders a batch with n copies of a distinct trivial item.
 func bigBatch(n int) string {
 	items := make([]string, n)
@@ -33,7 +38,9 @@ func bigBatch(n int) string {
 // TestErrorPaths is the table-driven error contract of the API: every
 // failure answers the documented status with Content-Type
 // application/json and a stable error substring — clients key retries
-// and dashboards off these, so a drive-by rewording is a break.
+// and dashboards off these, so a drive-by rewording is a break. Each
+// request goes twice: a rejected body is never stored, so its repeat
+// answers the same error.
 func TestErrorPaths(t *testing.T) {
 	srv := newTestServer(t)
 	for _, tc := range []struct {
@@ -78,43 +85,41 @@ func TestErrorPaths(t *testing.T) {
 		{"simulate stray brace", "POST", "/v1/simulate", `{"env":"Hybrid","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2}}`, 400, "config:"},
 		{"batch trailing garbage", "POST", "/v1/plan/batch", `{"items":[{"op":"plan","config":` + planBody + `}]}garbage`, 400, "batch:"},
 		{"jobs trailing object", "POST", "/v1/jobs", `{"fleet":{"env":"Hybrid","nodes":4},"job":{"id":"a","gpus":8,"model":{"group":1}}}{"oops":1}`, 400, "trailing data after the JSON value"},
+		// A body over its limit is 413 on every endpoint, unless the
+		// decoder meets a syntax error within the limit first.
+		{"simulate over limit", "POST", "/v1/simulate", overLimit(batchSimulateCfg, maxBodyBytes), 413, "config: http: request body too large"},
+		{"search over limit", "POST", "/v1/search", overLimit(batchSearchCfg, maxBodyBytes), 413, "config: http: request body too large"},
+		{"syntax error over limit", "POST", "/v1/plan", overLimit(`{"env":]`, maxBodyBytes), 400, "config: invalid character ']' looking for beginning of value"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var resp *http.Response
-			var err error
-			switch tc.method {
-			case "GET":
-				resp, err = http.Get(srv.URL + tc.path)
-			case "POST":
-				resp, err = http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
-			default:
-				req, rerr := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
-				if rerr != nil {
-					t.Fatal(rerr)
+			for range 2 {
+				req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
 				}
-				resp, err = http.DefaultClient.Do(req)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != tc.wantStatus {
-				t.Errorf("status %d, want %d (%s)", resp.StatusCode, tc.wantStatus, body)
-			}
-			// The fix this suite pins: EVERY error path answers JSON.
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Errorf("content-type %q, want application/json", ct)
-			}
-			var eb errorBody
-			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
-				t.Fatalf("body is not an error envelope (%v): %s", err, body)
-			}
-			if tc.wantSubstr != "" && !strings.Contains(eb.Error, tc.wantSubstr) {
-				t.Errorf("error %q missing %q", eb.Error, tc.wantSubstr)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != tc.wantStatus {
+					t.Errorf("status %d, want %d (%.200s)", resp.StatusCode, tc.wantStatus, body)
+				}
+				// The fix this suite pins: EVERY error path answers JSON.
+				if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+					t.Errorf("content-type %q, want application/json", ct)
+				}
+				var eb errorBody
+				if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+					t.Fatalf("body is not an error envelope (%v): %.200s", err, body)
+				}
+				if tc.wantSubstr != "" && !strings.Contains(eb.Error, tc.wantSubstr) {
+					t.Errorf("error %q missing %q", eb.Error, tc.wantSubstr)
+				}
 			}
 		})
 	}

@@ -24,6 +24,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"hash/fnv"
 	"runtime"
@@ -56,9 +57,10 @@ type Config struct {
 	MaxQueue int
 	// RetryAfter is the backoff hint attached to rejections (0 = 1s).
 	RetryAfter time.Duration
-	// ResponseCache bounds the completed-answer LRU shared by the
-	// deterministic operations (0 = DefaultResponseCacheSize, negative =
-	// disabled). See cache.go.
+	// ResponseCache bounds the answers the completed-answer cache shared
+	// by the deterministic operations holds, typed or as a body digest's
+	// bytes (0 = DefaultResponseCacheSize, negative = disabled). See
+	// cache.go.
 	ResponseCache int
 }
 
@@ -194,6 +196,24 @@ func (p *Pool) CachedResponse(key string) (any, bool) { return p.resp.get(key) }
 // StoreResponse records a completed successful answer for replay. The
 // stored value is shared with future callers and must never be mutated.
 func (p *Pool) StoreResponse(key string, val any) { p.resp.put(key, val) }
+
+// CachedAnswer returns the bytes stored for a request-body digest and
+// the number of answers they encode (see StoreAnswer). A hit counts one
+// response-cache hit per answer and marks their canonical entries used;
+// a miss counts nothing, since its request goes on to the canonical
+// lookups, which count it.
+func (p *Pool) CachedAnswer(digest [sha256.Size]byte) ([]byte, int, bool) {
+	return p.resp.getAnswer(digest)
+}
+
+// StoreAnswer records the exact bytes answered for a request-body
+// digest, which encode the answers under the canonical keys given (one,
+// or a batch's, one per item). The entry weighs one answer per key
+// against the bound and takes only the room canonical answers leave
+// free. Neither the bytes nor the keys may be mutated afterwards.
+func (p *Pool) StoreAnswer(digest [sha256.Size]byte, b []byte, keys []string) {
+	p.resp.putAnswer(digest, b, keys)
+}
 
 // ResponseCacheStats reports response-cache occupancy and counters.
 func (p *Pool) ResponseCacheStats() ResponseCacheStats { return p.resp.stats() }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -291,11 +292,99 @@ func TestResponseCacheLRU(t *testing.T) {
 	}
 }
 
+// A digest entry weighs the answers its bytes encode against the one
+// bound and counts that many hits; a hit marks those answers' canonical
+// entries used; and digests are evicted before any canonical entry,
+// which they never evict.
+func TestResponseCacheDigestKeys(t *testing.T) {
+	p := New(Config{ResponseCache: 4})
+	x, y, z := sha256.Sum256([]byte("x")), sha256.Sum256([]byte("y")), sha256.Sum256([]byte("z"))
+	if _, _, ok := p.CachedAnswer(x); ok {
+		t.Fatal("empty cache answered a digest")
+	}
+	if st := p.ResponseCacheStats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a digest miss was counted: %+v", st)
+	}
+	p.StoreResponse("a", 1)
+	p.StoreResponse("b", 2)
+	p.StoreAnswer(x, []byte("answer a"), []string{"a"})
+	if es := p.ResponseEntries(); es[0].Key != "a" {
+		t.Fatalf("before the hit a is least recent: %+v", es)
+	}
+	if b, n, ok := p.CachedAnswer(x); !ok || n != 1 || string(b) != "answer a" {
+		t.Fatalf("x: %q %d %v", b, n, ok)
+	}
+	if es := p.ResponseEntries(); es[0].Key != "b" {
+		t.Fatalf("a digest hit left a least recent: %+v", es)
+	}
+	// Two answers do not fit beside a, b and x: x goes, not a or b.
+	p.StoreAnswer(y, []byte("answers a, b"), []string{"a", "b"})
+	if _, _, ok := p.CachedAnswer(x); ok {
+		t.Fatal("the older digest survived")
+	}
+	p.StoreAnswer(y, []byte("other"), []string{"a", "b"})
+	if b, n, _ := p.CachedAnswer(y); string(b) != "answers a, b" || n != 2 {
+		t.Fatalf("first store must win: %q %d", b, n)
+	}
+	// A canonical answer evicts digests first ...
+	p.StoreResponse("c", 3)
+	if _, _, ok := p.CachedAnswer(y); ok {
+		t.Fatal("a digest survived a canonical insert that needed its room")
+	}
+	// ... and a digest finds no room among canonical answers.
+	p.StoreResponse("d", 4)
+	p.StoreAnswer(z, []byte("answer d"), []string{"d"})
+	if _, _, ok := p.CachedAnswer(z); ok {
+		t.Fatal("a digest evicted a canonical answer")
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if _, ok := p.CachedResponse(k); !ok {
+			t.Fatalf("canonical answer %s evicted", k)
+		}
+	}
+	st := p.ResponseCacheStats()
+	if st.Size != 4 || st.Evictions != 2 || st.Hits != 1+2+4 || st.Misses != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// Digests of large batches — every reordering of one 256-item batch is a
+// new body — hold no more bytes than the answers their weight counts.
+func TestResponseCacheDigestBytesBounded(t *testing.T) {
+	const items, answerBytes = 256, 64
+	p := New(Config{})
+	keys := make([]string, items)
+	for i := range keys {
+		keys[i] = fmt.Sprint("item ", i)
+		p.StoreResponse(keys[i], i)
+	}
+	for r := 0; r < 64; r++ {
+		p.StoreAnswer(sha256.Sum256([]byte{byte(r)}), make([]byte, items*answerBytes), keys)
+		if st := p.ResponseCacheStats(); st.Size > st.Cap {
+			t.Fatalf("after %d batches the cache holds %d answers over its bound of %d", r+1, st.Size, st.Cap)
+		}
+	}
+	stored := 0
+	for _, e := range p.resp.digests.m {
+		stored += len(e.val.b)
+	}
+	if limit := (DefaultResponseCacheSize - items) * answerBytes; stored > limit {
+		t.Fatalf("digests hold %d bytes, over the %d the bound leaves them", stored, limit)
+	}
+	if es := p.ResponseEntries(); len(es) != items {
+		t.Fatalf("%d canonical answers left of %d", len(es), items)
+	}
+}
+
 func TestResponseCacheDisabled(t *testing.T) {
 	p := New(Config{ResponseCache: -1})
 	p.StoreResponse("a", 1)
 	if _, ok := p.CachedResponse("a"); ok {
 		t.Fatal("disabled cache stored a value")
+	}
+	p.StoreAnswer([32]byte{}, []byte("x"), []string{"a"})
+	if _, _, ok := p.CachedAnswer([32]byte{}); ok {
+		t.Fatal("disabled cache stored bytes")
 	}
 	if st := p.ResponseCacheStats(); st.Cap != 0 || st.Size != 0 {
 		t.Fatalf("disabled cache stats: %+v", st)
