@@ -536,14 +536,16 @@ type sighting struct {
 // the pool's response cache, identical in-flight requests share the
 // leader's result, and only genuinely new work runs fn. Sharers are
 // credited to the endpoint's counters, and seen records what the lookup
-// saw. The resp type parameter keeps the any-typed plumbing out of the
-// callers.
+// saw; a key seen already holds (a batch item's) is not made again. The
+// resp type parameter keeps the any-typed plumbing out of the callers.
 func coalesce[T any](s *Server, ep string, op string, c *config.Config, seen *sighting, fn func() (*T, error)) (*T, error) {
-	key := coalesceKey(op, c)
+	if seen.key == "" {
+		seen.key = coalesceKey(op, c)
+	}
+	key := seen.key
 	if key == "" {
 		return fn()
 	}
-	seen.key = key
 	if v, ok := s.pool.CachedResponse(key); ok {
 		s.pool.Stats().Endpoint(ep).Cached()
 		seen.again = true

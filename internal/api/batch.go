@@ -64,10 +64,12 @@ type BatchResponse struct {
 
 // batchJob is one decoded, validated batch item ready to execute.
 type batchJob struct {
-	op   string
-	cfg  *config.Config
-	key  string   // canonical (op, config) identity, for duplicate detection
-	seen sighting // what the item's canonical lookup saw
+	op  string
+	cfg *config.Config
+	// seen holds the item's canonical (op, config) key, made once for
+	// duplicate detection and used again by its lookup, and what that
+	// lookup saw.
+	seen sighting
 }
 
 // parseBatch decodes and validates a batch envelope: strict JSON, item
@@ -112,7 +114,7 @@ func parseBatch(r io.Reader) ([]batchJob, error) {
 			return nil, fmt.Errorf("batch: items %d and %d are identical (op %s); send distinct items, duplicates would waste result slots", j, i, item.Op)
 		}
 		seen[key] = i
-		jobs[i] = batchJob{op: item.Op, cfg: c, key: key}
+		jobs[i] = batchJob{op: item.Op, cfg: c, seen: sighting{key: key}}
 	}
 	return jobs, nil
 }

@@ -72,13 +72,13 @@ func FuzzBatchDecode(f *testing.F) {
 			if j.cfg == nil {
 				t.Fatalf("job %d accepted without a config", i)
 			}
-			if j.key == "" {
+			if j.seen.key == "" {
 				t.Fatalf("job %d has no canonical key", i)
 			}
-			if keys[j.key] {
+			if keys[j.seen.key] {
 				t.Fatalf("job %d is a duplicate the decoder let through", i)
 			}
-			keys[j.key] = true
+			keys[j.seen.key] = true
 			// The bounds the shared daemon depends on must hold for
 			// anything the decoder admits.
 			if err := checkBounds(j.cfg); err != nil {

@@ -110,27 +110,6 @@ func TestTensorGroupsStayIntraNode(t *testing.T) {
 	}
 }
 
-func TestM1Boundary(t *testing.T) {
-	// IB-first ordering: M1 = number of IB clusters.
-	topo := topology.MustBuild(topology.Spec{Clusters: []topology.ClusterSpec{
-		{NIC: topology.InfiniBand, Nodes: 1},
-		{NIC: topology.InfiniBand, Nodes: 1},
-		{NIC: topology.RoCE, Nodes: 1},
-	}})
-	m1, err := M1Boundary(topo)
-	if err != nil || m1 != 2 {
-		t.Fatalf("M1 = %d err %v, want 2", m1, err)
-	}
-	// Out-of-order clusters violate the paper's numbering convention.
-	bad := topology.MustBuild(topology.Spec{Clusters: []topology.ClusterSpec{
-		{NIC: topology.RoCE, Nodes: 1},
-		{NIC: topology.InfiniBand, Nodes: 1},
-	}})
-	if _, err := M1Boundary(bad); err == nil {
-		t.Fatal("RoCE-before-IB ordering must be rejected")
-	}
-}
-
 func TestBuildWorldSizeMismatch(t *testing.T) {
 	topo := topology.IBEnv(2)
 	a, _ := parallel.New(8, 8, parallel.Degrees{T: 1, P: 2, D: 4})

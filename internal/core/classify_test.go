@@ -128,3 +128,30 @@ func TestConcurrentSearchClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchLooksUpEachWorldOnce: a search prepares each cell's
+// iteration once, and its bound and its run share it, so a first search
+// on a fresh engine looks up one communicator world per cell of its
+// space, whether the bound prunes the cell, the abort stops it or it
+// simulates.
+func TestSearchLooksUpEachWorldOnce(t *testing.T) {
+	var pruned, aborted uint64
+	for _, c := range classificationCorpus(t) {
+		pl, err := NewPlannerOn(engine.New(engine.Config{}), c.topo, model.Group(c.group).Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.SearchPlan(); err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		cs, st := pl.Engine.CacheStats(), pl.Engine.SearchStats()
+		if got, cells := cs.Hits+cs.Misses, len(pl.SearchSpace()); got != uint64(cells) {
+			t.Errorf("%s: %d world lookups (%d hits) for %d cells (%+v)", c.label, got, cs.Hits, cells, st)
+		}
+		pruned += st.Pruned
+		aborted += st.Aborted
+	}
+	if pruned == 0 || aborted == 0 {
+		t.Fatalf("pruned %d and aborted %d cells: the corpus exercises neither outcome", pruned, aborted)
+	}
+}

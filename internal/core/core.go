@@ -86,9 +86,8 @@ func (pl *Planner) engine() *engine.Engine {
 }
 
 // Plan builds the plan for fixed tensor and pipeline degrees, simulating
-// one iteration to fill in the performance report. The communicators are
-// built (or fetched from the engine's LRU cache) once and handed to the
-// simulation, which previously rebuilt the identical structures itself.
+// one iteration to fill in the performance report. The communicators come
+// from (or land in) the engine's LRU cache.
 func (pl *Planner) Plan(t, p int) (*Plan, error) {
 	plan, _, err := pl.plan(t, p, nil)
 	return plan, err
@@ -99,33 +98,35 @@ func (pl *Planner) Plan(t, p int) (*Plan, error) {
 // candidate slower than the deadline. The outcome counts the events the
 // simulation fired and says whether the candidate lost.
 func (pl *Planner) plan(t, p int, dl *trainer.Deadline) (*Plan, trainer.Outcome, error) {
-	eng := pl.engine()
-	n := pl.Topo.NumDevices()
-	deg, err := parallel.TileDegrees(n, t, p)
+	it, err := pl.prepare(t, p)
 	if err != nil {
 		return nil, trainer.Outcome{}, err
 	}
-	opt := trainer.DefaultOptions(pl.Framework)
-	if pl.Opt != nil {
-		opt = *pl.Opt
-	}
-	assign, world, err := eng.World(pl.Topo, deg, opt.NICSelection)
-	if err != nil {
-		return nil, trainer.Outcome{}, err
-	}
-	rep, out, err := trainer.SimulateBounded(trainer.Config{
+	return runPlan(it, dl)
+}
+
+// prepare sets up the iteration of the degrees on the planner's engine.
+func (pl *Planner) prepare(t, p int) (*trainer.Iteration, error) {
+	return trainer.Prepare(trainer.Config{
 		Topo: pl.Topo, Spec: pl.Spec,
 		TensorSize: t, PipelineSize: p,
 		Framework: pl.Framework, Opt: pl.Opt,
-		World: world, Engine: eng,
-	}, dl)
+		Engine: pl.engine(),
+	})
+}
+
+// runPlan runs a prepared iteration against dl (nil = none) and makes
+// its Plan.
+func runPlan(it *trainer.Iteration, dl *trainer.Deadline) (*Plan, trainer.Outcome, error) {
+	rep, out, err := it.Run(dl)
 	if err != nil {
 		return nil, out, err
 	}
+	w := it.World()
 	return &Plan{
-		Degrees:   deg,
-		Assign:    assign,
-		World:     world,
+		Degrees:   rep.Degrees,
+		Assign:    w.Assign,
+		World:     w,
 		Partition: rep.Partition,
 		Report:    rep,
 	}, out, nil
@@ -180,32 +181,43 @@ func (pl *Planner) SearchSpace() []parallel.Degrees {
 	return pl.searchSpace(pl.feasibleTensorDegrees())
 }
 
+// cell is one candidate of a pruned search: its throughput upper bound,
+// its prepared iteration (held only while the cell can still run), and
+// what running it gave.
+type cell struct {
+	ub   float64
+	it   *trainer.Iteration
+	plan *Plan
+	out  trainer.Outcome
+	err  error
+}
+
 // searchBest selects the winner over the candidate cells — highest
 // simulated throughput, ties broken by input order. The default path
-// orders candidates by their admissible throughput upper bound
-// (trainer.LowerBound — the cell's iteration prepared but not run),
-// simulates in bound order on the engine pool, and skips any candidate
-// whose bound cannot beat the incumbent; the winner of a successful
-// search is memoized on the engine's plan cache so identical searches
-// replay with one simulation. The exhaustive scan stays behind the
-// engine's FullRecompute knob as the bit-identical oracle: winner,
-// Report, and error semantics are identical because the bound is
-// admissible (a pruned cell's true throughput can never exceed its
-// bound, hence never beat the final incumbent), pruning only begins once
-// an incumbent exists (the all-fail case still simulates every cell, so
-// the first-by-input-order error is preserved), and the incumbent fold —
-// better throughput, or equal throughput at a smaller input index — is
-// order-independent.
-func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, error) {
+// prepares each cell's iteration once, orders the cells by the
+// admissible throughput upper bound its trainer.Iteration.LowerBound
+// implies (the iteration evaluated but not run), simulates in bound
+// order on the engine pool, and skips any cell whose bound cannot beat
+// the incumbent; the winner of a successful search is memoized on the
+// engine's plan cache so identical searches replay with one simulation.
+// The exhaustive scan stays behind the engine's FullRecompute knob as
+// the bit-identical oracle: winner, Report, and error semantics are
+// identical because the bound is admissible (a pruned cell's true
+// throughput can never exceed its bound, hence never beat the final
+// incumbent), pruning only begins once an incumbent exists (the
+// all-fail case still simulates every cell, so the first-by-input-order
+// error is preserved), and the incumbent fold — better throughput, or
+// equal throughput at a smaller input index — is order-independent.
+func (pl *Planner) searchBest(degs []parallel.Degrees, space string) (*Plan, error) {
 	eng := pl.engine()
 	if eng.FullRecompute() {
-		return pl.searchExhaustive(cells)
+		return pl.searchExhaustive(degs)
 	}
 	memoKey := pl.searchMemoKey(space)
 	if v, ok := eng.Plan(memoKey); ok {
 		if win, ok := v.(searchMemoVal); ok {
 			if plan, out, err := pl.plan(win.T, win.P, nil); err == nil {
-				eng.NoteSearch(engine.SearchStats{Simulated: 1, Pruned: uint64(len(cells) - 1), Events: out.Events, MemoHits: 1})
+				eng.NoteSearch(engine.SearchStats{Simulated: 1, Pruned: uint64(len(degs) - 1), Events: out.Events, MemoHits: 1})
 				return plan, nil
 			}
 			// A memo entry that no longer replays (a snapshot from an
@@ -214,32 +226,24 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 		}
 	}
 
-	// Throughput upper bounds. The bound builds each cell's world on the
-	// engine, so a cell it does not prune simulates on the cached world.
-	// A cell whose bound errors is simulated unconditionally so its error
-	// surfaces exactly as the oracle's.
-	ubs := make([]float64, len(cells))
-	for i, c := range cells {
-		ub, err := trainer.ThroughputUpperBound(trainer.Config{
-			Topo: pl.Topo, Spec: pl.Spec,
-			TensorSize: c.T, PipelineSize: c.P,
-			Framework: pl.Framework, Opt: pl.Opt,
-			Engine: eng,
-		})
-		if err != nil {
-			ub = math.Inf(1)
+	// Prepare every cell once and bound it; a cell that is not pruned
+	// runs the iteration its bound evaluated. A cell whose prepare fails
+	// gets an infinite bound, so it takes a wave slot unconditionally and
+	// its error surfaces exactly as the oracle's.
+	cells := make([]cell, len(degs))
+	for i, d := range degs {
+		c := &cells[i]
+		c.ub = math.Inf(1)
+		if c.it, c.err = pl.prepare(d.T, d.P); c.err == nil {
+			c.ub = c.it.ThroughputUpperBound()
 		}
-		ubs[i] = ub
 	}
 	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return ubs[order[a]] > ubs[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return cells[order[a]].ub > cells[order[b]].ub })
 
-	plans := make([]*Plan, len(cells))
-	errs := make([]error, len(cells))
-	outs := make([]trainer.Outcome, len(cells))
 	var st engine.SearchStats
 	bestThr, bestIdx := math.Inf(-1), -1
 	bestIter := 0.0
@@ -249,7 +253,8 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 	// and its index at equal throughput only falls, so a cell pruned now
 	// stays prunable).
 	beats := func(i int) bool {
-		return bestIdx < 0 || ubs[i] > bestThr || (ubs[i] == bestThr && i < bestIdx)
+		ub := cells[i].ub
+		return bestIdx < 0 || ub > bestThr || (ub == bestThr && i < bestIdx)
 	}
 	width := eng.Concurrency()
 	if width < 1 {
@@ -266,6 +271,7 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 				wave = append(wave, i)
 			} else {
 				st.Pruned++
+				cells[i].it = nil
 			}
 		}
 		if len(wave) == 0 {
@@ -283,10 +289,14 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 		}
 		live := trainer.NewDeadline(deadline)
 		eng.Go(len(wave), func(k int) {
-			i := wave[k]
-			plans[i], outs[i], errs[i] = pl.plan(cells[i].T, cells[i].P, live)
-			if errs[i] == nil {
-				live.Lower(plans[i].Report.IterSeconds)
+			c := &cells[wave[k]]
+			if c.err != nil {
+				return // its prepare failed
+			}
+			c.plan, c.out, c.err = runPlan(c.it, live)
+			c.it = nil
+			if c.err == nil {
+				live.Lower(c.plan.Report.IterSeconds)
 			}
 		})
 		// Classify each cell against D = the smaller of the wave's
@@ -303,27 +313,28 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 		for _, i := range wave {
 			d := deadline
 			for _, j := range wave {
-				if j != i && errs[j] == nil {
-					d = math.Min(d, plans[j].Report.IterSeconds)
+				if j != i && cells[j].err == nil {
+					d = math.Min(d, cells[j].plan.Report.IterSeconds)
 				}
 			}
-			lost = append(lost, outs[i].LostTo(d))
+			lost = append(lost, cells[i].out.LostTo(d))
 		}
 		for k, i := range wave {
-			st.Events += outs[i].Events
+			c := &cells[i]
+			st.Events += c.out.Events
 			if lost[k] {
 				st.Aborted++
-				plans[i], errs[i] = nil, nil
+				c.plan, c.err = nil, nil
 				continue
 			}
 			st.Simulated++
-			if errs[i] != nil {
+			if c.err != nil {
 				continue
 			}
-			thr := plans[i].Report.Throughput
+			thr := c.plan.Report.Throughput
 			if bestIdx < 0 || thr > bestThr || (thr == bestThr && i < bestIdx) {
 				bestThr, bestIdx = thr, i
-				bestIter = plans[i].Report.IterSeconds
+				bestIter = c.plan.Report.IterSeconds
 			}
 		}
 	}
@@ -333,15 +344,15 @@ func (pl *Planner) searchBest(cells []parallel.Degrees, space string) (*Plan, er
 		// No incumbent ever formed, so nothing was pruned or aborted:
 		// every cell simulated and failed. Report the first error by
 		// input order, exactly as the oracle does.
-		for i := range cells {
-			if errs[i] != nil {
-				return nil, errs[i]
+		for _, c := range cells {
+			if c.err != nil {
+				return nil, c.err
 			}
 		}
 		return nil, fmt.Errorf("core: no feasible plan for %d devices", pl.Topo.NumDevices())
 	}
-	eng.StorePlan(memoKey, searchMemoVal{T: cells[bestIdx].T, P: cells[bestIdx].P})
-	return plans[bestIdx], nil
+	eng.StorePlan(memoKey, searchMemoVal{T: degs[bestIdx].T, P: degs[bestIdx].P})
+	return cells[bestIdx].plan, nil
 }
 
 // searchExhaustive simulates every candidate concurrently on the

@@ -110,7 +110,7 @@ func (pl *Planner) ReplanFrom(before *Plan, sc *scenario.Scenario, at float64) (
 		Topo: pl.Topo, Spec: pl.Spec,
 		TensorSize: before.Degrees.T, PipelineSize: before.Degrees.P,
 		Framework: pl.Framework, Opt: pl.Opt,
-		World: before.World, Engine: pl.engine(),
+		Engine:   pl.engine(),
 		Scenario: sc,
 	})
 	if err != nil {

@@ -273,29 +273,48 @@ func TestReplanOnOracleEngineStaysExhaustive(t *testing.T) {
 	}
 }
 
-// TestSearchErrorIdenticalWhenNothingFeasible: when the space is empty
-// both arms must fail with the same message.
+// TestSearchErrorIdenticalWhenNothingFeasible: when the space is empty,
+// or every cell of it fails to prepare, both arms must fail with the
+// same message; a cell that fails to prepare still takes its wave slot,
+// and counts as simulated, as the oracle's does.
 func TestSearchErrorIdenticalWhenNothingFeasible(t *testing.T) {
 	topo, err := topology.Env(topology.EnvInfiniBand, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := model.Group(1).Spec
-	spec.GlobalBatch = 7 // prime, far below any feasible micro-batching grid
-	pruned, err := NewPlannerOn(engine.New(engine.Config{}), topo, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := NewPlannerOn(newOracle(), topo, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, prunedErr := pruned.SearchPlan()
-	_, oracleErr := oracle.SearchPlan()
-	if prunedErr == nil || oracleErr == nil {
-		t.Fatalf("expected both arms to fail: pruned %v, exhaustive %v", prunedErr, oracleErr)
-	}
-	if prunedErr.Error() != oracleErr.Error() {
-		t.Fatalf("error text diverged: %q vs %q", prunedErr, oracleErr)
+	badAlpha := trainer.DefaultOptions(trainer.Holmes)
+	badAlpha.Alpha = -1 // every cell's self-adapting partition fails
+	for _, c := range []struct {
+		label string
+		batch int
+		opt   *trainer.Options
+	}{
+		{"empty space", 7, nil}, // prime, far below any feasible micro-batching grid
+		{"no cell prepares", 0, &badAlpha},
+	} {
+		spec := model.Group(1).Spec
+		if c.batch != 0 {
+			spec.GlobalBatch = c.batch
+		}
+		pruned, err := NewPlannerOn(engine.New(engine.Config{}), topo, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := NewPlannerOn(newOracle(), topo, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned.Opt, oracle.Opt = c.opt, c.opt
+		_, prunedErr := pruned.SearchPlan()
+		_, oracleErr := oracle.SearchPlan()
+		if prunedErr == nil || oracleErr == nil {
+			t.Fatalf("%s: expected both arms to fail: pruned %v, exhaustive %v", c.label, prunedErr, oracleErr)
+		}
+		if prunedErr.Error() != oracleErr.Error() {
+			t.Fatalf("%s: error text diverged: %q vs %q", c.label, prunedErr, oracleErr)
+		}
+		if st, cells := pruned.Engine.SearchStats(), len(pruned.SearchSpace()); st.Simulated != uint64(cells) {
+			t.Fatalf("%s: pruned arm simulated %d of %d cells: %+v", c.label, st.Simulated, cells, st)
+		}
 	}
 }

@@ -174,13 +174,6 @@ func (s Spec) StageMemoryBytes(layers, d, t, inflight int, shardOptimizer bool) 
 	return static + opt + act
 }
 
-// GradientBytes returns the fp16 gradient payload of `layers` layers for
-// one tensor-parallel shard — the message size of data-parallel gradient
-// synchronization.
-func (s Spec) GradientBytes(layers, t int) float64 {
-	return float64(s.ParamsPerLayer()*int64(layers)) * GradBytesPerParam / float64(t)
-}
-
 // ActivationMessageBytes returns the fp16 tensor exchanged between
 // adjacent pipeline stages per micro-batch: b·s·h·2.
 func (s Spec) ActivationMessageBytes() float64 {

@@ -149,18 +149,6 @@ func TestStageMemoryMonotoneInLayers(t *testing.T) {
 	}
 }
 
-func TestGradientBytes(t *testing.T) {
-	s := Group(1).Spec
-	// 15 layers of a 3072-hidden model in fp16.
-	want := float64(15*(12*3072*3072+13*3072)) * 2
-	if got := s.GradientBytes(15, 1); got != want {
-		t.Fatalf("GradientBytes = %v, want %v", got, want)
-	}
-	if got := s.GradientBytes(15, 2); got != want/2 {
-		t.Fatalf("tensor sharding must halve gradients: %v", got)
-	}
-}
-
 func TestActivationMessageBytes(t *testing.T) {
 	s := Group(1).Spec // b=4, s=2048, h=3072
 	want := 4.0 * 2048 * 3072 * 2

@@ -55,22 +55,6 @@ func (o Outcome) LostTo(d float64) bool {
 	return o.halted || o.peak > d*(1+boundSlack) || o.end > d
 }
 
-// SimulateBounded is Simulate run against a branch-and-bound deadline.
-// The run stops with ErrAboveBound as soon as it provably cannot finish
-// by the deadline's current value: when its abort projection exceeds it
-// at an op completion, when its clock passes it at a collective
-// completion, or when the clock passes the value the deadline held as
-// the run started. An iteration finishing exactly at the deadline
-// completes, so ties tie-break as usual. A nil deadline simulates to
-// completion, like Simulate, and still counts the events fired.
-func SimulateBounded(cfg Config, dl *Deadline) (Report, Outcome, error) {
-	it, err := prepare(cfg)
-	if err != nil {
-		return Report{}, Outcome{}, err
-	}
-	return it.run(dl)
-}
-
 // projection is a bounded run's abort projection: at every op completion
 // of stage s, with remF forwards and remB backwards left and the clock at
 // now, the iteration provably ends no earlier than now plus the largest
@@ -130,7 +114,7 @@ type charged struct {
 //   - scenario-free, otherwise: Σ_{k<s}(hop_k + tb_k) to the flush plus
 //     the largest tail of any group, since every group reduces after it;
 //   - with a scenario: the tail of stage s's own group.
-func (it *iteration) newProjection(dl *Deadline) *projection {
+func (it *Iteration) newProjection(dl *Deadline) *projection {
 	p := it.deg.P
 	b := it.bound()
 	pipes := it.world.PPGroups

@@ -20,9 +20,13 @@ import (
 // the winner itself — and silently change search results.
 func checkProjection(t *testing.T, label string, cfg Config) {
 	t.Helper()
-	rep, out, err := SimulateBounded(cfg, NewDeadline(math.Inf(1)))
+	it, err := Prepare(cfg)
 	if err != nil {
 		return // infeasible cell: nothing to project
+	}
+	rep, out, err := it.Run(NewDeadline(math.Inf(1)))
+	if err != nil {
+		return
 	}
 	if out.peak <= 0 || out.Events == 0 {
 		t.Errorf("%s: projection never evaluated (peak %g, %d events)", label, out.peak, out.Events)
@@ -133,21 +137,28 @@ func TestProjectionAdmissibleGenerated(t *testing.T) {
 // at exactly its iteration time lets it complete.
 func TestSimulateBoundedStopsLosers(t *testing.T) {
 	cfg := Config{Topo: topology.HybridEnv(8), Spec: model.Group(1).Spec, TensorSize: 1, PipelineSize: 4, Framework: Holmes}
-	rep, full, err := SimulateBounded(cfg, nil)
+	run := func(dl *Deadline) (Report, Outcome, error) {
+		it, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return it.Run(dl)
+	}
+	rep, full, err := run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Events == 0 || full.peak != 0 {
 		t.Fatalf("an unbounded run fired %d events, projected %g", full.Events, full.peak)
 	}
-	_, out, err := SimulateBounded(cfg, NewDeadline(0.9*rep.IterSeconds))
+	_, out, err := run(NewDeadline(0.9 * rep.IterSeconds))
 	if !errors.Is(err, ErrAboveBound) {
 		t.Fatalf("deadline below the iteration time: err %v", err)
 	}
 	if !out.LostTo(0.9*rep.IterSeconds) || out.Events >= full.Events {
 		t.Fatalf("stopped run: lost %v, %d of %d events", out.LostTo(0.9*rep.IterSeconds), out.Events, full.Events)
 	}
-	tie, out, err := SimulateBounded(cfg, NewDeadline(rep.IterSeconds))
+	tie, out, err := run(NewDeadline(rep.IterSeconds))
 	if err != nil || !reflect.DeepEqual(tie, rep) || out.LostTo(rep.IterSeconds) {
 		t.Fatalf("deadline at the iteration time: err %v, lost %v", err, out.LostTo(rep.IterSeconds))
 	}
@@ -162,13 +173,13 @@ func TestSimulateBoundedFollowsALoweredDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl := NewDeadline(math.Inf(1))
-	it, err := prepare(cfg)
+	it, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Lower the deadline from inside the run, a tenth of the way in.
 	it.eng.At(rep.IterSeconds/10, func() { dl.Lower(rep.IterSeconds / 2) })
-	if _, _, err := it.run(dl); !errors.Is(err, ErrAboveBound) {
+	if _, _, err := it.Run(dl); !errors.Is(err, ErrAboveBound) {
 		t.Fatalf("lowered deadline: err %v", err)
 	}
 }
@@ -211,7 +222,11 @@ func TestSimulateBoundedUnderScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, out, err := SimulateBounded(cfg, NewDeadline(math.Inf(1)))
+		it, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, out, err := it.Run(NewDeadline(math.Inf(1)))
 		if err != nil || !reflect.DeepEqual(rep, want) {
 			t.Fatalf("%s: bounded scenario run diverged (err %v):\n%+v\n%+v", label, err, rep, want)
 		}

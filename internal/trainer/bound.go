@@ -8,10 +8,10 @@ import (
 	"holmes/internal/netsim"
 )
 
-// ErrAboveBound reports a simulation stopped by Config.AbortAbove: the
-// iteration provably takes longer than the caller's incumbent, and its
-// exact time was not worth computing. Branch-and-bound callers treat it
-// as "candidate lost", never as a planning failure.
+// ErrAboveBound reports a run stopped by its Deadline: the iteration
+// provably takes longer than the caller's incumbent, and its exact time
+// was not worth computing. Branch-and-bound callers treat it as
+// "candidate lost", never as a planning failure.
 var ErrAboveBound = errors.New("trainer: iteration time exceeds the abort bound")
 
 // boundSlack scales the bound down by the relative rounding the
@@ -19,14 +19,15 @@ var ErrAboveBound = errors.New("trainer: iteration time exceeds the abort bound"
 // the abort projection's deadline carries the same slack upwards.
 const boundSlack = 1e-9
 
-// LowerBound returns a lower bound on Simulate's IterSeconds for the
-// configuration on its pristine fabric (cfg.Scenario and cfg.AbortAbove
-// are ignored). It prepares the very iteration Simulate would run — the
-// world (from cfg.Engine's cache when set), the fabric, the partition and
-// the per-stage compute times — and evaluates it in closed form instead
-// of running its events, so it costs tens of microseconds where Simulate
-// costs milliseconds. That is what lets the joint (t, p) search order and
-// prune candidates before simulating them (core.Planner.SearchPlan).
+// LowerBound returns a lower bound on the iteration time Run reports on
+// the pristine fabric (the configuration's scenario is ignored). It
+// evaluates the prepared iteration in closed form instead of running its
+// events, so it costs tens of microseconds where Run costs milliseconds.
+// That is what lets the joint (t, p) search order and prune candidates
+// before simulating them (core.Planner.SearchPlan). The bound and its
+// terms are evaluated once, on the first call or bounded run, and a
+// bounded run's abort projection reuses them; a first call after Run
+// would read the fabric the run left behind, so call it before Run.
 //
 // The bound is the largest of three families of terms, each a lower
 // bound on any run of the iteration (property-tested in bound_test.go):
@@ -66,27 +67,28 @@ const boundSlack = 1e-9
 // On a contention-free cell the chains and tails equal the simulated
 // time up to rounding; the result is scaled by (1 − boundSlack) so that
 // rounding can never make it overshoot.
-func LowerBound(cfg Config) (float64, error) {
-	it, err := prepare(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return it.bound().value, nil
-}
+func (it *Iteration) LowerBound() float64 { return it.bound().value }
 
 // ThroughputUpperBound converts the iteration-time lower bound into a
 // samples/s upper bound — the pruning test of the joint search: a
 // candidate whose upper bound cannot beat the incumbent's simulated
 // throughput need not be simulated at all.
+func (it *Iteration) ThroughputUpperBound() float64 {
+	lb := it.LowerBound()
+	if lb <= 0 {
+		return math.Inf(1)
+	}
+	return float64(it.cfg.Spec.GlobalBatch) / lb
+}
+
+// ThroughputUpperBound prepares the configuration's iteration and
+// returns its throughput upper bound.
 func ThroughputUpperBound(cfg Config) (float64, error) {
-	lb, err := LowerBound(cfg)
+	it, err := Prepare(cfg)
 	if err != nil {
 		return 0, err
 	}
-	if lb <= 0 {
-		return math.Inf(1), nil
-	}
-	return float64(cfg.Spec.GlobalBatch) / lb, nil
+	return it.ThroughputUpperBound(), nil
 }
 
 // boundTerms is the bound together with the terms it computes on the way
@@ -103,8 +105,11 @@ type boundTerms struct {
 }
 
 // bound evaluates the prepared iteration's bound (see LowerBound) and its
-// terms.
-func (it *iteration) bound() boundTerms {
+// terms on first use, and returns them.
+func (it *Iteration) bound() *boundTerms {
+	if it.bounded {
+		return &it.terms
+	}
 	p, m := it.deg.P, float64(it.m)
 	tf, tb := it.tf, it.tb
 	fab := it.fab
@@ -178,7 +183,9 @@ func (it *iteration) bound() boundTerms {
 			bound = math.Max(bound, vol.from[id]+bytes/fab.Link(id).Capacity)
 		}
 	}
-	return boundTerms{value: bound * (1 - boundSlack), hops: hops, tails: tails, bytes: vol.bytes}
+	it.terms = boundTerms{value: bound * (1 - boundSlack), hops: hops, tails: tails, bytes: vol.bytes}
+	it.bounded = true
+	return &it.terms
 }
 
 // dpTail bounds a data-parallel group's collectives on its own links:
@@ -186,7 +193,7 @@ func (it *iteration) bound() boundTerms {
 // readiness to the group's end — that bucket, the optimizer step and the
 // parameter all-gather. Each ring edge's route goes to visit unless it
 // is nil.
-func (it *iteration) dpTail(rs *ringScratch, g *comm.Group, visit func(netsim.Route)) (bucket, tail float64) {
+func (it *Iteration) dpTail(rs *ringScratch, g *comm.Group, visit func(netsim.Route)) (bucket, tail float64) {
 	ring := rs.load(it.fab, g, visit)
 	grad, param := it.dpBytes(it.assign.StageOf(g.Ranks[0]))
 	bucket = ring.seconds(grad / float64(it.buckets()))

@@ -9,22 +9,22 @@ import (
 	"holmes/internal/topology"
 )
 
-// checkAdmissible simulates one cell and, when it is feasible, asserts
-// the analytic bound never exceeds the simulated iteration time. The
-// bound's only contract is admissibility — LowerBound(cfg) ≤
-// Simulate(cfg).IterSeconds — because the pruned joint search
+// checkAdmissible bounds and simulates one prepared cell and, when it is
+// feasible, asserts the analytic bound never exceeds the simulated
+// iteration time. The bound's only contract is admissibility —
+// LowerBound() ≤ Run's IterSeconds — because the pruned joint search
 // (core.Planner.SearchPlan) turns it into a throughput upper bound: an
 // overestimate could prune the true winner and silently change search
 // results, while looseness only costs extra simulations.
 func checkAdmissible(t *testing.T, label string, cfg Config) {
 	t.Helper()
-	rep, err := Simulate(cfg)
+	it, err := Prepare(cfg)
 	if err != nil {
 		return // infeasible cell: the search surfaces the error, nothing to bound
 	}
-	lb, err := LowerBound(cfg)
+	lb := it.LowerBound()
+	rep, _, err := it.Run(nil)
 	if err != nil {
-		t.Errorf("%s: simulates to %.6fs but LowerBound errors: %v", label, rep.IterSeconds, err)
 		return
 	}
 	if lb <= 0 {
@@ -163,12 +163,12 @@ func TestLowerBoundAdmissibleGenerated(t *testing.T) {
 func TestLowerBoundTightWithoutContention(t *testing.T) {
 	topo := topology.IBEnv(4)
 	for _, fw := range AllFrameworks {
-		cfg := Config{Topo: topo, Spec: model.Group(1).Spec, TensorSize: 1, PipelineSize: 1, Framework: fw}
-		rep, err := Simulate(cfg)
+		it, err := Prepare(Config{Topo: topo, Spec: model.Group(1).Spec, TensorSize: 1, PipelineSize: 1, Framework: fw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, err := LowerBound(cfg)
+		lb := it.LowerBound()
+		rep, _, err := it.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,17 +39,10 @@ type Config struct {
 	Framework    Framework
 	// Opt overrides the framework profile when non-nil (ablations).
 	Opt *Options
-	// World supplies prebuilt communicators (with their Assignment) so
-	// callers that already constructed them — the planner, the pipeline
-	// search — do not pay for a rebuild per simulation. It must match the
-	// topology's device count, the degrees, and the options' NIC
-	// selection; Simulate rejects mismatches rather than guessing.
-	World *comm.World
-	// Engine supplies the shared execution resources: when World is nil
-	// the communicators come from (and land in) the engine's LRU cache,
-	// and the engine's FullRecompute knob selects the netsim oracle. Nil
-	// means build communicators ad hoc and use the incremental
-	// rebalancer.
+	// Engine supplies the shared execution resources: the communicators
+	// come from (and land in) the engine's LRU cache, and the engine's
+	// FullRecompute knob selects the netsim oracle. Nil means build
+	// communicators ad hoc and use the incremental rebalancer.
 	Engine *engine.Engine
 	// Scenario scripts cluster events (NIC degradation, node failure,
 	// background traffic) onto the iteration's fabric at their simulated
@@ -103,15 +96,21 @@ func EnvLabel(topo *topology.Topology) string {
 
 // Simulate runs one training iteration and reports the paper's metrics.
 func Simulate(cfg Config) (Report, error) {
-	rep, _, err := SimulateBounded(cfg, nil)
+	it, err := Prepare(cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	rep, _, err := it.Run(nil)
 	return rep, err
 }
 
-// iteration is one training iteration prepared for its event run: the
+// Iteration is one training iteration prepared for its event run: the
 // communicators, the pristine fabric, the partition and the per-stage
-// compute times. Simulate runs it; LowerBound evaluates it instead, so
-// the bound and the simulation share one placement and one partition.
-type iteration struct {
+// compute times. LowerBound evaluates it in closed form and Run runs its
+// events, so the bound and the simulation share one placement and one
+// partition, and a bounded run's abort projection reuses the terms the
+// bound computed.
+type Iteration struct {
 	cfg    Config
 	opt    Options
 	calib  Calibration
@@ -130,12 +129,17 @@ type iteration struct {
 	// beat and pipesPerNode set each pipeline's start stagger.
 	beat         float64
 	pipesPerNode int
+
+	// terms is the bound and its terms, once LowerBound or a bounded
+	// run has evaluated them (bounded).
+	terms   boundTerms
+	bounded bool
 }
 
-// prepare validates the configuration and sets up its iteration: the
-// world from the engine cache (or the caller, or built ad hoc), the
-// fabric, the partition and the per-stage compute times.
-func prepare(cfg Config) (*iteration, error) {
+// Prepare validates the configuration and sets up its iteration: the
+// world from the engine cache (or built ad hoc), the fabric, the
+// partition and the per-stage compute times.
+func Prepare(cfg Config) (*Iteration, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("trainer: nil topology")
 	}
@@ -157,15 +161,7 @@ func prepare(cfg Config) (*iteration, error) {
 	}
 	var assign *parallel.Assignment
 	var world *comm.World
-	if cfg.World != nil {
-		world, assign = cfg.World, cfg.World.Assign
-		if assign == nil || assign.Degrees != deg || assign.N != n || world.Selection != opt.NICSelection {
-			return nil, fmt.Errorf("trainer: prebuilt world does not match config (degrees %+v, selection %v)", deg, opt.NICSelection)
-		}
-		if world.Topo != cfg.Topo && world.Topo.Fingerprint() != cfg.Topo.Fingerprint() {
-			return nil, fmt.Errorf("trainer: prebuilt world was built on a different topology")
-		}
-	} else if cfg.Engine != nil {
+	if cfg.Engine != nil {
 		assign, world, err = cfg.Engine.World(cfg.Topo, deg, opt.NICSelection)
 		if err != nil {
 			return nil, err
@@ -245,7 +241,7 @@ func prepare(cfg Config) (*iteration, error) {
 	if pipesPerNode < 1 {
 		pipesPerNode = 1
 	}
-	return &iteration{
+	return &Iteration{
 		cfg: cfg, opt: opt, calib: calib,
 		deg: deg, assign: assign, world: world, m: m,
 		eng: eng, fab: fab, part: part,
@@ -257,13 +253,13 @@ func prepare(cfg Config) (*iteration, error) {
 }
 
 // stagger is the instant a pipeline group's first stage starts.
-func (it *iteration) stagger(pg *comm.Group) float64 {
+func (it *Iteration) stagger(pg *comm.Group) float64 {
 	return it.beat * float64(pg.Index%it.pipesPerNode) / float64(it.pipesPerNode)
 }
 
 // dpBytes returns the gradient and parameter payloads each
 // data-parallel group of a stage synchronizes per iteration.
-func (it *iteration) dpBytes(stage int) (grad, param float64) {
+func (it *Iteration) dpBytes(stage int) (grad, param float64) {
 	params := float64(it.cfg.Spec.ParamsPerLayer()*int64(it.part.Layers[stage])) / float64(it.assign.T)
 	return params * it.calib.GradBytesPerParam * it.opt.ExtraDPTraffic,
 		params * it.calib.ParamBytesPerParam * it.opt.ExtraDPTraffic
@@ -272,16 +268,27 @@ func (it *iteration) dpBytes(stage int) (grad, param float64) {
 // buckets is how many reduce-scatter buckets a group's gradients split
 // into: one per micro-batch when the optimizer overlaps the backward
 // pass, one after the flush otherwise.
-func (it *iteration) buckets() int {
+func (it *Iteration) buckets() int {
 	if it.opt.OverlappedOptimizer {
 		return it.m
 	}
 	return 1
 }
 
-// run executes the prepared iteration on its event engine, against a
-// branch-and-bound deadline unless dl is nil (see SimulateBounded).
-func (it *iteration) run(dl *Deadline) (Report, Outcome, error) {
+// World returns the communicators the iteration runs on, with their
+// Assignment. They are shared and must be treated as read-only.
+func (it *Iteration) World() *comm.World { return it.world }
+
+// Run executes the prepared iteration on its event engine; an iteration
+// runs once. A nil deadline simulates to completion and still counts the
+// events fired.
+// Otherwise the run stops with ErrAboveBound as soon as it provably
+// cannot finish by the deadline's current value: when its abort
+// projection exceeds it at an op completion, when its clock passes it at
+// a collective completion, or when the clock passes the value the
+// deadline held as the run started. An iteration finishing exactly at
+// the deadline completes, so ties tie-break as usual.
+func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 	cfg, eng, fab := it.cfg, it.eng, it.fab
 	p := it.deg.P
 	tf, tb := it.tf, it.tb
@@ -561,7 +568,7 @@ type dpGroupState struct {
 	rsDone, stepped, agDone func()
 }
 
-func newIterState(it *iteration, dl *Deadline) *iterState {
+func newIterState(it *Iteration, dl *Deadline) *iterState {
 	st := &iterState{
 		eng: it.eng, assign: it.assign,
 		opt: it.opt, calib: it.calib,
