@@ -248,11 +248,11 @@ func BenchmarkAblationOverlap(b *testing.B) {
 }
 
 // BenchmarkPlanBatch measures the serving layer end to end: one
-// 32-item /v1/plan/batch request (distinct Table-3 cells) against a
-// 4-shard in-process server, decoded envelope to encoded response. This
-// is the ns/op the CI perf gate holds against BENCH_serve.json.
+// 32-item /v1/plan/batch request (distinct Table-3 cells) against an
+// in-process server, decoded envelope to encoded response. This is the
+// ns/op the CI perf gate holds against BENCH_serve.json.
 func BenchmarkPlanBatch(b *testing.B) {
-	pool := serve.New(serve.Config{Shards: 4})
+	pool := serve.New(serve.Config{})
 	handler := api.NewServerPool(pool).Handler()
 	body := []byte(loadgen.BatchBody(32, 0))
 	b.ReportAllocs()
@@ -569,7 +569,7 @@ func BenchmarkWarmBoot(b *testing.B) {
 		}
 	}
 
-	seedPool := serve.New(serve.Config{Shards: 4})
+	seedPool := serve.New(serve.Config{})
 	seedSrv := api.NewServerPool(seedPool)
 	drive(seedSrv)
 	snap, err := seedSrv.SaveSnapshot()
@@ -581,7 +581,7 @@ func BenchmarkWarmBoot(b *testing.B) {
 	b.ResetTimer()
 	var hitRatio float64
 	for i := 0; i < b.N; i++ {
-		pool := serve.New(serve.Config{Shards: 4})
+		pool := serve.New(serve.Config{})
 		srv := api.NewServerPool(pool)
 		if _, err := srv.LoadSnapshot(snap); err != nil {
 			b.Fatal(err)

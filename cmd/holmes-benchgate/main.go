@@ -1,23 +1,25 @@
 // Command holmes-benchgate is the CI perf-regression gate: it parses
-// `go test -bench` output, takes the fastest repetition of each gated
-// benchmark (the minimum is the least noisy location estimate on shared
-// runners), compares it to the committed ledger, and exits non-zero when
-// a benchmark regressed by more than the allowed fraction. When the
-// ledger records allocs/op (requires -benchmem output), allocation count
-// is gated the same way — a concurrency refactor can't silently trade
-// speed for garbage.
+// `go test -bench` output and compares each benchmark the repo's ledgers
+// name against its committed level, exiting non-zero when one regressed
+// by more than the allowed fraction. ns/op is taken at the fastest
+// repetition (the minimum is the least noisy location estimate on shared
+// runners); allocs/op, where the ledger records it (requires -benchmem
+// output), at the median of the repetitions, which is how the ledgers
+// record it — a concurrency refactor can't silently trade speed for
+// garbage.
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^(BenchmarkTable3|BenchmarkPlanBatch|BenchmarkFleetSchedule|BenchmarkFleetScheduleWarm|BenchmarkFleetMutate|BenchmarkFleetMutateLarge)$' -benchmem -count 3 . | tee bench.txt
-//	holmes-benchgate -max-regress 0.25 < bench.txt
-//	holmes-benchgate -gate BenchmarkTable3=BENCH_baseline.json -gate BenchmarkPlanBatch=BENCH_serve.json < bench.txt
+//	go test -run '^$' -bench '^(BenchmarkTable3|BenchmarkPlanBatch)$' -benchmem -count 5 . | tee bench.txt
+//	holmes-benchgate -max-regress 0.25 -max-alloc-regress 0.01 < bench.txt
 //
-// Ledgers are the repo's BENCH_*.json documents. Each gates its
-// benchmarks through a `benchmarks` section mapping benchmark name to
-// {ns_per_op, allocs_per_op}: the level the recording change measured,
-// which later changes must hold. A gated name with no usable entry there
-// is an error (exit 2).
+// Ledgers are the BENCH_*.json documents in the working directory. Each
+// gates its benchmarks through a `benchmarks` section mapping benchmark
+// name to {ns_per_op, allocs_per_op}: the level the recording change
+// measured, which later changes must hold. Every entry of every ledger
+// is gated, in name order, so the input must hold every one of them. An
+// entry with no usable level, or a benchmark two ledgers name, is an
+// error (exit 2).
 //
 // Work counters are gated exactly. An entry's `counters` map is keyed
 // by the unit the benchmark reports a counter in ("searches/op",
@@ -35,25 +37,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// gates maps benchmark name -> ledger path; repeated -gate flags add
-// entries.
-type gates map[string]string
-
-func (g gates) String() string { return fmt.Sprint(map[string]string(g)) }
-
-func (g gates) Set(s string) error {
-	name, path, ok := strings.Cut(s, "=")
-	if !ok || name == "" || path == "" {
-		return fmt.Errorf("bad -gate %q (want BenchmarkName=ledger.json)", s)
-	}
-	g[name] = path
-	return nil
-}
 
 // target is one gated level: ns/op always, allocs/op when the ledger
 // records it (0 = not gated), and the work counters it holds exactly,
@@ -76,15 +64,53 @@ func (l ledger) resolve(name string) (target, bool) {
 	return t, ok && t.NsPerOp > 0
 }
 
+// ledgerLevels reads every BENCH_*.json ledger in dir and returns the
+// gate level of each benchmark their `benchmarks` maps name. An entry
+// without a usable level, or a benchmark two ledgers name, is an error.
+func ledgerLevels(dir string) (map[string]target, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no BENCH_*.json ledger in %s", dir)
+	}
+	levels := make(map[string]target)
+	owner := make(map[string]string)
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		var led ledger
+		if err := json.Unmarshal(raw, &led); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		for name := range led.Benchmarks {
+			if prev, dup := owner[name]; dup {
+				return nil, fmt.Errorf("%s is named by both %s and %s", name, prev, path)
+			}
+			want, ok := led.resolve(name)
+			if !ok {
+				return nil, fmt.Errorf("%s has no usable level for %s", path, name)
+			}
+			owner[name] = path
+			levels[name] = want
+		}
+	}
+	return levels, nil
+}
+
 // measurement is one parsed benchmark result: min ns/op across
-// repetitions, the allocs/op of that same fastest repetition (-1 when
-// the output had no -benchmem columns), the number of repetitions, and
-// every repetition's value of each other metric, by unit.
+// repetitions, the median allocs/op across them (-1 when the output had
+// no -benchmem columns), the number of repetitions, and every
+// repetition's value of each other metric, by unit.
 type measurement struct {
 	NsPerOp     float64
 	AllocsPerOp float64
 	Reps        int
 	Counters    map[string][]float64
+	allocs      []float64
 }
 
 // parseBench extracts per-benchmark measurements from `go test -bench`
@@ -93,8 +119,9 @@ type measurement struct {
 //	BenchmarkPlanBatch-8   3   98861041 ns/op   32.00 plans/req  33411216 B/op  648282 allocs/op
 //
 // value-unit pairs after the iteration count; the -8 GOMAXPROCS suffix is
-// stripped, and multiple repetitions (from -count) collapse to the one
-// with minimum ns/op, keeping every repetition's other metrics.
+// stripped, and multiple repetitions (from -count) collapse to the
+// minimum ns/op and the median allocs/op, keeping every repetition's
+// other metrics.
 func parseBench(r io.Reader) (map[string]measurement, error) {
 	best := make(map[string]measurement)
 	sc := bufio.NewScanner(r)
@@ -113,10 +140,6 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 		if !ok {
 			continue
 		}
-		allocs, ok := vals["allocs/op"]
-		if !ok {
-			allocs = -1
-		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
@@ -133,12 +156,34 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 				cur.Counters[unit] = append(cur.Counters[unit], v)
 			}
 		}
+		if allocs, ok := vals["allocs/op"]; ok {
+			cur.allocs = append(cur.allocs, allocs)
+		}
 		if !seen || ns < cur.NsPerOp {
-			cur.NsPerOp, cur.AllocsPerOp = ns, allocs
+			cur.NsPerOp = ns
 		}
 		best[name] = cur
 	}
+	for name, m := range best {
+		m.AllocsPerOp = median(m.allocs)
+		best[name] = m
+	}
 	return best, sc.Err()
+}
+
+// median returns the middle value of xs, the mean of the two middle
+// values for an even count, and -1 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return -1
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // check gates one measured value against one ledger level; returns true
@@ -193,26 +238,16 @@ func checkCounters(name string, want target, got measurement) bool {
 }
 
 func main() {
-	g := gates{}
 	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional ns/op regression vs the ledger")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0.25, "allowed fractional allocs/op regression vs the ledger (for ledger entries that record allocs_per_op)")
-	flag.Var(g, "gate", "BenchmarkName=ledger.json (repeatable; default gates Table3, ScenarioImpaired, PlanBatch, the four fleet benchmarks, SearchCold, and WarmBoot)")
 	input := flag.String("input", "-", "bench output file (- = stdin)")
 	flag.Parse()
-	if len(g) == 0 {
-		g = gates{
-			"BenchmarkTable3":            "BENCH_baseline.json",
-			"BenchmarkScenarioImpaired":  "BENCH_baseline.json",
-			"BenchmarkPlanBatch":         "BENCH_serve.json",
-			"BenchmarkFleetSchedule":     "BENCH_fleet.json",
-			"BenchmarkFleetScheduleWarm": "BENCH_fleet.json",
-			"BenchmarkFleetMutate":       "BENCH_fleet.json",
-			"BenchmarkFleetMutateLarge":  "BENCH_fleet.json",
-			"BenchmarkSearchCold":        "BENCH_coldpath.json",
-			"BenchmarkWarmBoot":          "BENCH_coldpath.json",
-		}
-	}
 
+	levels, err := ledgerLevels(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "holmes-benchgate:", err)
+		os.Exit(2)
+	}
 	in := os.Stdin
 	if *input != "-" {
 		f, err := os.Open(*input)
@@ -229,29 +264,20 @@ func main() {
 		os.Exit(2)
 	}
 
+	names := make([]string, 0, len(levels))
+	for name := range levels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	failed := false
-	for name, path := range g {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "holmes-benchgate:", err)
-			os.Exit(2)
-		}
-		var led ledger
-		if err := json.Unmarshal(raw, &led); err != nil {
-			fmt.Fprintf(os.Stderr, "holmes-benchgate: %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		want, ok := led.resolve(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "holmes-benchgate: %s has no usable level for %s\n", path, name)
-			os.Exit(2)
-		}
+	for _, name := range names {
 		got, ok := measured[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "holmes-benchgate: %s not found in bench output\n", name)
 			failed = true
 			continue
 		}
+		want := levels[name]
 		if check(name, "ns/op", got.NsPerOp, want.NsPerOp, *maxRegress) {
 			failed = true
 		}

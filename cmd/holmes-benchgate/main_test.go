@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,8 +37,9 @@ func TestParseBench(t *testing.T) {
 	if got["BenchmarkPlanBatch"].NsPerOp != 95000000 {
 		t.Fatalf("PlanBatch min: %v", got["BenchmarkPlanBatch"])
 	}
-	// Allocs ride with the fastest repetition.
-	if got["BenchmarkPlanBatch"].AllocsPerOp != 640000 {
+	// Allocs are the median of the repetitions (the mean of the middle
+	// two for an even count), as the ledgers record them.
+	if got["BenchmarkPlanBatch"].AllocsPerOp != 644141 {
 		t.Fatalf("PlanBatch allocs: %v", got["BenchmarkPlanBatch"])
 	}
 	if len(got) != 2 {
@@ -54,18 +57,68 @@ func TestParseBenchIgnoresNoise(t *testing.T) {
 	}
 }
 
-func TestGateFlagParsing(t *testing.T) {
-	g := gates{}
-	if err := g.Set("BenchmarkTable3=BENCH_baseline.json"); err != nil {
+// TestAllocsGateTakesMedian: a process's first repetition can allocate
+// a few percent more than the rest, and it is sometimes the fastest. The
+// allocation gate must hold the median, which the ledgers record, not
+// that repetition.
+func TestAllocsGateTakesMedian(t *testing.T) {
+	const out = `BenchmarkPlanBatch-2 	       1	  26300000 ns/op	        32.00 plans/req	33411216 B/op	   26486 allocs/op
+BenchmarkPlanBatch-2 	       1	  27600000 ns/op	        32.00 plans/req	33411216 B/op	   25714 allocs/op
+BenchmarkPlanBatch-2 	       1	  29000000 ns/op	        32.00 plans/req	33411216 B/op	   25713 allocs/op
+`
+	got, err := parseBench(strings.NewReader(out))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g["BenchmarkTable3"] != "BENCH_baseline.json" {
-		t.Fatalf("gate map: %v", g)
+	m := got["BenchmarkPlanBatch"]
+	if m.NsPerOp != 26300000 {
+		t.Fatalf("ns/op must stay the fastest repetition: %+v", m)
 	}
-	for _, bad := range []string{"", "NoEquals", "=x", "Name="} {
-		if err := g.Set(bad); err == nil {
-			t.Errorf("accepted bad gate %q", bad)
+	if check("BenchmarkPlanBatch", "allocs/op", m.AllocsPerOp, 25714, 0.01) {
+		t.Fatalf("a fastest repetition 3%% above the other two failed a 1%% gate at their level: %+v", m)
+	}
+}
+
+func TestLedgerLevels(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	write("BENCH_a.json", `{"benchmarks": {"BenchmarkA": {"ns_per_op": 42, "allocs_per_op": 7}}}`)
+	write("BENCH_b.json", `{"benchmarks": {"BenchmarkB": {"ns_per_op": 9, "counters": {"searches/op": 0.5}}}}`)
+	write("other.json", `{"benchmarks": {"BenchmarkA": {"ns_per_op": 1}}}`)
+	levels, err := ledgerLevels(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]target{
+		"BenchmarkA": {NsPerOp: 42, AllocsPerOp: 7},
+		"BenchmarkB": {NsPerOp: 9, Counters: map[string]float64{"searches/op": 0.5}},
+	}
+	if !reflect.DeepEqual(levels, want) {
+		t.Fatalf("levels %+v, want %+v", levels, want)
+	}
+
+	// A benchmark two ledgers name is an error, and so is an entry with
+	// no usable level.
+	write("BENCH_c.json", `{"benchmarks": {"BenchmarkA": {"ns_per_op": 1}}}`)
+	if _, err := ledgerLevels(dir); err == nil || !strings.Contains(err.Error(), "named by both") {
+		t.Fatalf("duplicate benchmark: %v", err)
+	}
+	write("BENCH_c.json", `{"benchmarks": {"BenchmarkC": {"ns_per_op": 0}}}`)
+	if _, err := ledgerLevels(dir); err == nil || !strings.Contains(err.Error(), "no usable level") {
+		t.Fatalf("unusable level: %v", err)
+	}
+	if _, err := ledgerLevels(t.TempDir()); err == nil {
+		t.Fatal("a directory with no ledger must be an error")
+	}
+
+	// The repo's own ledgers load.
+	if levels, err := ledgerLevels("../.."); err != nil || len(levels) == 0 {
+		t.Fatalf("repo ledgers: %d levels, %v", len(levels), err)
 	}
 }
 
@@ -125,8 +178,8 @@ func TestParseBenchCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := got["BenchmarkSearchCold"]
-	// Every repetition's metrics, in order, by unit; the level stays the
-	// fastest.
+	// Every repetition's metrics, in order, by unit; ns/op stays the
+	// fastest and allocs/op is the median.
 	want := map[string][]float64{
 		"aborted/op":   {213, 214},
 		"events/op":    {2324990, 2311358},
@@ -136,7 +189,7 @@ func TestParseBenchCounters(t *testing.T) {
 	if !reflect.DeepEqual(sc.Counters, want) {
 		t.Fatalf("SearchCold counters: %v, want %v", sc.Counters, want)
 	}
-	if sc.NsPerOp != 584121094 || sc.AllocsPerOp != 277789 || sc.Reps != 2 {
+	if sc.NsPerOp != 584121094 || sc.AllocsPerOp != 277803 || sc.Reps != 2 {
 		t.Fatalf("SearchCold level: %+v", sc)
 	}
 	// ns/op, B/op and allocs/op are levels, not counters.

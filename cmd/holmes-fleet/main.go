@@ -3,12 +3,12 @@
 // reports the resulting schedule: per-job placements, start/finish
 // times, makespan, and fleet utilization. The replay is deterministic:
 // the same trace produces the identical schedule on every run, with any
-// worker count and any -shards setting.
+// worker count.
 //
 // Usage:
 //
 //	holmes-fleet -trace internal/fleet/testdata/fleet12.json
-//	holmes-fleet -trace trace.json -shards 4 -json -out schedule.json
+//	holmes-fleet -trace trace.json -json -out schedule.json
 //	holmes-fleet -trace trace.json -policy priority   # or edf, fair, fifo
 //
 // A trace file names the fleet (env/nodes shorthand or explicit
@@ -26,15 +26,14 @@ import (
 	"sort"
 	"strings"
 
+	"holmes/internal/engine"
 	"holmes/internal/fleet"
-	"holmes/internal/serve"
 )
 
 func main() {
 	var (
 		tracePath = flag.String("trace", "", "fleet trace JSON file (required)")
-		shards    = flag.Int("shards", 1, "engine shards to route through (the schedule is invariant to this)")
-		workers   = flag.Int("workers", 0, "per-shard worker-pool bound (0 = CPU count)")
+		workers   = flag.Int("workers", 0, "engine worker-pool bound (0 = CPU count)")
 		asJSON    = flag.Bool("json", false, "emit the schedule as JSON instead of a table")
 		outPath   = flag.String("out", "", "also write the schedule JSON to this file")
 		policy    = flag.String("policy", "", "override the trace's scheduling policy: "+strings.Join(fleet.PolicyNames(), ", ")+" (default: the trace's, else "+fleet.DefaultPolicy+")")
@@ -55,12 +54,7 @@ func main() {
 	if err := tr.Validate(); err != nil {
 		fatal(err)
 	}
-	topo, err := tr.Fleet.Topology()
-	if err != nil {
-		fatal(err)
-	}
-	pool := serve.New(serve.Config{Shards: *shards, ShardConcurrency: *workers})
-	sched, err := fleet.Replay(pool.ShardFor(topo.Fingerprint()), tr)
+	sched, err := fleet.Replay(engine.New(engine.Config{Concurrency: *workers}), tr)
 	if err != nil {
 		fatal(err)
 	}

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	holmes-serve -addr :8080 -shards 4 &
+//	holmes-serve -addr :8080 &
 //	holmes-loadgen -url http://127.0.0.1:8080 -workers 32 -duration 10s
 //	holmes-loadgen -url http://127.0.0.1:8080 -mix plan=1 -duration 5s   # plan-only
 //	holmes-loadgen -url http://127.0.0.1:8080 -mix plan=8,search=1,simulate=2,batch=1

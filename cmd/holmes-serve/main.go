@@ -1,9 +1,8 @@
 // Command holmes-serve exposes the Holmes scheduler as a JSON/HTTP
 // daemon built for throughput: requests are admitted through a bounded
-// queue (saturation answers 429 + Retry-After), routed over a pool of
-// independent engine shards by topology fingerprint (cache hits stay
-// shard-local), and identical in-flight plan/search requests are
-// coalesced into one computation.
+// queue (saturation answers 429 + Retry-After), computed on one shared
+// engine, and identical in-flight plan/search requests are coalesced
+// into one computation.
 //
 // The daemon shuts down gracefully: SIGINT/SIGTERM switch it to drain
 // mode (new admission-gated work answers 429, observability routes keep
@@ -32,7 +31,7 @@
 // Usage:
 //
 //	holmes-serve -addr :8080
-//	holmes-serve -addr :8080 -shards 4 -workers 4 -cache 1024 -max-inflight 64 -max-queue 512
+//	holmes-serve -addr :8080 -workers 4 -cache 1024 -max-inflight 64 -max-queue 512
 //	holmes-serve -addr :8080 -cache-snapshot /var/lib/holmes/cache.json -snapshot-interval 5m
 //	holmes-serve -addr :8080 -journal-dir /var/lib/holmes/fleet -fleet-policy priority
 //	holmes-serve -addr :8080 -pprof   # mounts /debug/pprof/
@@ -113,9 +112,8 @@ func writeSnapshot(srv *api.Server, path string) {
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		shards   = flag.Int("shards", 1, "independent engine shards (requests hash to shards by topology fingerprint)")
-		workers  = flag.Int("workers", 0, "per-shard worker-pool bound (0 = CPU count)")
-		cache    = flag.Int("cache", 0, "per-shard communicator cache entries (0 = default 512, negative = disabled)")
+		workers  = flag.Int("workers", 0, "engine worker-pool bound (0 = CPU count)")
+		cache    = flag.Int("cache", 0, "engine communicator cache entries (0 = default 512, negative = disabled)")
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = max(8, 2x CPU count))")
 		queue    = flag.Int("max-queue", 0, "max requests waiting for admission (0 = 8x max-inflight, negative = none); beyond this the server answers 429")
 		retry    = flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 responses")
@@ -132,14 +130,13 @@ func main() {
 	flag.Parse()
 
 	pool := serve.New(serve.Config{
-		Shards:           *shards,
-		ShardConcurrency: *workers,
-		ShardCacheSize:   *cache,
-		FullRecompute:    *oracle,
-		MaxInFlight:      *inflight,
-		MaxQueue:         *queue,
-		RetryAfter:       *retry,
-		ResponseCache:    *resp,
+		Concurrency:   *workers,
+		CacheSize:     *cache,
+		FullRecompute: *oracle,
+		MaxInFlight:   *inflight,
+		MaxQueue:      *queue,
+		RetryAfter:    *retry,
+		ResponseCache: *resp,
 	})
 	apiSrv := api.NewServerPool(pool)
 	apiSrv.EnablePprof(*pprofOn)
@@ -160,8 +157,8 @@ func main() {
 		Handler:           apiSrv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	fmt.Printf("holmes-serve %s listening on %s (shards=%d, workers=%d)\n",
-		api.Version, *addr, pool.Shards(), pool.Concurrency())
+	fmt.Printf("holmes-serve %s listening on %s (workers=%d)\n",
+		api.Version, *addr, pool.Engine().Concurrency())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

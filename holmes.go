@@ -21,11 +21,11 @@
 //	rows, err := holmes.RunExperimentOn(eng, "table3")
 //
 // cmd/holmes-serve serves the same engine stack over JSON/HTTP through
-// a throughput layer (NewServePool): engine shards routed by topology
-// fingerprint, admission control with 429 backpressure, request
-// coalescing, a response cache, and a batch endpoint:
+// a throughput layer (NewServePool): one engine, admission control with
+// 429 backpressure, request coalescing, a response cache, and a batch
+// endpoint:
 //
-//	go run ./cmd/holmes-serve -addr :8080 -shards 4 &
+//	go run ./cmd/holmes-serve -addr :8080 &
 //	curl -s localhost:8080/v1/plan -d '{"env":"Hybrid","nodes":8,"model":{"group":3},"tensor_size":1,"pipeline_size":4}'
 //	curl -s localhost:8080/v1/plan/batch -d '{"items":[{"op":"search","config":{"env":"RoCE","nodes":4,"model":{"group":1}}}]}'
 //	curl -s localhost:8080/v1/stats
@@ -101,10 +101,10 @@ type (
 	// the events the simulations fired, and whole searches answered
 	// from the winner memo.
 	SearchStats = engine.SearchStats
-	// ServePool is the serving layer over engine shards: requests hash to
-	// the shard owning their topology fingerprint, admission is bounded
-	// (shed load answers 429), and identical deterministic requests are
-	// coalesced in flight and replayed from a response cache afterwards.
+	// ServePool is the serving layer over one engine: admission is
+	// bounded (shed load answers 429), and identical deterministic
+	// requests are coalesced in flight and replayed from a response cache
+	// afterwards.
 	ServePool = serve.Pool
 	// ServeConfig fixes a ServePool's shape at construction.
 	ServeConfig = serve.Config
@@ -211,9 +211,9 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // entry points (Plan, AutoPlan, RunExperiment, ...) delegate to.
 func DefaultEngine() *Engine { return engine.Default() }
 
-// NewServePool constructs the sharded serving layer cmd/holmes-serve
-// runs on (see ServePool). Zero config fields take defaults: one shard,
-// max(8, 2×CPU) admitted requests with an 8× queue, a 4096-entry
+// NewServePool constructs the serving layer cmd/holmes-serve runs on
+// (see ServePool). Zero config fields take defaults: a CPU-count worker
+// pool, max(8, 2×CPU) admitted requests with an 8× queue, a 4096-entry
 // response cache.
 func NewServePool(cfg ServeConfig) *ServePool { return serve.New(cfg) }
 

@@ -51,7 +51,7 @@ func serveOnce(h http.Handler, method, path, body string) *httptest.ResponseReco
 func TestRepeatAnswersStoredBytes(t *testing.T) {
 	for _, c := range reformatted {
 		t.Run(c.path, func(t *testing.T) {
-			pool, srv := newSnapshotServer(t, 1)
+			pool, srv := newSnapshotServer(t)
 			h := srv.Handler()
 			n := uint64(c.answers)
 			var first []byte
@@ -102,7 +102,7 @@ func TestRepeatAnswersStoredBytes(t *testing.T) {
 // A run of distinct bodies never hits — what the response-cache hit
 // ratio of a workload without repeats must read — and stores no bytes.
 func TestDistinctBodiesNeverHit(t *testing.T) {
-	pool, srv := newSnapshotServer(t, 1)
+	pool, srv := newSnapshotServer(t)
 	h := srv.Handler()
 	for _, env := range []string{"InfiniBand", "RoCE", "Ethernet"} {
 		for p := 1; p <= 2; p++ {
@@ -122,7 +122,7 @@ func TestDistinctBodiesNeverHit(t *testing.T) {
 // its canonical entry, the failed one from scratch — and answers the
 // same bytes.
 func TestBatchWithItemErrorIsRecomputed(t *testing.T) {
-	pool, srv := newSnapshotServer(t, 1)
+	pool, srv := newSnapshotServer(t)
 	h := srv.Handler()
 	body := fmt.Sprintf(`{"items":[{"op":"plan","config":%s},{"op":"plan","config":%s}]}`,
 		`{"env":"InfiniBand","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2}`, batchInfeasibleCfg)

@@ -1,11 +1,10 @@
 // Package api is the JSON/HTTP surface of the Holmes scheduler
-// (cmd/holmes-serve): a handler layer over a serve.Pool of engine
-// shards. Every request is admitted through the pool's gate (saturation
-// answers 429 with Retry-After), routed to the shard owning its topology
-// fingerprint, and — for deterministic plan/search work — coalesced with
-// identical in-flight requests so duplicate traffic costs one
-// computation, and a byte-identical repeat is answered its stored bytes
-// before any decode (see DESIGN.md decision 8).
+// (cmd/holmes-serve): a handler layer over a serve.Pool and its engine.
+// Every request is admitted through the pool's gate (saturation answers
+// 429 with Retry-After) and — for deterministic plan/search work —
+// coalesced with identical in-flight requests so duplicate traffic costs
+// one computation, and a byte-identical repeat is answered its stored
+// bytes before any decode (see DESIGN.md decision 8).
 //
 // Routes:
 //
@@ -54,7 +53,7 @@ import (
 // Version identifies the API release (mirrors the facade version).
 const Version = "1.7.0"
 
-// Server serves the Holmes planning API on a pool of engine shards.
+// Server serves the Holmes planning API on a serve.Pool.
 type Server struct {
 	pool   *serve.Pool
 	fleets fleetRegistry
@@ -73,15 +72,8 @@ type Server struct {
 	dashboardEnabled bool
 }
 
-// NewServer returns a single-shard server on the given engine (nil = the
-// shared default engine) — the pre-sharding constructor, kept for
-// embedders that manage their own engine.
-func NewServer(eng *engine.Engine) *Server {
-	return NewServerPool(serve.FromEngine(eng))
-}
-
-// NewServerPool returns a server on an explicit shard pool (nil = one
-// default pool), the constructor cmd/holmes-serve uses.
+// NewServerPool returns a server on the pool (nil = a pool with default
+// settings).
 func NewServerPool(p *serve.Pool) *Server {
 	if p == nil {
 		p = serve.New(serve.Config{})
@@ -91,7 +83,7 @@ func NewServerPool(p *serve.Pool) *Server {
 	return s
 }
 
-// Pool exposes the server's shard pool (observability and tests).
+// Pool exposes the server's pool (observability and tests).
 func (s *Server) Pool() *serve.Pool { return s.pool }
 
 // Events exposes the live event hub (operators publish into it; the
@@ -312,7 +304,6 @@ func errStatus(err error) int {
 type HealthResponse struct {
 	Status      string                   `json:"status"`
 	Version     string                   `json:"version"`
-	Shards      int                      `json:"shards"`
 	Concurrency int                      `json:"concurrency"`
 	Cache       engine.CacheStats        `json:"cache"`
 	PlanCache   engine.CacheStats        `json:"plan_cache"`
@@ -323,15 +314,15 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	eng := s.pool.Engine()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:      "ok",
 		Version:     Version,
-		Shards:      s.pool.Shards(),
-		Concurrency: s.pool.Concurrency(),
-		Cache:       s.pool.CacheStats(),
-		PlanCache:   s.pool.PlanCacheStats(),
+		Concurrency: eng.Concurrency(),
+		Cache:       eng.CacheStats(),
+		PlanCache:   eng.PlanCacheStats(),
 		Responses:   s.pool.ResponseCacheStats(),
-		Search:      s.pool.SearchStats(),
+		Search:      eng.SearchStats(),
 		Serve:       s.pool.Stats().Snapshot(),
 		Events:      s.events.Stats(),
 	})
@@ -340,7 +331,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // StatsResponse is the outcome of /v1/stats.
 type StatsResponse struct {
 	Version string `json:"version"`
-	Shards  int    `json:"shards"`
 	// InFlight/Queued/Rejected describe the admission gate right now;
 	// per-endpoint counters live under Serve.
 	InFlight int    `json:"in_flight"`
@@ -360,17 +350,17 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	inFlight, queued, rejected, canceled := s.pool.Gate()
+	eng := s.pool.Engine()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Version:   Version,
-		Shards:    s.pool.Shards(),
 		InFlight:  inFlight,
 		Queued:    queued,
 		Rejected:  rejected,
 		Canceled:  canceled,
-		Cache:     s.pool.CacheStats(),
-		PlanCache: s.pool.PlanCacheStats(),
+		Cache:     eng.CacheStats(),
+		PlanCache: eng.PlanCacheStats(),
 		Responses: s.pool.ResponseCacheStats(),
-		Search:    s.pool.SearchStats(),
+		Search:    eng.SearchStats(),
 		Serve:     s.pool.Stats().Snapshot(),
 		Events:    s.events.Stats(),
 	})
@@ -448,7 +438,7 @@ const maxScenarioEvents = 256
 
 // maxMicroBatches bounds global_batch / micro_batch, the micro-batches a
 // request's data-parallel replicas share. A simulation's cost is linear
-// in micro-batches, so without it one small body could hold a shard for
+// in micro-batches, so without it one small body could hold a worker for
 // hours; 4096 is 5x the largest in-repo use (GPT-39B, 1536 / 2 = 768).
 const maxMicroBatches = 4096
 
@@ -566,14 +556,13 @@ func coalesce[T any](s *Server, ep string, op string, c *config.Config, seen *si
 	return v.(*T), nil
 }
 
-// plannerFor builds a request-scoped planner on the shard owning the
-// config's topology.
+// plannerFor builds a request-scoped planner on the pool's engine.
 func (s *Server) plannerFor(c *config.Config) (*core.Planner, error) {
 	topo, spec, fw, opt, err := c.Components()
 	if err != nil {
 		return nil, err
 	}
-	pl, err := core.NewPlannerOn(s.pool.ShardFor(topo.Fingerprint()), topo, spec)
+	pl, err := core.NewPlannerOn(s.pool.Engine(), topo, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +626,7 @@ func (s *Server) runSimulate(ep string, c *config.Config, seen *sighting) (*Simu
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-		tc.Engine = s.pool.ShardFor(tc.Topo.Fingerprint())
+		tc.Engine = s.pool.Engine()
 		rep, err := trainer.Simulate(tc)
 		if err != nil {
 			return nil, errf(http.StatusUnprocessableEntity, "%v", err)
@@ -713,7 +702,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown experiment %q (have %v)", id, experiments.Names)
 		return
 	}
-	rows, err := experiments.NewSuite(s.pool.ShardFor("experiment:" + id)).Run(id)
+	rows, err := experiments.NewSuite(s.pool.Engine()).Run(id)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return

@@ -10,17 +10,16 @@ import (
 	"sync"
 	"testing"
 
-	"holmes/internal/engine"
 	"holmes/internal/fleet"
 )
 
-// newTestServer starts a single-engine server whose fleets run in
+// newTestServer starts a server on a default pool whose fleets run in
 // memory on a stopped fake clock: /v1/jobs then answers the
 // virtual-replay view (a zero submit stays at instant 0, nothing
 // finishes or retires on its own).
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	return startServer(t, NewServer(engine.New(engine.Config{})), "", fleet.NewFakeClock())
+	return startServer(t, NewServerPool(nil), "", fleet.NewFakeClock())
 }
 
 // startServer points s's fleets at dir ("" = in memory) and clock and

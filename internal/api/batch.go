@@ -8,13 +8,12 @@ import (
 	"net/http"
 
 	"holmes/internal/config"
-	"holmes/internal/pool"
 )
 
 // POST /v1/plan/batch answers up to maxBatchItems heterogeneous
 // plan/search/simulate specs in one round trip. Items are mutually
-// independent: they fan out over the shard pool (each on the shard
-// owning its topology), results come back in input order, and one item's
+// independent: they fan out over the engine's worker budget, results
+// come back in input order, and one item's
 // failure is reported in its slot without failing the batch. The whole
 // batch occupies a single admission slot — a 256-item batch is one unit
 // of backpressure, not 256.
@@ -146,11 +145,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // runBatch answers decoded batch items.
 func (s *Server) runBatch(jobs []batchJob) *BatchResponse {
 	resp := &BatchResponse{Count: len(jobs), Results: make([]BatchItemResult, len(jobs))}
-	// Fan the items over the pool's total worker budget. Results land at
+	// Fan the items over the engine's worker budget. Results land at
 	// their input index, so ordering never depends on scheduling; item
 	// failures land in their slot as (status, error).
-	workers := s.pool.Concurrency()
-	pool.Run(len(jobs), workers, func(i int) {
+	s.pool.Engine().Go(len(jobs), func(i int) {
 		res := BatchItemResult{Index: i}
 		var opErr error
 		switch jobs[i].op {

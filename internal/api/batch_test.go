@@ -231,7 +231,7 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) {
 // TestStatsSearchBlockCountsEvents: the search block of /v1/stats
 // counts the cells of a search and the events its simulations fired.
 func TestStatsSearchBlockCountsEvents(t *testing.T) {
-	srv := newPoolServer(t, serve.New(serve.Config{Shards: 1}))
+	srv := newPoolServer(t, serve.New(serve.Config{}))
 	if code, raw := post(t, srv, "/v1/search", batchSearchCfg); code != http.StatusOK {
 		t.Fatalf("search: %d %s", code, raw)
 	}
@@ -244,7 +244,7 @@ func TestStatsSearchBlockCountsEvents(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	pool := serve.New(serve.Config{Shards: 2})
+	pool := serve.New(serve.Config{})
 	srv := newPoolServer(t, pool)
 	for i := 0; i < 2; i++ {
 		if code, raw := post(t, srv, "/v1/plan", planBody); code != http.StatusOK {
@@ -254,7 +254,7 @@ func TestStatsEndpoint(t *testing.T) {
 	post(t, srv, "/v1/plan", `{"nope":`) // one malformed request
 	var st StatsResponse
 	getJSON(t, srv, "/v1/stats", &st)
-	if st.Shards != 2 || st.Version != Version {
+	if st.Version != Version {
 		t.Fatalf("stats header: %+v", st)
 	}
 	ep := st.Serve.Endpoints[epPlan]
@@ -278,11 +278,11 @@ func TestStatsEndpoint(t *testing.T) {
 	// The same counters ride on /healthz.
 	var h HealthResponse
 	getJSON(t, srv, "/healthz", &h)
-	if h.Shards != 2 || h.Serve.Endpoints[epPlan].Requests != 3 {
+	if h.Serve.Endpoints[epPlan].Requests != 3 {
 		t.Fatalf("healthz serve block: %+v", h.Serve.Endpoints[epPlan])
 	}
-	// The one real computation populated exactly one shard's world cache.
-	if h.Cache.Misses == 0 || h.Responses.Hits != 1 {
+	// The one real computation filled exactly one world-cache entry.
+	if h.Cache.Size != 1 || h.Cache.Misses == 0 || h.Responses.Hits != 1 {
 		t.Fatalf("cache stats: %+v / %+v", h.Cache, h.Responses)
 	}
 }

@@ -133,7 +133,7 @@ func (s *Server) ConfigureOperators(mode OperatorMode) (int, error) {
 		if _, dup := fr.ops[fp]; dup {
 			return recovered, fmt.Errorf("api: journals %s and fleet %s describe the same topology", path, fp)
 		}
-		op, err := fleet.NewOperator(s.pool.ShardFor(fp), spec, fleet.OperatorConfig{
+		op, err := fleet.NewOperator(s.pool.Engine(), spec, fleet.OperatorConfig{
 			Clock:   mode.Clock,
 			Journal: path,
 			Events:  s.events,
@@ -212,7 +212,7 @@ func (s *Server) operatorFor(fp string, spec fleet.Spec, policy string) (*fleet.
 	if policy == "" {
 		policy = fr.mode.Policy
 	}
-	op, err := fleet.NewOperator(s.pool.ShardFor(fp), spec, fleet.OperatorConfig{
+	op, err := fleet.NewOperator(s.pool.Engine(), spec, fleet.OperatorConfig{
 		Clock:   fr.mode.Clock,
 		Journal: fr.journalPath(fp),
 		Policy:  policy,

@@ -249,13 +249,13 @@ func soakJob(c, j int) fleet.Job {
 }
 
 // TestJobsDeterminismSoak is the fleet scheduler's concurrency wall: 32
-// clients submit, poll, and cancel jobs against a 4-shard pool under
-// -race, while a sampler watches /v1/stats mid-storm. Afterwards the
-// served schedule must be bit-identical to a sequential replay of the
-// surviving job set on a fresh engine — the interleaving, the shard
-// count, and the storm must leave no trace in the answer.
+// clients submit, poll, and cancel jobs against one pool under -race,
+// while a sampler watches /v1/stats mid-storm. Afterwards the served
+// schedule must be bit-identical to a sequential replay of the
+// surviving job set on a fresh engine — the interleaving and the storm
+// must leave no trace in the answer.
 func TestJobsDeterminismSoak(t *testing.T) {
-	pool := serve.New(serve.Config{Shards: 4, MaxInFlight: 32, MaxQueue: 1024})
+	pool := serve.New(serve.Config{MaxInFlight: 32, MaxQueue: 1024})
 	srv := newPoolServer(t, pool)
 	const clients = 32
 

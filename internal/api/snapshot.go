@@ -9,7 +9,6 @@ import (
 
 	"holmes/internal/config"
 	"holmes/internal/core"
-	"holmes/internal/engine"
 )
 
 // Cache snapshot/warm-start: everything in the response cache and the
@@ -45,8 +44,9 @@ type snapshotPayload struct {
 	// Responses are completed-answer cache entries, least-recently-used
 	// first (so replaying in order restores the recency order).
 	Responses []responseSnapshot `json:"responses"`
-	// Plans are the serializable plan-cache entries (search-winner memo).
-	Plans []engine.PlanSnapshotEntry `json:"plans"`
+	// Plans are the search-winner memo entries, least-recently-used
+	// first.
+	Plans []core.MemoEntry `json:"plans"`
 }
 
 // responseSnapshot is one response-cache entry: the operation, the
@@ -95,7 +95,11 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 			Op: op, Config: json.RawMessage(cfg), Response: resp,
 		})
 	}
-	payload.Plans = s.pool.SnapshotPlans(core.SearchMemoCodec())
+	plans, err := core.SaveSearchMemo(s.pool.Engine())
+	if err != nil {
+		return nil, fmt.Errorf("api: snapshot plans: %w", err)
+	}
+	payload.Plans = plans
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("api: snapshot payload: %w", err)
@@ -173,18 +177,15 @@ func (s *Server) LoadSnapshot(data []byte) (SnapshotCounts, error) {
 		}
 		responses = append(responses, staged{key: key, val: val})
 	}
-	plans, err := engine.DecodePlans(payload.Plans, core.SearchMemoCodec())
-	if err != nil {
+	// The memo restore is the last check: it stores nothing unless every
+	// entry decodes, and the staged responses are stored only after it.
+	if err := core.RestoreSearchMemo(s.pool.Engine(), payload.Plans); err != nil {
 		return SnapshotCounts{}, err
 	}
-
 	for _, r := range responses {
 		s.pool.StoreResponse(r.key, r.val)
 	}
-	for _, d := range plans {
-		s.pool.ShardFor(d.Route).StorePlan(d.Key, d.Val)
-	}
-	return SnapshotCounts{Responses: len(responses), Plans: len(plans)}, nil
+	return SnapshotCounts{Responses: len(responses), Plans: len(payload.Plans)}, nil
 }
 
 // decodeSnapshotResponse re-types one cached response by operation. A

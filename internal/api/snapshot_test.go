@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"holmes/internal/core"
 	"holmes/internal/serve"
 )
 
@@ -30,9 +29,9 @@ var snapshotCorpus = []struct{ path, body string }{
 }
 
 // newSnapshotServer builds a pool-backed server without a listener.
-func newSnapshotServer(tb testing.TB, shards int) (*serve.Pool, *Server) {
+func newSnapshotServer(tb testing.TB) (*serve.Pool, *Server) {
 	tb.Helper()
-	pool := serve.New(serve.Config{Shards: shards})
+	pool := serve.New(serve.Config{})
 	return pool, NewServerPool(pool)
 }
 
@@ -55,7 +54,7 @@ func driveCorpus(tb testing.TB, srv *Server) []string {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	pool1, srv1 := newSnapshotServer(t, 2)
+	pool1, srv1 := newSnapshotServer(t)
 	want := driveCorpus(t, srv1)
 	if st := pool1.ResponseCacheStats(); st.Size != len(snapshotCorpus) {
 		t.Fatalf("seed server cached %d responses, want %d", st.Size, len(snapshotCorpus))
@@ -74,7 +73,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("envelope %s/%d/%s", env.Format, env.Version, env.APIVersion)
 	}
 
-	pool2, srv2 := newSnapshotServer(t, 2)
+	pool2, srv2 := newSnapshotServer(t)
 	counts, err := srv2.LoadSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +102,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotLoadIdempotent: loading the same snapshot twice re-keys
 // through the normal LRU path, so nothing duplicates or errors.
 func TestSnapshotLoadIdempotent(t *testing.T) {
-	_, srv1 := newSnapshotServer(t, 1)
+	_, srv1 := newSnapshotServer(t)
 	driveCorpus(t, srv1)
 	snap, err := srv1.SaveSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool2, srv2 := newSnapshotServer(t, 1)
+	pool2, srv2 := newSnapshotServer(t)
 	for i := 0; i < 2; i++ {
 		if _, err := srv2.LoadSnapshot(snap); err != nil {
 			t.Fatalf("load %d: %v", i, err)
@@ -136,7 +135,7 @@ func corruptSnapshot(t *testing.T, snap []byte, mutate func(env *snapshotEnvelop
 }
 
 func TestSnapshotRejectsBadFiles(t *testing.T) {
-	_, srv1 := newSnapshotServer(t, 1)
+	_, srv1 := newSnapshotServer(t)
 	driveCorpus(t, srv1)
 	snap, err := srv1.SaveSnapshot()
 	if err != nil {
@@ -168,7 +167,7 @@ func TestSnapshotRejectsBadFiles(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pool, srv := newSnapshotServer(t, 1)
+			pool, srv := newSnapshotServer(t)
 			counts, err := srv.LoadSnapshot(tc.data)
 			if err == nil {
 				t.Fatalf("accepted %s (loaded %+v)", tc.name, counts)
@@ -180,7 +179,7 @@ func TestSnapshotRejectsBadFiles(t *testing.T) {
 			if st := pool.ResponseCacheStats(); st.Size != 0 {
 				t.Fatalf("rejected snapshot still stored %d responses", st.Size)
 			}
-			if entries := pool.SnapshotPlans(core.SearchMemoCodec()); len(entries) != 0 {
+			if entries := pool.Engine().PlanEntries(); len(entries) != 0 {
 				t.Fatalf("rejected snapshot still stored %d plan entries", len(entries))
 			}
 		})
@@ -191,7 +190,7 @@ func TestSnapshotRejectsBadFiles(t *testing.T) {
 // Retry-After, while the observability routes keep answering — the
 // shutdown sequence relies on both halves.
 func TestDrainMode(t *testing.T) {
-	_, srv := newSnapshotServer(t, 1)
+	_, srv := newSnapshotServer(t)
 	handler := srv.Handler()
 	do := func(method, path, body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, path, strings.NewReader(body))
@@ -227,7 +226,7 @@ func TestDrainMode(t *testing.T) {
 
 // TestPprofMount: the profiling mux is operator-opt-in only.
 func TestPprofMount(t *testing.T) {
-	_, srv := newSnapshotServer(t, 1)
+	_, srv := newSnapshotServer(t)
 	get := func(h http.Handler, path string) int {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		rec := httptest.NewRecorder()
@@ -272,7 +271,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	// One real snapshot with live entries, so mutations explore the
 	// payload structure too.
-	_, seedSrv := newSnapshotServer(f, 1)
+	_, seedSrv := newSnapshotServer(f)
 	req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(snapshotCorpus[0].body))
 	rec := httptest.NewRecorder()
 	seedSrv.Handler().ServeHTTP(rec, req)
@@ -286,10 +285,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("snapshot inputs beyond 1 MiB add nothing structurally")
 		}
-		pool, srv := newSnapshotServer(t, 1)
+		pool, srv := newSnapshotServer(t)
 		counts, err := srv.LoadSnapshot(data)
 		st := pool.ResponseCacheStats()
-		plans := pool.SnapshotPlans(core.SearchMemoCodec())
+		plans := pool.Engine().PlanEntries()
 		if err != nil {
 			if strings.TrimSpace(err.Error()) == "" {
 				t.Fatal("empty error message")

@@ -23,18 +23,17 @@ func soakBudget() time.Duration {
 	return 2 * time.Second
 }
 
-// TestSoakShardedServer is the serving layer's load test: 32 concurrent
-// closed-loop clients hammer a 4-shard server with the full request mix
-// for a bounded wall-clock budget (run under -race in CI). It asserts
+// TestSoakServer is the serving layer's load test: 32 concurrent
+// closed-loop clients hammer a server with the full request mix for a
+// bounded wall-clock budget (run under -race in CI). It asserts
 //
 //   - zero non-backpressure errors — every response is 200 or 429,
 //   - batch answers bit-identical to sequential single-request answers
 //     after the storm,
-//   - per-shard LRU cache statistics stay monotone and sane while being
-//     sampled mid-storm.
-func TestSoakShardedServer(t *testing.T) {
+//   - the engine's LRU cache statistics stay monotone and sane while
+//     being sampled mid-storm.
+func TestSoakServer(t *testing.T) {
 	pool := serve.New(serve.Config{
-		Shards:      4,
 		MaxInFlight: 32,
 		MaxQueue:    512,
 	})

@@ -23,7 +23,7 @@ import (
 // pointers, inherently process-local — the memo entry is a pair of small
 // integers derived deterministically from its key, which is what makes
 // it the one plan-cache entry kind worth persisting across process
-// restarts (SearchMemoCodec, DESIGN.md decision 11).
+// restarts (SaveSearchMemo and RestoreSearchMemo, DESIGN.md decision 11).
 
 // searchMemoKey is the package-private plan-cache key (cannot collide
 // with other packages' key types).
@@ -74,55 +74,86 @@ type searchMemoValJSON struct {
 // searchMemoKind tags memo entries in snapshots.
 const searchMemoKind = "core.search-winner"
 
-type searchMemoCodec struct{}
-
-// SearchMemoCodec returns the engine.PlanCodec that persists search-
-// winner memo entries (the snapshot/warm-start path of holmes-serve).
-func SearchMemoCodec() engine.PlanCodec { return searchMemoCodec{} }
-
-func (searchMemoCodec) Kind() string { return searchMemoKind }
-
-func (searchMemoCodec) Encode(key, val any) (engine.PlanSnapshotEntry, bool) {
-	k, ok := key.(searchMemoKey)
-	if !ok {
-		return engine.PlanSnapshotEntry{}, false
-	}
-	v, ok := val.(searchMemoVal)
-	if !ok {
-		return engine.PlanSnapshotEntry{}, false
-	}
-	kb, err := json.Marshal(searchMemoJSON{
-		Fingerprint: k.fp, Spec: k.spec, Framework: string(k.fw),
-		Options: k.opts, Space: k.space,
-	})
-	if err != nil {
-		return engine.PlanSnapshotEntry{}, false
-	}
-	vb, err := json.Marshal(searchMemoValJSON{Tensor: v.T, Pipeline: v.P})
-	if err != nil {
-		return engine.PlanSnapshotEntry{}, false
-	}
-	return engine.PlanSnapshotEntry{Kind: searchMemoKind, Key: kb, Val: vb}, true
+// MemoEntry is one search-winner memo entry as a cache snapshot stores
+// it: its kind tag, key and value.
+type MemoEntry struct {
+	Kind string          `json:"kind"`
+	Key  json.RawMessage `json:"key"`
+	Val  json.RawMessage `json:"val"`
 }
 
-func (searchMemoCodec) Decode(e engine.PlanSnapshotEntry) (any, any, string, error) {
+// SaveSearchMemo renders the engine's search-winner memo entries, least
+// recently used first, so restoring them in order reproduces the
+// recency order. The plan cache's other entries, the fleet scheduler's
+// live planner pointers, are process-local and left out.
+func SaveSearchMemo(eng *engine.Engine) ([]MemoEntry, error) {
+	var out []MemoEntry
+	for _, pe := range eng.PlanEntries() {
+		k, ok := pe.Key.(searchMemoKey)
+		if !ok {
+			continue
+		}
+		v, ok := pe.Val.(searchMemoVal)
+		if !ok {
+			continue
+		}
+		kb, err := json.Marshal(searchMemoJSON{
+			Fingerprint: k.fp, Spec: k.spec, Framework: string(k.fw),
+			Options: k.opts, Space: k.space,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: memo key: %w", err)
+		}
+		vb, err := json.Marshal(searchMemoValJSON{Tensor: v.T, Pipeline: v.P})
+		if err != nil {
+			return nil, fmt.Errorf("core: memo value: %w", err)
+		}
+		out = append(out, MemoEntry{Kind: searchMemoKind, Key: kb, Val: vb})
+	}
+	return out, nil
+}
+
+// RestoreSearchMemo stores snapshot memo entries on the engine, in
+// order. It decodes every entry before storing any, and fails without
+// storing on an entry of another kind or one that does not decode: a
+// snapshot that decodes halfway must not half-poison the cache.
+func RestoreSearchMemo(eng *engine.Engine, entries []MemoEntry) error {
+	staged := make([]engine.PlanEntry, len(entries))
+	for i, e := range entries {
+		if e.Kind != searchMemoKind {
+			return fmt.Errorf("core: snapshot entry %d has unknown kind %q", i, e.Kind)
+		}
+		key, val, err := decodeMemoEntry(e)
+		if err != nil {
+			return fmt.Errorf("core: snapshot entry %d (%s): %w", i, e.Kind, err)
+		}
+		staged[i] = engine.PlanEntry{Key: key, Val: val}
+	}
+	for _, pe := range staged {
+		eng.StorePlan(pe.Key, pe.Val)
+	}
+	return nil
+}
+
+// decodeMemoEntry reconstructs one entry's in-memory key and value.
+func decodeMemoEntry(e MemoEntry) (searchMemoKey, searchMemoVal, error) {
 	var kj searchMemoJSON
 	if err := json.Unmarshal(e.Key, &kj); err != nil {
-		return nil, nil, "", fmt.Errorf("core: bad memo key: %w", err)
+		return searchMemoKey{}, searchMemoVal{}, fmt.Errorf("bad memo key: %w", err)
 	}
 	var vj searchMemoValJSON
 	if err := json.Unmarshal(e.Val, &vj); err != nil {
-		return nil, nil, "", fmt.Errorf("core: bad memo value: %w", err)
+		return searchMemoKey{}, searchMemoVal{}, fmt.Errorf("bad memo value: %w", err)
 	}
 	if kj.Fingerprint == "" || kj.Space == "" {
-		return nil, nil, "", fmt.Errorf("core: memo entry missing fingerprint or space")
+		return searchMemoKey{}, searchMemoVal{}, fmt.Errorf("memo entry missing fingerprint or space")
 	}
 	if vj.Tensor < 1 || vj.Pipeline < 1 {
-		return nil, nil, "", fmt.Errorf("core: memo entry has non-positive degrees (t=%d, p=%d)", vj.Tensor, vj.Pipeline)
+		return searchMemoKey{}, searchMemoVal{}, fmt.Errorf("memo entry has non-positive degrees (t=%d, p=%d)", vj.Tensor, vj.Pipeline)
 	}
 	key := searchMemoKey{
 		fp: kj.Fingerprint, spec: kj.Spec, fw: trainer.Framework(kj.Framework),
 		opts: kj.Options, space: kj.Space,
 	}
-	return key, searchMemoVal{T: vj.Tensor, P: vj.Pipeline}, kj.Fingerprint, nil
+	return key, searchMemoVal{T: vj.Tensor, P: vj.Pipeline}, nil
 }

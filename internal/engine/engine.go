@@ -263,9 +263,9 @@ func (e *Engine) World(topo *topology.Topology, deg parallel.Degrees, sel comm.S
 // Plan returns the cached slice-plan value for an opaque comparable key,
 // if present. The plan cache is the engine-wide successor of the fleet
 // scheduler's per-Scheduler memo: identical carve fingerprints recur
-// across jobs, across schedulers, and across /v1/jobs fleets routed to
-// the same shard, so the memo lives next to the communicator cache where
-// all of them can share it. Values are opaque to the engine; callers key
+// across jobs, across schedulers, and across a server's /v1/jobs
+// fleets, so the memo lives next to the communicator cache where all of
+// them can share it. Values are opaque to the engine; callers key
 // with their own comparable types (a package-private key type cannot
 // collide with another package's) and must treat stored values as
 // immutable.
@@ -283,15 +283,6 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-}
-
-// Add accumulates another snapshot into s — the serving layer aggregates
-// per-shard caches into one /healthz figure this way.
-func (s CacheStats) Add(o CacheStats) CacheStats {
-	return CacheStats{
-		Size: s.Size + o.Size, Cap: s.Cap + o.Cap,
-		Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses, Evictions: s.Evictions + o.Evictions,
-	}
 }
 
 // CacheStats reports communicator-cache occupancy and hit/miss/eviction

@@ -1,40 +1,6 @@
 package engine
 
-import (
-	"encoding/json"
-	"fmt"
-	"sync/atomic"
-)
-
-// Plan-cache snapshotting: the plan cache holds opaque values, some of
-// which are serializable facts (the joint search's winning degrees) and
-// some of which are live object graphs (the fleet scheduler's planner
-// pointers). A PlanCodec is how a key-owning package opts its entries
-// into persistence: it recognizes its own key/value types, renders them
-// as JSON, and reconstructs them on load. Entries no codec claims are
-// simply not snapshotted — a snapshot holds deterministic, re-keyable
-// facts only (DESIGN.md decision 11).
-
-// PlanSnapshotEntry is one serialized plan-cache entry.
-type PlanSnapshotEntry struct {
-	// Kind names the codec that owns the entry.
-	Kind string          `json:"kind"`
-	Key  json.RawMessage `json:"key"`
-	Val  json.RawMessage `json:"val"`
-}
-
-// PlanCodec serializes one kind of plan-cache entry.
-type PlanCodec interface {
-	// Kind is the entry tag this codec owns.
-	Kind() string
-	// Encode renders an entry, or reports false when the key is not one
-	// of this codec's.
-	Encode(key, val any) (PlanSnapshotEntry, bool)
-	// Decode reconstructs the in-memory key and value, plus the routing
-	// key ("" when the entry has no shard affinity) a sharded pool should
-	// hash to place the entry on the shard that will look it up.
-	Decode(e PlanSnapshotEntry) (key, val any, route string, err error)
-}
+import "sync/atomic"
 
 // PlanEntry is one live plan-cache pair.
 type PlanEntry struct {
@@ -51,51 +17,6 @@ func (e *Engine) PlanEntries() []PlanEntry {
 		out[i] = PlanEntry{Key: p.key, Val: p.val}
 	}
 	return out
-}
-
-// SnapshotPlans serializes every plan-cache entry some codec claims,
-// least-recently-used first.
-func (e *Engine) SnapshotPlans(codecs ...PlanCodec) []PlanSnapshotEntry {
-	var out []PlanSnapshotEntry
-	for _, pe := range e.PlanEntries() {
-		for _, c := range codecs {
-			if entry, ok := c.Encode(pe.Key, pe.Val); ok {
-				out = append(out, entry)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// DecodedPlan is one snapshot entry reconstructed by its codec.
-type DecodedPlan struct {
-	Key, Val any
-	// Route is the shard-affinity key (normally a topology fingerprint).
-	Route string
-}
-
-// DecodePlans reconstructs every entry, or fails without partial results:
-// a snapshot that decodes halfway must not half-poison a cache, so
-// callers store entries only after the whole file decoded.
-func DecodePlans(entries []PlanSnapshotEntry, codecs ...PlanCodec) ([]DecodedPlan, error) {
-	byKind := make(map[string]PlanCodec, len(codecs))
-	for _, c := range codecs {
-		byKind[c.Kind()] = c
-	}
-	out := make([]DecodedPlan, 0, len(entries))
-	for i, e := range entries {
-		c, ok := byKind[e.Kind]
-		if !ok {
-			return nil, fmt.Errorf("engine: snapshot entry %d has unknown kind %q", i, e.Kind)
-		}
-		key, val, route, err := c.Decode(e)
-		if err != nil {
-			return nil, fmt.Errorf("engine: snapshot entry %d (%s): %w", i, e.Kind, err)
-		}
-		out = append(out, DecodedPlan{Key: key, Val: val, Route: route})
-	}
-	return out, nil
 }
 
 // entries snapshots the cache pairs from tail (least recently used) to
@@ -138,18 +59,6 @@ type SearchStats struct {
 	Aborted   uint64 `json:"aborted"`
 	Events    uint64 `json:"events"`
 	MemoHits  uint64 `json:"memo_hits"`
-}
-
-// Add accumulates another snapshot into s (per-shard aggregation).
-func (s SearchStats) Add(o SearchStats) SearchStats {
-	return SearchStats{
-		Searches:  s.Searches + o.Searches,
-		Simulated: s.Simulated + o.Simulated,
-		Pruned:    s.Pruned + o.Pruned,
-		Aborted:   s.Aborted + o.Aborted,
-		Events:    s.Events + o.Events,
-		MemoHits:  s.MemoHits + o.MemoHits,
-	}
 }
 
 // searchCounters is the engine-side atomic storage behind SearchStats.

@@ -7,8 +7,7 @@
 // numbering on every slice — scores candidate placements with the
 // engine-backed joint (t, p) SearchPlan, and runs FIFO with EASY
 // backfill under fully deterministic tie-breaking: a given trace always
-// produces the identical schedule, regardless of engine concurrency or
-// shard count.
+// produces the identical schedule, regardless of engine concurrency.
 //
 // Scenario events thread through the replay clock: fail_node evicts and
 // requeues exactly the jobs whose slice lost the node (their residual
@@ -180,7 +179,7 @@ type Schedule struct {
 // Scheduler carries no trace state between Replay calls and is safe for
 // concurrent replays; slice plans are memoized on the engine's shared
 // plan cache, so identical carve fingerprints hit across jobs, across
-// schedulers, and across every fleet bound to the same engine shard.
+// schedulers, and across every fleet bound to the same engine.
 type Scheduler struct {
 	topo *topology.Topology
 	eng  *engine.Engine

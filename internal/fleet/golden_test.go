@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"holmes/internal/serve"
 )
 
 // Golden-file regression for the fleet scheduler: the committed
@@ -130,32 +128,4 @@ func TestFleet12MatchesGolden(t *testing.T) {
 		t.Fatal("canonical trace exercised no eviction; the fail_node arm is dead")
 	}
 	checkGolden(t, "fleet12", sched)
-}
-
-// TestFleet12ShardInvariant replays the golden trace through engines
-// drawn from sharded serve pools of different sizes: the schedule must
-// be bit-identical regardless of the -shards setting, because the shard
-// only decides which communicator cache warms up, never the answer.
-func TestFleet12ShardInvariant(t *testing.T) {
-	tr := loadTrace(t)
-	topo, err := tr.Fleet.Topology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blobs []string
-	for _, shards := range []int{1, 4} {
-		pool := serve.New(serve.Config{Shards: shards})
-		sched, err := Replay(pool.ShardFor(topo.Fingerprint()), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, string(b))
-	}
-	if blobs[0] != blobs[1] {
-		t.Fatalf("shard count changed the schedule:\n%s\nvs\n%s", blobs[0], blobs[1])
-	}
 }

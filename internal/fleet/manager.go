@@ -33,7 +33,7 @@ var (
 // goroutines, and the schedule observed at any instant is the
 // deterministic replay of the live job set ordered by (submit, id) —
 // independent of the interleaving that built the set. Submitting the
-// same jobs in any order, on any number of shards, yields bit-identical
+// same jobs in any order, on any engine, yields bit-identical
 // schedules.
 //
 // Schedules are computed incrementally. Each job is validated and

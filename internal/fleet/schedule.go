@@ -20,7 +20,7 @@ import (
 // Every queue and run scan is ordered by (time, trace index), every node
 // choice takes lowest original index first, and candidate scoring
 // selects its winner in input order — so the schedule is a pure function
-// of the trace, independent of engine concurrency or shard layout.
+// of the trace, independent of engine concurrency.
 
 // nodeFactors is the cumulative degrade state of one node (1 = pristine),
 // mirroring scenario.StateAt semantics for the two classes carving can

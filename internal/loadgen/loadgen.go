@@ -140,7 +140,7 @@ func PlanBodies() []string {
 
 // SearchBodies returns the /v1/search corpus: the four environments at 4
 // nodes, group 1 (search fans out internally, so a few distinct bodies
-// already keep every shard busy).
+// already keep every worker busy).
 func SearchBodies() []string {
 	var bodies []string
 	for _, env := range []string{"InfiniBand", "RoCE", "Ethernet", "Hybrid"} {

@@ -1,13 +1,11 @@
 // Package serve is the throughput layer between the HTTP handlers
-// (internal/api) and the planning engine (internal/engine): a sharded
-// engine pool, an admission gate, and in-flight request coalescing.
+// (internal/api) and the planning engine (internal/engine): one engine
+// per pool, an admission gate, in-flight request coalescing, and a
+// completed-answer cache.
 //
-// Sharding: a Pool owns N independent engine.Engine shards and routes
-// each request to the shard picked by hashing its topology fingerprint.
-// All requests about one topology land on one shard, so its communicator
-// LRU stays hot for exactly that working set and shards never contend on
-// a shared cache lock. Independent topologies spread across shards and
-// scale with cores.
+// One engine: every request computes on the pool's engine.Engine. Its
+// worker pool starts goroutines per call, so more engines would split
+// only its caches and counters, never the CPU (DESIGN.md decision 8).
 //
 // Admission: a pool.Gate bounds how many requests execute at once and
 // how many may wait; everything beyond that is rejected immediately so
@@ -17,16 +15,13 @@
 // Coalescing: planning is deterministic, so two identical in-flight
 // requests must produce identical answers — the pool executes the first
 // and hands the same result to the rest (a single-flight group keyed by
-// the canonical request). The key includes the full configuration, which
-// already pins the shard, so coalesced callers always agree on the
-// engine that answered.
+// the canonical request).
 package serve
 
 import (
 	"context"
 	"crypto/sha256"
 	"errors"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"time"
@@ -37,14 +32,12 @@ import (
 
 // Config fixes a Pool's shape at construction time.
 type Config struct {
-	// Shards is the number of independent engine shards (0 = 1).
-	Shards int
-	// ShardConcurrency bounds each shard's worker pool (0 = CPU count).
-	ShardConcurrency int
-	// ShardCacheSize bounds each shard's communicator cache (0 = engine
+	// Concurrency bounds the engine's worker pool (0 = CPU count).
+	Concurrency int
+	// CacheSize bounds the engine's communicator cache (0 = engine
 	// default, negative = disabled).
-	ShardCacheSize int
-	// FullRecompute runs every shard's engine in oracle mode
+	CacheSize int
+	// FullRecompute runs the engine in oracle mode
 	// (engine.Config.FullRecompute): full-recompute netsim, exhaustive
 	// search, and from-scratch fleet replay.
 	FullRecompute bool
@@ -64,11 +57,11 @@ type Config struct {
 	ResponseCache int
 }
 
-// Pool routes requests over engine shards with admission control,
-// coalescing, and per-endpoint statistics.
+// Pool runs requests on one engine with admission control, coalescing,
+// and per-endpoint statistics.
 type Pool struct {
 	cfg    Config
-	shards []*engine.Engine
+	eng    *engine.Engine
 	gate   *pool.Gate
 	stats  *Stats
 	flight flightGroup
@@ -77,9 +70,6 @@ type Pool struct {
 
 // New constructs a pool, normalizing zero config fields to defaults.
 func New(cfg Config) *Pool {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = max(8, 2*runtime.NumCPU())
 	}
@@ -97,75 +87,26 @@ func New(cfg Config) *Pool {
 	} else if respSize < 0 {
 		respSize = 0
 	}
-	p := &Pool{cfg: cfg, gate: pool.NewGate(cfg.MaxInFlight, cfg.MaxQueue), stats: newStats()}
-	p.resp.init(respSize)
-	for i := 0; i < cfg.Shards; i++ {
-		p.shards = append(p.shards, engine.New(engine.Config{
-			Concurrency:   cfg.ShardConcurrency,
-			CacheSize:     cfg.ShardCacheSize,
+	p := &Pool{
+		cfg: cfg,
+		eng: engine.New(engine.Config{
+			Concurrency:   cfg.Concurrency,
+			CacheSize:     cfg.CacheSize,
 			FullRecompute: cfg.FullRecompute,
-		}))
+		}),
+		gate:  pool.NewGate(cfg.MaxInFlight, cfg.MaxQueue),
+		stats: newStats(),
 	}
+	p.resp.init(respSize)
 	return p
 }
 
-// FromEngine wraps one prebuilt engine (nil = the shared default) as a
-// single-shard pool with default admission limits — the compatibility
-// path for api.NewServer.
-func FromEngine(eng *engine.Engine) *Pool {
-	if eng == nil {
-		eng = engine.Default()
-	}
-	p := New(Config{Shards: 1})
-	p.shards[0] = eng
-	return p
-}
+// Engine returns the pool's planning engine.
+func (p *Pool) Engine() *engine.Engine { return p.eng }
 
-// Shards reports the shard count.
-func (p *Pool) Shards() int { return len(p.shards) }
-
-// Shard returns shard i (observability and tests).
-func (p *Pool) Shard(i int) *engine.Engine { return p.shards[i] }
-
-// ShardIndex hashes a routing key (normally a topology fingerprint) to a
-// shard index with FNV-1a. The mapping is stable across processes, so a
-// fleet of servers shards identically.
-func (p *Pool) ShardIndex(key string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(p.shards)))
-}
-
-// ShardFor returns the engine shard owning the routing key.
-func (p *Pool) ShardFor(key string) *engine.Engine { return p.shards[p.ShardIndex(key)] }
-
-// Concurrency reports the summed worker-pool bound across shards.
-func (p *Pool) Concurrency() int {
-	total := 0
-	for _, s := range p.shards {
-		total += s.Concurrency()
-	}
-	return total
-}
-
-// CacheStats aggregates the communicator-cache counters across shards.
-func (p *Pool) CacheStats() engine.CacheStats {
-	var agg engine.CacheStats
-	for _, s := range p.shards {
-		agg = agg.Add(s.CacheStats())
-	}
-	return agg
-}
-
-// PlanCacheStats aggregates the shared slice-plan-cache counters across
-// shards (the fleet scheduler's memo — see engine.Engine.Plan).
-func (p *Pool) PlanCacheStats() engine.CacheStats {
-	var agg engine.CacheStats
-	for _, s := range p.shards {
-		agg = agg.Add(s.PlanCacheStats())
-	}
-	return agg
-}
+// ShardFor returns the pool's engine whatever the key: it is Engine
+// under the name benchmark/layers calls.
+func (p *Pool) ShardFor(string) *engine.Engine { return p.eng }
 
 // Admit asks the gate for an execution slot. ok=false means the caller
 // must shed the request (429); otherwise release must be called exactly

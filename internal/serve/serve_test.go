@@ -5,88 +5,14 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"holmes/internal/comm"
 	"holmes/internal/engine"
-	"holmes/internal/parallel"
-	"holmes/internal/topology"
 )
-
-func TestShardRoutingStable(t *testing.T) {
-	p := New(Config{Shards: 4})
-	q := New(Config{Shards: 4})
-	keys := []string{
-		topology.HybridEnv(8).Fingerprint(),
-		topology.IBEnv(4).Fingerprint(),
-		topology.RoCEEnv(6).Fingerprint(),
-		topology.EthernetEnv(8).Fingerprint(),
-	}
-	used := map[int]bool{}
-	for _, k := range keys {
-		i := p.ShardIndex(k)
-		if i < 0 || i >= 4 {
-			t.Fatalf("shard index %d out of range", i)
-		}
-		if j := p.ShardIndex(k); j != i {
-			t.Fatalf("unstable shard for %q: %d then %d", k, i, j)
-		}
-		// Two pools of the same width agree (a fleet shards identically).
-		if j := q.ShardIndex(k); j != i {
-			t.Fatalf("pools disagree on %q: %d vs %d", k, i, j)
-		}
-		if p.ShardFor(k) != p.Shard(i) {
-			t.Fatal("ShardFor did not return the indexed shard")
-		}
-		used[i] = true
-	}
-	// Many distinct keys must not all collapse onto one shard.
-	for n := 0; n < 64; n++ {
-		used[p.ShardIndex(fmt.Sprintf("key-%d", n))] = true
-	}
-	if len(used) < 2 {
-		t.Fatalf("68 keys landed on %d shard(s)", len(used))
-	}
-}
-
-func TestPoolShardIsolation(t *testing.T) {
-	p := New(Config{Shards: 2, ShardConcurrency: 3})
-	if p.Shards() != 2 {
-		t.Fatalf("shards %d", p.Shards())
-	}
-	if p.Concurrency() != 6 {
-		t.Fatalf("total concurrency %d, want 6", p.Concurrency())
-	}
-	// Warming one shard's cache must not touch the other.
-	topo := topology.HybridEnv(4)
-	i := p.ShardIndex(topo.Fingerprint())
-	deg := parallel.Degrees{T: 1, P: 2, D: topo.NumDevices() / 2}
-	if _, _, err := p.Shard(i).World(topo, deg, comm.AutoSelection); err != nil {
-		t.Fatal(err)
-	}
-	other := p.Shard(1 - i).CacheStats()
-	if other.Misses != 0 || other.Size != 0 {
-		t.Fatalf("other shard saw traffic: %+v", other)
-	}
-	agg := p.CacheStats()
-	if agg.Size != 1 || agg.Misses != 1 {
-		t.Fatalf("aggregate cache stats: %+v", agg)
-	}
-}
-
-func TestFromEngineWrapsSharedEngine(t *testing.T) {
-	eng := engine.New(engine.Config{Concurrency: 2})
-	p := FromEngine(eng)
-	if p.Shards() != 1 || p.Shard(0) != eng {
-		t.Fatal("FromEngine must expose the given engine as the only shard")
-	}
-	if FromEngine(nil).Shard(0) != engine.Default() {
-		t.Fatal("FromEngine(nil) must wrap the default engine")
-	}
-}
 
 func TestCoalesceSharesOneExecution(t *testing.T) {
 	p := New(Config{})
@@ -393,13 +319,23 @@ func TestResponseCacheDisabled(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	p := New(Config{})
-	if p.Shards() != 1 {
-		t.Fatalf("default shards %d", p.Shards())
+	if eng := p.Engine(); eng.Concurrency() != runtime.NumCPU() || eng.CacheStats().Cap != engine.DefaultCacheSize || eng.FullRecompute() {
+		t.Fatalf("default engine: concurrency %d, cache %+v, full recompute %v", eng.Concurrency(), eng.CacheStats(), eng.FullRecompute())
+	}
+	if p.ShardFor("any key") != p.Engine() {
+		t.Fatal("ShardFor must return the pool's engine")
 	}
 	if p.RetryAfter() != time.Second {
 		t.Fatalf("default retry-after %v", p.RetryAfter())
 	}
 	if p.cfg.MaxInFlight < 8 || p.cfg.MaxQueue < 64 {
 		t.Fatalf("default admission too tight: %+v", p.cfg)
+	}
+}
+
+func TestConfigReachesEngine(t *testing.T) {
+	eng := New(Config{Concurrency: 3, CacheSize: -1, FullRecompute: true}).Engine()
+	if eng.Concurrency() != 3 || eng.CacheStats().Cap != 0 || !eng.FullRecompute() {
+		t.Fatalf("engine: concurrency %d, cache %+v, full recompute %v", eng.Concurrency(), eng.CacheStats(), eng.FullRecompute())
 	}
 }

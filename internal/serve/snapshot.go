@@ -1,13 +1,9 @@
 package serve
 
-import "holmes/internal/engine"
-
-// Pool-level snapshot plumbing: the serving layer collects cache entries
-// across shards for persistence. The API layer restores them (see
-// internal/api/snapshot.go): it re-keys response-cache entries, whose key
-// format it owns, and stores each plan-cache entry on the shard its
-// routing key (the topology fingerprint) hashes to — the shard that will
-// actually look it up.
+// Pool-level snapshot plumbing: the serving layer hands its response
+// cache out for persistence. The API layer restores it (see
+// internal/api/snapshot.go) by re-keying each entry, since it owns the
+// key format.
 
 // ResponseEntry is one live response-cache pair.
 type ResponseEntry struct {
@@ -29,23 +25,4 @@ func (p *Pool) ResponseEntries() []ResponseEntry {
 		out = append(out, ResponseEntry{Key: e.key, Val: e.val})
 	}
 	return out
-}
-
-// SnapshotPlans serializes every snapshot-able plan-cache entry across
-// all shards (see engine.Engine.SnapshotPlans).
-func (p *Pool) SnapshotPlans(codecs ...engine.PlanCodec) []engine.PlanSnapshotEntry {
-	var out []engine.PlanSnapshotEntry
-	for _, s := range p.shards {
-		out = append(out, s.SnapshotPlans(codecs...)...)
-	}
-	return out
-}
-
-// SearchStats aggregates the joint-search counters across shards.
-func (p *Pool) SearchStats() engine.SearchStats {
-	var agg engine.SearchStats
-	for _, s := range p.shards {
-		agg = agg.Add(s.SearchStats())
-	}
-	return agg
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // fmtFingerprint is the fmt.Fprintf formatter Fingerprint used to be.
-// Journal names, shard routes and cache-snapshot routes were derived from
-// its bytes, so it stays here as the reference the strconv version must
+// Journal names and cache-snapshot memo keys were derived from its
+// bytes, so it stays here as the reference the strconv version must
 // match byte for byte.
 func fmtFingerprint(t *topology.Topology) string {
 	var b strings.Builder

@@ -252,8 +252,8 @@ func (t *Topology) String() string {
 // cover everything communicator construction and the fabric read.
 //
 // The bytes are persisted, so the format is frozen: journal file names
-// are the FNV-64a hash of the fingerprint, and shard routes and
-// cache-snapshot routes key on it. The layout is "g<G>", then
+// are the FNV-64a hash of the fingerprint, and cache-snapshot memo
+// entries store it. The layout is "g<G>", then
 // "|<NIC>:<nodes>" per cluster, then
 // ";<RDMA NIC>*<NICs>x<RDMA Gbps>:<intra>:e<Eth Gbps>:m<mem bytes>" per
 // node. Floats print in strconv's shortest 'g' form, which is what fmt's
