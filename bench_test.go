@@ -105,7 +105,9 @@ func BenchmarkTable4(b *testing.B) {
 // scenario grid's impairment arm (straggler + loss + delay + seeded
 // jitter on node 0): the cost of the per-flow impairment fold — jitter
 // draws, latency stacking, efficiency derating — on top of a plain
-// simulation. Gated against BENCH_baseline.json in CI.
+// simulation. It runs no search, so the work it reports — events fired,
+// flows started and rebalance passes per op — repeats exactly. Gated
+// against BENCH_baseline.json in CI, the counters exactly.
 func BenchmarkScenarioImpaired(b *testing.B) {
 	topo := topology.HybridEnv(8)
 	spec := model.Group(3).Spec
@@ -119,17 +121,23 @@ func BenchmarkScenarioImpaired(b *testing.B) {
 		b.Fatal("scenario grid lost its impaired arm")
 	}
 	var rep trainer.Report
+	var out trainer.Outcome
 	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = trainer.Simulate(trainer.Config{
+		it, err := trainer.Prepare(trainer.Config{
 			Topo: topo, Spec: spec, TensorSize: 1, PipelineSize: 4,
 			Framework: trainer.Holmes, Scenario: sc,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if rep, out, err = it.Run(nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(rep.TFLOPS, "TFLOPS")
+	b.ReportMetric(float64(out.Events), "events/op")
+	b.ReportMetric(float64(out.Flows), "flows/op")
+	b.ReportMetric(float64(out.Rebalances), "rebalances/op")
 }
 
 // --- Ablation benches beyond the paper ---

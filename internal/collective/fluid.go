@@ -27,25 +27,17 @@ import (
 type Ring struct {
 	eng   *sim.Engine
 	fab   *netsim.Fabric
-	ranks []int // ring order
-	class netsim.Class
+	edges []netsim.Route // ring order, one per rank (AppendEdges)
 
 	left     int    // edges of the running collective still in flight
 	onDone   func() // the running collective's completion
 	edgeDone func() // bound once: counts one edge down
 }
 
-// NewRing prepares a ring over ranks on a class. A strictly increasing
-// group — every group the trainer builds — is already valid and in ring
-// order, so it is used as is; any other group is validated (an empty or
-// duplicated group panics) and sorted into a copy.
-func NewRing(eng *sim.Engine, fab *netsim.Fabric, ranks []int, class netsim.Class) *Ring {
-	r := ranks
-	if !strictlyIncreasing(ranks) {
-		validate(ranks)
-		r = ring(ranks)
-	}
-	g := &Ring{eng: eng, fab: fab, ranks: r, class: class}
+// NewRing prepares a ring over a group's edges, as AppendEdges resolves
+// them. The ring reads the edges and does not copy them.
+func NewRing(eng *sim.Engine, fab *netsim.Fabric, edges []netsim.Route) *Ring {
+	g := &Ring{eng: eng, fab: fab, edges: edges}
 	g.edgeDone = g.edge
 	return g
 }
@@ -58,14 +50,14 @@ func (g *Ring) run(perEdgeBytes float64, onDone func()) {
 	if g.left > 0 {
 		panic("collective: ring collective started while another is in flight")
 	}
-	n := len(g.ranks)
+	n := len(g.edges)
 	if n == 1 || perEdgeBytes <= 0 {
-		g.eng.After(0, onDone)
+		g.eng.PostAfter(0, onDone)
 		return
 	}
 	g.left, g.onDone = n, onDone
-	for i := 0; i < n; i++ {
-		g.fab.StartFlow(g.ranks[i], g.ranks[(i+1)%n], perEdgeBytes, g.class, g.edgeDone)
+	for i := range g.edges {
+		g.fab.StartFlow(g.edges[i], perEdgeBytes, g.edgeDone)
 	}
 }
 
@@ -91,12 +83,6 @@ func strictlyIncreasing(ranks []int) bool {
 	return len(ranks) > 0
 }
 
-// AllReduce executes a ring all-reduce of a `bytes` payload: each edge
-// carries 2(n−1)/n · bytes in total.
-func (g *Ring) AllReduce(bytes float64, onDone func()) {
-	g.run(2*g.share(bytes), onDone)
-}
-
 // ReduceScatter executes the reduce-scatter half: (n−1)/n · bytes per
 // edge.
 func (g *Ring) ReduceScatter(bytes float64, onDone func()) {
@@ -111,6 +97,6 @@ func (g *Ring) AllGather(bytes float64, onDone func()) {
 
 // share is the (n−1)/n · bytes a ring half moves across each edge.
 func (g *Ring) share(bytes float64) float64 {
-	n := len(g.ranks)
+	n := len(g.edges)
 	return float64(n-1) / float64(n) * bytes
 }

@@ -17,13 +17,33 @@ func groupOfNodeLeads(topo *topology.Topology, nodes int) []int {
 	return ranks
 }
 
+// newRing prepares a ring over ranks on a class.
+func newRing(eng *sim.Engine, fab *netsim.Fabric, ranks []int, class netsim.Class) *Ring {
+	return NewRing(eng, fab, AppendEdges(nil, fab, ranks, class))
+}
+
+// allReduce runs a ring all-reduce of a bytes payload as one fluid
+// collective, both halves back to back: each edge carries 2(n−1)/n ·
+// bytes in total.
+func allReduce(r *Ring, bytes float64, onDone func()) {
+	r.run(2*r.share(bytes), onDone)
+}
+
+// countDown returns a callback that runs onDone at its n-th call.
+func countDown(n int, onDone func()) func() {
+	return func() {
+		if n--; n == 0 {
+			onDone()
+		}
+	}
+}
+
 // steppedAllReduce is the reference ring all-reduce the fluid Ring
 // approximates: 2(n−1) rounds, each a barrier of n flows that move
 // bytes/n from every rank to its successor.
 func steppedAllReduce(fab *netsim.Fabric, ranks []int, bytes float64, class netsim.Class, onDone func()) {
-	validate(ranks)
-	r := ring(ranks)
-	n := len(r)
+	edges := AppendEdges(nil, fab, ranks, class)
+	n := len(edges)
 	chunk := bytes / float64(n)
 	var round func(s int)
 	round = func(s int) {
@@ -31,12 +51,10 @@ func steppedAllReduce(fab *netsim.Fabric, ranks []int, bytes float64, class nets
 			onDone()
 			return
 		}
-		var wg sim.WaitGroup
-		wg.Add(n)
-		for i := range r {
-			fab.StartFlow(r[i], r[(i+1)%n], chunk, class, wg.Done)
+		next := countDown(n, func() { round(s + 1) })
+		for i := range edges {
+			fab.StartFlow(edges[i], chunk, next)
 		}
-		wg.OnZero(func() { round(s + 1) })
 	}
 	round(0)
 }
@@ -58,7 +76,7 @@ func TestFluidMatchesSteppedLoneAllReduce(t *testing.T) {
 	eng.Reset()
 	fab = netsim.New(eng, topo, netsim.DefaultParams())
 	var fluid sim.Time
-	NewRing(eng, fab, g, netsim.RDMA).AllReduce(bytes, func() { fluid = eng.Now() })
+	allReduce(newRing(eng, fab, g, netsim.RDMA), bytes, func() { fluid = eng.Now() })
 	eng.Run()
 
 	if math.Abs(fluid-stepped)/stepped > 0.05 {
@@ -76,12 +94,12 @@ func TestFluidReduceScatterHalfOfAllReduce(t *testing.T) {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
 		var end sim.Time
-		op(NewRing(eng, fab, g, netsim.RDMA), 1e9, func() { end = eng.Now() })
+		op(newRing(eng, fab, g, netsim.RDMA), 1e9, func() { end = eng.Now() })
 		eng.Run()
 		return end
 	}
 	rs := run((*Ring).ReduceScatter)
-	ar := run((*Ring).AllReduce)
+	ar := run(allReduce)
 	ag := run((*Ring).AllGather)
 	if math.Abs(rs/ar-0.5) > 0.02 {
 		t.Fatalf("fluid RS/AR = %v, want ~0.5", rs/ar)
@@ -103,8 +121,8 @@ func TestFluidSingletonAndZeroComplete(t *testing.T) {
 		}
 		calls++
 	}
-	NewRing(eng, fab, []int{2}, netsim.RDMA).AllReduce(1e9, done)
-	NewRing(eng, fab, []int{0, 1}, netsim.Intra).ReduceScatter(0, done)
+	allReduce(newRing(eng, fab, []int{2}, netsim.RDMA), 1e9, done)
+	newRing(eng, fab, []int{0, 1}, netsim.Intra).ReduceScatter(0, done)
 	eng.Run()
 	if calls != 2 {
 		t.Fatalf("degenerate fluid collectives completed %d/2", calls)
@@ -118,19 +136,17 @@ func TestFluidRingsShareFairly(t *testing.T) {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
 		var end sim.Time
-		NewRing(eng, fab, []int{0, 8}, netsim.RDMA).AllReduce(1e9, func() { end = eng.Now() })
+		allReduce(newRing(eng, fab, []int{0, 8}, netsim.RDMA), 1e9, func() { end = eng.Now() })
 		eng.Run()
 		return end
 	}()
 	both := func() sim.Time {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
-		var wg sim.WaitGroup
-		wg.Add(2)
 		var end sim.Time
-		NewRing(eng, fab, []int{0, 8}, netsim.RDMA).AllReduce(1e9, wg.Done)
-		NewRing(eng, fab, []int{1, 9}, netsim.RDMA).AllReduce(1e9, wg.Done)
-		wg.OnZero(func() { end = eng.Now() })
+		done := countDown(2, func() { end = eng.Now() })
+		allReduce(newRing(eng, fab, []int{0, 8}, netsim.RDMA), 1e9, done)
+		allReduce(newRing(eng, fab, []int{1, 9}, netsim.RDMA), 1e9, done)
 		eng.Run()
 		return end
 	}()
@@ -146,7 +162,7 @@ func TestFluidCrossClusterRidesEthernet(t *testing.T) {
 	// Group spans clusters: the cluster-crossing edges run at Ethernet
 	// speed and dominate.
 	var end sim.Time
-	NewRing(eng, fab, []int{0, 8, 16, 24}, netsim.RDMA).AllReduce(1e9, func() { end = eng.Now() })
+	allReduce(newRing(eng, fab, []int{0, 8, 16, 24}, netsim.RDMA), 1e9, func() { end = eng.Now() })
 	eng.Run()
 	ethBW := fab.PairBandwidth(8, 16, netsim.Ether)
 	minTime := (2.0 * 3 / 4 * 1e9) / ethBW
@@ -155,7 +171,7 @@ func TestFluidCrossClusterRidesEthernet(t *testing.T) {
 	}
 }
 
-// NewRing uses a strictly increasing group as its ring directly and
+// AppendEdges uses a strictly increasing group as its ring directly and
 // validates and sorts anything else: an unsorted group times exactly like
 // its sorted twin, and a degenerate one still panics.
 func TestFluidRingOrderAndValidation(t *testing.T) {
@@ -164,7 +180,7 @@ func TestFluidRingOrderAndValidation(t *testing.T) {
 		eng := sim.NewEngine()
 		fab := netsim.New(eng, topo, netsim.DefaultParams())
 		var end sim.Time
-		NewRing(eng, fab, ranks, netsim.RDMA).AllReduce(1e9, func() { end = eng.Now() })
+		allReduce(newRing(eng, fab, ranks, netsim.RDMA), 1e9, func() { end = eng.Now() })
 		eng.Run()
 		return end
 	}
@@ -201,10 +217,10 @@ func TestRingReuse(t *testing.T) {
 	fab := netsim.New(eng, topo, netsim.DefaultParams())
 	fresh := func() sim.Time {
 		eng := sim.NewEngine()
-		NewRing(eng, netsim.New(eng, topo, netsim.DefaultParams()), g, netsim.RDMA).ReduceScatter(1e9, func() {})
+		newRing(eng, netsim.New(eng, topo, netsim.DefaultParams()), g, netsim.RDMA).ReduceScatter(1e9, func() {})
 		return eng.Run()
 	}()
-	r := NewRing(eng, fab, g, netsim.RDMA)
+	r := newRing(eng, fab, g, netsim.RDMA)
 	var start, took sim.Time
 	done := func() { took = eng.Now() - start }
 	collective := func() {

@@ -17,7 +17,7 @@ func TestDegradeSlowsInFlightFlow(t *testing.T) {
 	lone := bytes / bw
 
 	var done sim.Time
-	fab.StartFlow(0, 8, bytes, RDMA, func() { done = eng.Now() })
+	fab.StartFlow(fab.Route(0, 8, RDMA), bytes, func() { done = eng.Now() })
 	// Halve the sender's RDMA bandwidth when the flow is halfway through.
 	eng.At(lone/2, func() {
 		if _, _, err := fab.DegradeNode(0, RDMA, 0.5); err != nil {
@@ -70,7 +70,7 @@ func TestFailNodeLeavesResidualTrickle(t *testing.T) {
 	}
 	// A flow across the failed link still completes in virtual time.
 	fired := false
-	fab.StartFlow(0, 8, 1e3, RDMA, func() { fired = true })
+	fab.StartFlow(fab.Route(0, 8, RDMA), 1e3, func() { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("flow across failed link never completed")

@@ -13,11 +13,11 @@ import (
 // handle leave the new flow alone.
 func TestStaleFlowHandleIgnored(t *testing.T) {
 	eng, fab := newFab(t, topology.IBEnv(2))
-	old := fab.StartFlow(0, 8, 1e8, RDMA, nil)
+	old := fab.StartFlow(fab.Route(0, 8, RDMA), 1e8, nil)
 	eng.Run()
 	start := eng.Now()
 	var done sim.Time = -1
-	id := fab.StartFlow(0, 8, 1e9, RDMA, func() { done = eng.Now() })
+	id := fab.StartFlow(fab.Route(0, 8, RDMA), 1e9, func() { done = eng.Now() })
 	if id.slot != old.slot || id == old {
 		t.Fatalf("new flow %+v did not reuse finished flow %+v's record under a new generation", id, old)
 	}
@@ -47,18 +47,18 @@ func TestAbortInLatencyTermReleasesRecord(t *testing.T) {
 		eng, fab := newFab(t, topology.IBEnv(2))
 		record := func() { r.ends = append(r.ends, eng.Now()) }
 		if victim {
-			v := fab.StartFlow(0, 8, 1e9, RDMA, func() { t.Error("aborted flow completed") })
+			v := fab.StartFlow(fab.Route(0, 8, RDMA), 1e9, func() { t.Error("aborted flow completed") })
 			fab.AbortFlow(v)
 		}
 		for i := 0; i < 2; i++ {
-			fab.StartFlow(i, 8+i, 1e8*float64(i+1), RDMA, record)
+			fab.StartFlow(fab.Route(i, 8+i, RDMA), 1e8*float64(i+1), record)
 		}
 		// Past the victim's admission instant, while the first flows
 		// still share node 0's NICs.
 		eng.At(1e-3, func() {
 			r.inFlight = append(r.inFlight, fab.InFlight())
 			for i := 0; i < 3; i++ {
-				fab.StartFlow(2+i, 10+i, 5e7, RDMA, record)
+				fab.StartFlow(fab.Route(2+i, 10+i, RDMA), 5e7, record)
 			}
 		})
 		eng.Run()
@@ -92,12 +92,12 @@ func TestFabricSteadyStateAllocs(t *testing.T) {
 	var onWire FlowID
 	abort := func() { fab.AbortFlow(onWire) }
 	cycle := func() {
-		fab.StartFlow(0, 8, 1e8, RDMA, done)
-		fab.StartFlow(1, 9, 1e8, RDMA, done)
-		fab.StartFlow(2, 3, 0, Intra, done)
-		fab.AbortFlow(fab.StartFlow(4, 12, 1e8, RDMA, done))
-		onWire = fab.StartFlow(5, 13, 1e9, RDMA, done)
-		eng.After(1e-3, abort)
+		fab.StartFlow(fab.Route(0, 8, RDMA), 1e8, done)
+		fab.StartFlow(fab.Route(1, 9, RDMA), 1e8, done)
+		fab.StartFlow(fab.Route(2, 3, Intra), 0, done)
+		fab.AbortFlow(fab.StartFlow(fab.Route(4, 12, RDMA), 1e8, done))
+		onWire = fab.StartFlow(fab.Route(5, 13, RDMA), 1e9, done)
+		eng.PostAfter(1e-3, abort)
 		eng.Run()
 	}
 	cycle()

@@ -141,17 +141,16 @@ func (f *Fabric) rng() *rand.Rand {
 	return f.jitterRng
 }
 
-// pathImpair folds the impairments a (src, dst, class) transfer
+// pathImpair folds the impairments a transfer from node sn to node dn
 // crosses — the source node's outbound side and the destination node's
 // inbound side — into one added latency and one efficiency. class must
 // already be resolved via EffectiveClass. Intra-node transfers consult
 // only the node's outbound entry (one link, one node).
-func (f *Fabric) pathImpair(src, dst int, class Class) (extra, eff float64) {
+func (f *Fabric) pathImpair(sn, dn int, class Class) (extra, eff float64) {
 	eff = 1
 	if len(f.impair) == 0 {
 		return 0, 1
 	}
-	sn, dn := f.Topo.Device(src).Node, f.Topo.Device(dst).Node
 	out := f.impair[impairKey{node: sn, class: class, inbound: false}]
 	extra += out.ExtraLatency
 	eff *= out.eff()
@@ -164,8 +163,8 @@ func (f *Fabric) pathImpair(src, dst int, class Class) (extra, eff float64) {
 }
 
 // pathEff is pathImpair's efficiency alone.
-func (f *Fabric) pathEff(src, dst int, class Class) float64 {
-	_, eff := f.pathImpair(src, dst, class)
+func (f *Fabric) pathEff(sn, dn int, class Class) float64 {
+	_, eff := f.pathImpair(sn, dn, class)
 	return eff
 }
 
@@ -173,11 +172,10 @@ func (f *Fabric) pathEff(src, dst int, class Class) float64 {
 // impaired side of the path, summed. Draw order is the deterministic
 // flow-start order of the event engine, so a fixed seed yields
 // bit-identical replays.
-func (f *Fabric) sampleJitter(src, dst int, class Class) float64 {
+func (f *Fabric) sampleJitter(sn, dn int, class Class) float64 {
 	if len(f.impair) == 0 {
 		return 0
 	}
-	sn, dn := f.Topo.Device(src).Node, f.Topo.Device(dst).Node
 	j := f.drawJitter(f.impair[impairKey{node: sn, class: class, inbound: false}])
 	if class != Intra {
 		j += f.drawJitter(f.impair[impairKey{node: dn, class: class, inbound: true}])

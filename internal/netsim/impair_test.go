@@ -89,7 +89,7 @@ func TestLossDeratesGoodput(t *testing.T) {
 	}
 	bytes := 1e9
 	var done sim.Time = -1
-	fab.StartFlow(0, 8, bytes, RDMA, func() { done = eng.Now() })
+	fab.StartFlow(fab.Route(0, 8, RDMA), bytes, func() { done = eng.Now() })
 	eng.Run()
 	// Half the packets are retransmissions: the wire carries bytes/eff.
 	bw := fab.NodeBandwidth(0, RDMA)
@@ -114,7 +114,7 @@ func TestJitterDeterministicUnderSeed(t *testing.T) {
 		}
 		var ends []sim.Time
 		for i := 0; i < 8; i++ {
-			fab.StartFlow(0, 8, 1e8, RDMA, func() { ends = append(ends, eng.Now()) })
+			fab.StartFlow(fab.Route(0, 8, RDMA), 1e8, func() { ends = append(ends, eng.Now()) })
 		}
 		eng.Run()
 		return ends
@@ -149,7 +149,7 @@ func TestJitterDistributionsDraw(t *testing.T) {
 		distinct := false
 		for i := 0; i < 16; i++ {
 			var done sim.Time
-			fab.StartFlow(0, 8, 1e6, RDMA, func() { done = eng.Now() })
+			fab.StartFlow(fab.Route(0, 8, RDMA), 1e6, func() { done = eng.Now() })
 			eng.Run()
 			if d == DistPareto && done < base-1e-12 {
 				t.Fatalf("pareto jitter drew early: %v < %v", done, base)
@@ -176,7 +176,7 @@ func TestNoImpairmentNoDraws(t *testing.T) {
 		}
 		var ends []sim.Time
 		for i := 0; i < 6; i++ {
-			fab.StartFlow(i, 16+i, 1e8, Ether, func() { ends = append(ends, eng.Now()) })
+			fab.StartFlow(fab.Route(i, 16+i, Ether), 1e8, func() { ends = append(ends, eng.Now()) })
 		}
 		eng.Run()
 		return ends
@@ -194,11 +194,11 @@ func TestAbortFlowFreesBandwidth(t *testing.T) {
 	eng, fab := newFab(t, topo)
 	bytes := 1e9
 	var victimDone, survivorDone sim.Time = -1, -1
-	victim := fab.StartFlow(0, 8, bytes, RDMA, func() { victimDone = eng.Now() })
-	fab.StartFlow(1, 9, bytes, RDMA, func() { survivorDone = eng.Now() })
+	victim := fab.StartFlow(fab.Route(0, 8, RDMA), bytes, func() { victimDone = eng.Now() })
+	fab.StartFlow(fab.Route(1, 9, RDMA), bytes, func() { survivorDone = eng.Now() })
 	// Abort the victim halfway through the shared bottleneck.
 	lone := fab.TransferTime(0, 8, bytes, RDMA)
-	eng.After(lone, func() { fab.AbortFlow(victim) })
+	eng.PostAfter(lone, func() { fab.AbortFlow(victim) })
 	eng.Run()
 	if victimDone != -1 {
 		t.Fatal("aborted flow fired its callback")
@@ -222,7 +222,7 @@ func TestAbortBeforeAdmissionCancelsFlow(t *testing.T) {
 	topo := topology.IBEnv(2)
 	eng, fab := newFab(t, topo)
 	var done bool
-	fl := fab.StartFlow(0, 8, 1e9, RDMA, func() { done = true })
+	fl := fab.StartFlow(fab.Route(0, 8, RDMA), 1e9, func() { done = true })
 	// Abort during the latency term, before any bandwidth is claimed.
 	fab.AbortFlow(fl)
 	eng.Run()

@@ -56,7 +56,7 @@ func replay(topo *topology.Topology, p Params, fs []schedFlow, fault bool) []flo
 	for i := range fs {
 		i, sf := i, fs[i]
 		eng.At(sf.at, func() {
-			fab.StartFlow(sf.src, sf.dst, sf.bytes, sf.class, func() { done[i] = eng.Now() })
+			fab.StartFlow(fab.Route(sf.src, sf.dst, sf.class), sf.bytes, func() { done[i] = eng.Now() })
 		})
 	}
 	if fault {
@@ -127,7 +127,7 @@ func TestFabricDrainsCompletely(t *testing.T) {
 	fab := New(eng, topo, DefaultParams())
 	for _, sf := range fs {
 		sf := sf
-		eng.At(sf.at, func() { fab.StartFlow(sf.src, sf.dst, sf.bytes, sf.class, nil) })
+		eng.At(sf.at, func() { fab.StartFlow(fab.Route(sf.src, sf.dst, sf.class), sf.bytes, nil) })
 	}
 	eng.Run()
 	if fab.InFlight() != 0 {
@@ -150,7 +150,7 @@ func TestRebalanceAllocationBound(t *testing.T) {
 	// Warm up scratch slices.
 	run := func(n int) {
 		for i := 0; i < n; i++ {
-			fab.StartFlow(i%8, 8+(i+1)%8, 1e8, RDMA, nil)
+			fab.StartFlow(fab.Route(i%8, 8+(i+1)%8, RDMA), 1e8, nil)
 		}
 		eng.Run()
 	}

@@ -17,12 +17,15 @@
 // scratch slices. The original from-scratch recomputation is retained
 // behind Params.FullRecompute as the reference oracle.
 //
-// Flow records live in a per-fabric slab with a free list, each with its
-// event callback bound once, so a warmed fabric starts, admits, finishes
-// and aborts flows without allocating. A record returns to the free list
-// once it can fire nothing more; StartFlow hands out a FlowID carrying the
-// record's generation, so a handle outliving its flow is stale and
-// AbortFlow ignores it.
+// A flow starts on a Route resolved once per (src, dst, class): its
+// effective class, its links and its pristine α, so a start derives no
+// class, path or latency of its own and only folds in the impairments in
+// force at that instant. Flow records live in a per-fabric slab with a
+// free list, each with its event callback bound once, so a warmed fabric
+// starts, admits, finishes and aborts flows without allocating. A record
+// returns to the free list once it can fire nothing more; StartFlow hands
+// out a FlowID carrying the record's generation, so a handle outliving
+// its flow is stale and AbortFlow ignores it.
 package netsim
 
 import (
@@ -195,8 +198,7 @@ type FlowID struct {
 // Links point at records, so a record never moves; gen advances every
 // time the record is released, invalidating the handles issued for it.
 type flow struct {
-	src, dst int // global ranks
-	class    Class
+	class Class
 
 	path      [maxPathLinks]*Link
 	pathPos   [maxPathLinks]int // this flow's index in each path link's flows
@@ -260,6 +262,10 @@ type Fabric struct {
 	epoch        int
 	regionLinks  []*Link
 	regionFlows  []*flow
+
+	// Work counters: flows started, and rebalance passes over a region
+	// that held a flow.
+	started, passes uint64
 }
 
 // New creates a fabric over topo driven by eng.
@@ -357,11 +363,18 @@ func (f *Fabric) EffectiveClass(src, dst int, want Class) Class {
 // Deterministic — jitter, a per-flow random draw, is added by StartFlow,
 // never here, so the analytic cost models stay pure.
 func (f *Fabric) Latency(src, dst int, class Class) float64 {
-	return f.latency(src, dst, f.EffectiveClass(src, dst, class))
+	class = f.EffectiveClass(src, dst, class)
+	lat := f.alpha(src, dst, class)
+	if len(f.impair) > 0 {
+		extra, eff := f.pathImpair(f.Topo.Device(src).Node, f.Topo.Device(dst).Node, class)
+		lat = (lat + extra) / eff
+	}
+	return lat
 }
 
-// latency is Latency on an already effective class.
-func (f *Fabric) latency(src, dst int, class Class) float64 {
+// alpha is the pristine α of a transfer on an already effective class:
+// the technology latency, with the trunk's extra hop, and no impairment.
+func (f *Fabric) alpha(src, dst int, class Class) float64 {
 	var lat float64
 	switch class {
 	case Intra:
@@ -383,10 +396,6 @@ func (f *Fabric) latency(src, dst int, class Class) float64 {
 			lat *= 2
 		}
 	}
-	if len(f.impair) > 0 {
-		extra, eff := f.pathImpair(src, dst, class)
-		lat = (lat + extra) / eff
-	}
 	return lat
 }
 
@@ -396,33 +405,68 @@ func (f *Fabric) NumLinks() int { return len(f.links) }
 // Link returns the link with the given ID.
 func (f *Fabric) Link(id int) *Link { return f.links[id] }
 
-// Route is the uncontended view of one (src, dst, class) transfer: the
-// links it crosses, its Latency and its PairBandwidth.
+// Route is one (src, dst, class) transfer resolved on the fabric: its
+// effective class, the links it crosses and its pristine α. Flows start
+// on routes (StartFlow), and analytic cost models charge traffic to a
+// route's links. It is 24 bytes, so a table of every route an iteration
+// starts flows on stays small.
 type Route struct {
-	Links     [maxPathLinks]*Link // the first N entries are the path
-	N         int
-	Latency   float64
-	Bandwidth float64
+	// Latency is the pristine α: the technology latency, doubled across
+	// an inter-cluster trunk. It folds in no impairment; each flow start
+	// folds in the impairments in force at that instant.
+	Latency float64
+
+	links [maxPathLinks]int32 // ids of the links crossed, the first n
+	n     uint8
+	class uint8
 }
 
-// Route resolves a transfer's path, latency and bottleneck bandwidth in
-// one pass. It reads the fabric only: analytic cost models charge
-// traffic to links with it.
+// Links returns the ids of the links the route crosses, in path order.
+func (r *Route) Links() []int32 { return r.links[:r.n] }
+
+// Class returns the route's effective class.
+func (r *Route) Class() Class { return Class(r.class) }
+
+// Route resolves a transfer's effective class, path and pristine α in
+// one pass. It reads the fabric only.
 func (f *Fabric) Route(src, dst int, class Class) Route {
 	class = f.EffectiveClass(src, dst, class)
-	r := Route{Latency: f.latency(src, dst, class)}
-	r.Links, r.N = f.effectivePath(src, dst, class)
-	r.Bandwidth = f.bottleneck(r.Links[:r.N], class)
+	links, n := f.effectivePath(src, dst, class)
+	r := Route{Latency: f.alpha(src, dst, class), n: uint8(n), class: uint8(class)}
+	for i, l := range links[:n] {
+		r.links[i] = int32(l.id)
+	}
 	return r
 }
 
-// path returns the link sequence for a transfer in a fixed-size array to
-// keep flow admission allocation-free.
-func (f *Fabric) path(src, dst int, class Class) ([maxPathLinks]*Link, int) {
-	return f.effectivePath(src, dst, f.EffectiveClass(src, dst, class))
+// RouteBandwidth returns a route's bottleneck bandwidth (bytes/s) at the
+// links' current capacities, absent contention: the smallest capacity on
+// its path, capped by the per-flow Ethernet stream rate.
+func (f *Fabric) RouteBandwidth(r *Route) float64 {
+	bw := math.Inf(1)
+	for _, id := range r.Links() {
+		bw = min(bw, f.links[id].Capacity)
+	}
+	if r.Class() == Ether && f.Params.EthPerFlowBytesPerSec > 0 &&
+		f.Params.EthPerFlowBytesPerSec < bw {
+		bw = f.Params.EthPerFlowBytesPerSec
+	}
+	return bw
 }
 
-// effectivePath is path on an already effective class.
+// endpoints returns the nodes a path runs between: every path starts on
+// its source node's out-link (or its one intra-node link) and, unless
+// intra-node, enters its destination node's in-link second.
+func endpoints(path []*Link) (sn, dn int) {
+	sn, dn = path[0].a, path[0].a
+	if len(path) > 1 {
+		dn = path[1].a
+	}
+	return sn, dn
+}
+
+// effectivePath returns the links a transfer on an already effective
+// class crosses, in a fixed-size array.
 func (f *Fabric) effectivePath(src, dst int, class Class) ([maxPathLinks]*Link, int) {
 	var p [maxPathLinks]*Link
 	sn, dn := f.Topo.Device(src).Node, f.Topo.Device(dst).Node
@@ -451,11 +495,11 @@ func (f *Fabric) effectivePath(src, dst int, class Class) ([maxPathLinks]*Link, 
 	}
 }
 
-// StartFlow begins a transfer of the given size between two ranks. onDone
+// StartFlow begins a transfer of the given size on a route. onDone
 // fires (in virtual time) when the last byte arrives. A zero-byte flow
 // completes after just the latency term.
-func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func()) FlowID {
-	return f.StartFlowRateCapped(src, dst, bytes, class, 0, onDone)
+func (f *Fabric) StartFlow(r Route, bytes float64, onDone func()) FlowID {
+	return f.StartFlowRateCapped(r, bytes, 0, onDone)
 }
 
 // StartFlowRateCapped is StartFlow with an explicit per-flow rate ceiling
@@ -463,12 +507,17 @@ func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func
 // rateCap of load but still shares max-min fairly under congestion.
 // Background-traffic injection (internal/scenario) uses it to model a
 // tenant streaming at a fixed rate. rateCap <= 0 means uncapped.
-func (f *Fabric) StartFlowRateCapped(src, dst int, bytes float64, class Class, rateCap float64, onDone func()) FlowID {
+func (f *Fabric) StartFlowRateCapped(r Route, bytes float64, rateCap float64, onDone func()) FlowID {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("netsim: bad flow size %v", bytes))
 	}
+	f.started++
 	fl := f.newFlow()
-	fl.src, fl.dst, fl.class = src, dst, f.EffectiveClass(src, dst, class)
+	fl.class = r.Class()
+	for i, id := range r.Links() {
+		fl.path[i] = f.links[id]
+	}
+	fl.nPath = int(r.n)
 	fl.remaining, fl.onDone = bytes, onDone
 	fl.cap = math.Inf(1)
 	if fl.class == Ether && f.Params.EthPerFlowBytesPerSec > 0 {
@@ -477,18 +526,30 @@ func (f *Fabric) StartFlowRateCapped(src, dst int, bytes float64, class Class, r
 	if rateCap > 0 && rateCap < fl.cap {
 		fl.cap = rateCap
 	}
-	lat := f.Latency(src, dst, class)
-	// Jitter is a per-flow draw on top of the deterministic α; symmetric
-	// distributions can pull the sum below zero, which clamps (a message
-	// cannot arrive before it was sent).
-	if lat += f.sampleJitter(src, dst, fl.class); lat < 0 {
-		lat = 0
+	lat := r.Latency
+	if len(f.impair) > 0 {
+		sn, dn := endpoints(fl.path[:fl.nPath])
+		extra, eff := f.pathImpair(sn, dn, fl.class)
+		lat = (lat + extra) / eff
+		// Jitter is a per-flow draw on top of the deterministic α;
+		// symmetric distributions can pull the sum below zero, which
+		// clamps (a message cannot arrive before it was sent).
+		if lat += f.sampleJitter(sn, dn, fl.class); lat < 0 {
+			lat = 0
+		}
 	}
 	// The flow occupies links only after its latency term elapses; for
 	// zero-byte control messages it completes then.
-	f.eng.After(lat, fl.fire)
+	f.eng.PostAfter(lat, fl.fire)
 	return FlowID{slot: fl.slot, gen: fl.gen}
 }
+
+// FlowsStarted reports how many flows the fabric has started.
+func (f *Fabric) FlowsStarted() uint64 { return f.started }
+
+// Rebalances reports how many rebalance passes the fabric has run over a
+// region that held a flow.
+func (f *Fabric) Rebalances() uint64 { return f.passes }
 
 // newFlow takes a record from the free list, or grows the slab by one
 // record with its callback bound. One callback serves every event of the
@@ -554,10 +615,12 @@ func (f *Fabric) admit(fl *flow) {
 	// bytes occupy the wire, so delivering b bytes of goodput moves
 	// b/efficiency across the links. Sampled at admission — flows
 	// already on the wire keep the efficiency they started with.
-	if eff := f.pathEff(fl.src, fl.dst, fl.class); eff < 1 {
-		fl.remaining /= eff
+	if len(f.impair) > 0 {
+		sn, dn := endpoints(fl.path[:fl.nPath])
+		if eff := f.pathEff(sn, dn, fl.class); eff < 1 {
+			fl.remaining /= eff
+		}
 	}
-	fl.path, fl.nPath = f.path(fl.src, fl.dst, fl.class)
 	fl.updatedAt = f.eng.Now()
 	fl.admitted = true
 	f.inFlight++
@@ -638,7 +701,7 @@ func (f *Fabric) scheduleLinkRebalance(links ...*Link) {
 	}
 	if !f.rebalPending {
 		f.rebalPending = true
-		f.eng.After(0, f.flushFn)
+		f.eng.PostAfter(0, f.flushFn)
 	}
 }
 
@@ -667,11 +730,14 @@ func (f *Fabric) rebalance(seeds []*Link) {
 	if len(flows) == 0 {
 		return
 	}
+	f.passes++
+	capped := false
 	for _, fl := range flows {
 		fl.prevRate = fl.rate
 		fl.frozen = false
+		capped = capped || fl.cap < math.Inf(1)
 	}
-	f.fill(links, flows)
+	f.fill(links, flows, capped)
 	f.reschedule(flows)
 }
 
@@ -728,7 +794,9 @@ func sortLinksByID(ls []*Link) {
 // fill runs progressive filling over one region: repeatedly freeze the
 // flows of the most constraining link at its fair share (or flows at
 // their per-flow cap when that is lower) until every flow has a rate.
-func (f *Fabric) fill(links []*Link, flows []*flow) {
+// capped says whether any flow of the region has a finite cap; when none
+// has, no flow can freeze at its cap, and the scan for them is skipped.
+func (f *Fabric) fill(links []*Link, flows []*flow, capped bool) {
 	for _, l := range links {
 		l.residual = l.Capacity
 		l.nUnfrozen = len(l.flows)
@@ -749,16 +817,18 @@ func (f *Fabric) fill(links []*Link, flows []*flow) {
 		}
 		// Flows whose per-flow ceiling is below the fair share freeze at
 		// their cap first, returning the unused share to the links.
-		capped := false
-		for _, fl := range flows {
-			if !fl.frozen && fl.cap < best {
-				f.freeze(fl, fl.cap)
-				capped = true
-				left--
-			}
-		}
 		if capped {
-			continue
+			froze := false
+			for _, fl := range flows {
+				if !fl.frozen && fl.cap < best {
+					f.freeze(fl, fl.cap)
+					froze = true
+					left--
+				}
+			}
+			if froze {
+				continue
+			}
 		}
 		if bottleneck == nil {
 			// Remaining flows traverse only flow-free links; give them a
@@ -851,37 +921,17 @@ func (f *Fabric) TransferTime(src, dst int, bytes float64, class Class) float64 
 	if len(f.impair) > 0 {
 		// Mirror admit's goodput derate: the analytic estimate moves the
 		// same inflated wire bytes the event-driven flow would.
-		bytes /= f.pathEff(src, dst, f.EffectiveClass(src, dst, class))
+		bytes /= f.pathEff(f.Topo.Device(src).Node, f.Topo.Device(dst).Node, f.EffectiveClass(src, dst, class))
 	}
 	return t + bytes/bw
 }
 
 // PairBandwidth returns the bottleneck bandwidth (bytes/s) of the path
 // between two ranks for a class, absent contention (including the
-// per-flow Ethernet stream cap).
+// per-flow Ethernet stream cap): its route's RouteBandwidth.
 func (f *Fabric) PairBandwidth(src, dst int, class Class) float64 {
-	class = f.EffectiveClass(src, dst, class)
-	path, n := f.effectivePath(src, dst, class)
-	return f.bottleneck(path[:n], class)
-}
-
-// bottleneck is the smallest capacity on a path of the effective class,
-// capped by the per-flow Ethernet stream rate; 0 for an empty path.
-func (f *Fabric) bottleneck(path []*Link, class Class) float64 {
-	bw := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bw {
-			bw = l.Capacity
-		}
-	}
-	if class == Ether && f.Params.EthPerFlowBytesPerSec > 0 &&
-		f.Params.EthPerFlowBytesPerSec < bw {
-		bw = f.Params.EthPerFlowBytesPerSec
-	}
-	if math.IsInf(bw, 1) {
-		return 0
-	}
-	return bw
+	r := f.Route(src, dst, class)
+	return f.RouteBandwidth(&r)
 }
 
 // NodeBandwidth returns the per-node aggregate bandwidth in bytes/s for

@@ -52,11 +52,15 @@ func TestSingleFlowDuration(t *testing.T) {
 	wantBW := 800.0 / 8 * 1e9 * p.IBEff
 	bytes := 1e9
 	var done sim.Time = -1
-	fab.StartFlow(0, 8, bytes, RDMA, func() { done = eng.Now() })
+	fab.StartFlow(fab.Route(0, 8, RDMA), bytes, func() { done = eng.Now() })
 	eng.Run()
 	want := p.IBLatency + bytes/wantBW
 	if math.Abs(done-want) > 1e-9 {
 		t.Fatalf("flow took %v, want %v", done, want)
+	}
+	// Its admission's pass counts; its departure's region holds no flow.
+	if fab.FlowsStarted() != 1 || fab.Rebalances() != 1 {
+		t.Fatalf("counted %d flows and %d rebalances, want 1 and 1", fab.FlowsStarted(), fab.Rebalances())
 	}
 }
 
@@ -77,7 +81,7 @@ func TestTransferTimeMatchesLoneFlow(t *testing.T) {
 		eng.Reset()
 		fab2 := New(eng, topo, DefaultParams())
 		var done sim.Time = -1
-		fab2.StartFlow(tc.src, tc.dst, 5e8, tc.class, func() { done = eng.Now() })
+		fab2.StartFlow(fab2.Route(tc.src, tc.dst, tc.class), 5e8, func() { done = eng.Now() })
 		eng.Run()
 		want := fab2.TransferTime(tc.src, tc.dst, 5e8, tc.class)
 		if math.Abs(done-want) > 1e-9 {
@@ -94,8 +98,8 @@ func TestFairSharingTwoFlows(t *testing.T) {
 	// together at ~2× the lone-flow time.
 	bytes := 1e9
 	var t1, t2 sim.Time
-	fab.StartFlow(0, 8, bytes, RDMA, func() { t1 = eng.Now() })
-	fab.StartFlow(1, 9, bytes, RDMA, func() { t2 = eng.Now() })
+	fab.StartFlow(fab.Route(0, 8, RDMA), bytes, func() { t1 = eng.Now() })
+	fab.StartFlow(fab.Route(1, 9, RDMA), bytes, func() { t2 = eng.Now() })
 	eng.Run()
 	lone := fab.TransferTime(0, 8, bytes, RDMA) - fab.Latency(0, 8, RDMA)
 	if math.Abs(t1-t2) > 1e-9 {
@@ -111,8 +115,8 @@ func TestShortFlowFinishesFirstAndLongSpeedsUp(t *testing.T) {
 	topo := topology.IBEnv(2)
 	eng, fab := newFab(t, topo)
 	var shortDone, longDone sim.Time
-	fab.StartFlow(0, 8, 1e8, RDMA, func() { shortDone = eng.Now() })
-	fab.StartFlow(1, 9, 1e9, RDMA, func() { longDone = eng.Now() })
+	fab.StartFlow(fab.Route(0, 8, RDMA), 1e8, func() { shortDone = eng.Now() })
+	fab.StartFlow(fab.Route(1, 9, RDMA), 1e9, func() { longDone = eng.Now() })
 	eng.Run()
 	if shortDone >= longDone {
 		t.Fatalf("short flow (%v) must beat long flow (%v)", shortDone, longDone)
@@ -163,7 +167,7 @@ func TestInterClusterTrunkCaps(t *testing.T) {
 	p.InterClusterGbps = 10 // tighter than the 25 Gb/s node NICs
 	fab := New(eng, topo, p)
 	var done sim.Time
-	fab.StartFlow(0, 16, 1e9, Ether, func() { done = eng.Now() })
+	fab.StartFlow(fab.Route(0, 16, Ether), 1e9, func() { done = eng.Now() })
 	eng.Run()
 	trunkBW := 10.0 / 8 * 1e9 * p.EthEff
 	want := 2*p.EthLatency + 1e9/trunkBW
@@ -194,15 +198,15 @@ func TestRouteMatchesPairQueries(t *testing.T) {
 		{16, 0, RDMA, []string{"n2.eth.out", "n0.eth.in", "trunk.c0-c1"}},
 	} {
 		r := fab.Route(tc.src, tc.dst, tc.class)
-		if r.Latency != fab.Latency(tc.src, tc.dst, tc.class) || r.Bandwidth != fab.PairBandwidth(tc.src, tc.dst, tc.class) {
+		if r.Latency != fab.Latency(tc.src, tc.dst, tc.class) || fab.RouteBandwidth(&r) != fab.PairBandwidth(tc.src, tc.dst, tc.class) {
 			t.Fatalf("%d->%d: route latency %v bandwidth %v, queries say %v and %v", tc.src, tc.dst,
-				r.Latency, r.Bandwidth, fab.Latency(tc.src, tc.dst, tc.class), fab.PairBandwidth(tc.src, tc.dst, tc.class))
+				r.Latency, fab.RouteBandwidth(&r), fab.Latency(tc.src, tc.dst, tc.class), fab.PairBandwidth(tc.src, tc.dst, tc.class))
 		}
-		if r.N != len(tc.names) {
-			t.Fatalf("%d->%d: %d links, want %v", tc.src, tc.dst, r.N, tc.names)
+		if len(r.Links()) != len(tc.names) {
+			t.Fatalf("%d->%d: %d links, want %v", tc.src, tc.dst, len(r.Links()), tc.names)
 		}
-		for i, l := range r.Links[:r.N] {
-			if l.Name() != tc.names[i] || fab.Link(l.ID()) != l {
+		for i, id := range r.Links() {
+			if l := fab.Link(int(id)); l.Name() != tc.names[i] || l.ID() != int(id) {
 				t.Fatalf("%d->%d: link %d is %s (ID %d), want %s", tc.src, tc.dst, i, l.Name(), l.ID(), tc.names[i])
 			}
 		}
@@ -213,7 +217,7 @@ func TestZeroByteFlowIsLatencyOnly(t *testing.T) {
 	topo := topology.IBEnv(2)
 	eng, fab := newFab(t, topo)
 	var done sim.Time = -1
-	fab.StartFlow(0, 8, 0, RDMA, func() { done = eng.Now() })
+	fab.StartFlow(fab.Route(0, 8, RDMA), 0, func() { done = eng.Now() })
 	eng.Run()
 	if math.Abs(done-fab.Latency(0, 8, RDMA)) > 1e-12 {
 		t.Fatalf("zero-byte flow took %v, want latency %v", done, fab.Latency(0, 8, RDMA))
@@ -228,7 +232,7 @@ func TestNegativeFlowPanics(t *testing.T) {
 			t.Fatal("negative flow size did not panic")
 		}
 	}()
-	fab.StartFlow(0, 1, -1, Intra, nil)
+	fab.StartFlow(fab.Route(0, 1, Intra), -1, nil)
 }
 
 // Property: total bytes delivered per unit time never exceeds any link's
@@ -243,7 +247,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		bytes := 2e8
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			fab.StartFlow(i, 8+i, bytes, RDMA, func() {
+			fab.StartFlow(fab.Route(i, 8+i, RDMA), bytes, func() {
 				if eng.Now() > last {
 					last = eng.Now()
 				}

@@ -7,11 +7,28 @@ import (
 	"holmes/internal/sim"
 )
 
+// AppendHops resolves a pipeline group's inter-stage routes on a fabric
+// and appends them to dst: the forward hop from stage s to s+1 for every
+// boundary s, then the backward hop from s+1 to s for every boundary.
+// ranks lists the group's devices, one per stage, in stage order (a row
+// of the [PP] matrix); class is the network class of its hops (Ether for
+// cross-cluster pipelines under Automatic NIC Selection).
+func AppendHops(dst []netsim.Route, fab *netsim.Fabric, ranks []int, class netsim.Class) []netsim.Route {
+	for s := 0; s+1 < len(ranks); s++ {
+		dst = append(dst, fab.Route(ranks[s], ranks[s+1], class))
+	}
+	for s := 0; s+1 < len(ranks); s++ {
+		dst = append(dst, fab.Route(ranks[s+1], ranks[s], class))
+	}
+	return dst
+}
+
 // ExecConfig parameterizes one pipeline group's execution on the fabric.
 type ExecConfig struct {
-	// Ranks lists the group's devices, one per stage, in stage order (a row
-	// of the [PP] matrix).
-	Ranks []int
+	// Hops holds the group's 2(p−1) inter-stage routes in AppendHops's
+	// layout: the forward hop over boundary s at s, the backward one at
+	// p−1+s. The executor reads them and does not copy them.
+	Hops []netsim.Route
 	// ForwardTime and BackwardTime give per-stage compute seconds per
 	// micro-batch (unequal under the self-adapting partition).
 	ForwardTime, BackwardTime []float64
@@ -19,9 +36,6 @@ type ExecConfig struct {
 	// the forward activation and the backward gradient, which are the same
 	// size for transformer pipelines).
 	ActivationBytes float64
-	// Class is the network class for inter-stage hops (Ether for
-	// cross-cluster pipelines under Automatic NIC Selection).
-	Class netsim.Class
 	// OnBackwardDone, if set, fires when a stage finishes a micro-batch's
 	// backward pass — the hook the overlapped distributed optimizer uses to
 	// start gradient reduce-scatter buckets during the pipeline.
@@ -77,8 +91,8 @@ type hop struct {
 // prepares an executor. Call Start to begin at the engine's current time.
 func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecConfig) (*Executor, error) {
 	p := sched.Stages
-	if len(cfg.Ranks) != p {
-		return nil, fmt.Errorf("pipeline: %d ranks for %d stages", len(cfg.Ranks), p)
+	if len(cfg.Hops) != 2*(p-1) {
+		return nil, fmt.Errorf("pipeline: %d hops for %d stages, want %d", len(cfg.Hops), p, 2*(p-1))
 	}
 	if len(cfg.ForwardTime) != p || len(cfg.BackwardTime) != p {
 		return nil, fmt.Errorf("pipeline: compute-time vectors must have %d entries", p)
@@ -223,7 +237,7 @@ func (e *Executor) launch(s, idx int, op Op) {
 	if op.Kind == Backward {
 		dur = e.cfg.BackwardTime[s]
 	}
-	e.eng.After(dur, e.opDone[s])
+	e.eng.PostAfter(dur, e.opDone[s])
 }
 
 func (e *Executor) complete(s int, op Op) {
@@ -277,8 +291,13 @@ func (e *Executor) sendTo(from, to, micro int, fwd bool) {
 	}
 	h := &e.hops[slot]
 	h.to, h.micro, h.fwd = to, micro, fwd
-	src, dst := e.cfg.Ranks[from], e.cfg.Ranks[to]
-	e.fab.StartFlow(src, dst, e.cfg.ActivationBytes, e.cfg.Class, h.arrive)
+	// Boundary min(from, to) carries the hop; backward hops follow the
+	// p−1 forward ones.
+	i := from
+	if !fwd {
+		i = e.sched.Stages - 1 + to
+	}
+	e.fab.StartFlow(e.cfg.Hops[i], e.cfg.ActivationBytes, h.arrive)
 }
 
 // arrived lands the transfer in slot at its stage, frees the slot, and

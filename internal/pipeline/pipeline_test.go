@@ -144,25 +144,24 @@ func execEnv() (*sim.Engine, *netsim.Fabric, *topology.Topology) {
 	return eng, fab, topo
 }
 
-func uniformCfg(p int, tf, tb float64, ranks []int) ExecConfig {
+func uniformCfg(fab *netsim.Fabric, p int, tf, tb float64, ranks []int) ExecConfig {
 	f := make([]float64, p)
 	b := make([]float64, p)
 	for i := range f {
 		f[i], b[i] = tf, tb
 	}
 	return ExecConfig{
-		Ranks:           ranks,
+		Hops:            AppendHops(nil, fab, ranks, netsim.Ether),
 		ForwardTime:     f,
 		BackwardTime:    b,
 		ActivationBytes: 0, // pure-compute tests
-		Class:           netsim.Ether,
 	}
 }
 
 func TestExecutorSingleStage(t *testing.T) {
 	eng, fab, _ := execEnv()
 	sched := OneFOneB(1, 4)
-	dur, err := runOne(eng, fab, sched, uniformCfg(1, 1, 2, []int{0}))
+	dur, err := runOne(eng, fab, sched, uniformCfg(fab, 1, 1, 2, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestExecutorMatchesAnalyticNoComm(t *testing.T) {
 	p, m := 4, 12
 	sched := OneFOneB(p, m)
 	tf, tb := 0.01, 0.02
-	dur, err := runOne(eng, fab, sched, uniformCfg(p, tf, tb, []int{0, 8, 16, 24}))
+	dur, err := runOne(eng, fab, sched, uniformCfg(fab, p, tf, tb, []int{0, 8, 16, 24}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestExecutorBubbleGrowsWithStages(t *testing.T) {
 		ranks := []int{0, 8, 16, 24}[:p]
 		tf := total / 3 / float64(p)
 		tb := 2 * total / 3 / float64(p)
-		dur, err := runOne(eng, fab, OneFOneB(p, m), uniformCfg(p, tf, tb, ranks))
+		dur, err := runOne(eng, fab, OneFOneB(p, m), uniformCfg(fab, p, tf, tb, ranks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +229,7 @@ func TestExecutorSlowStageDominates(t *testing.T) {
 	// partition is wrong on heterogeneous clusters (§3.3).
 	eng, fab, _ := execEnv()
 	p, m := 2, 8
-	cfg := uniformCfg(p, 0, 0, []int{0, 16})
+	cfg := uniformCfg(fab, p, 0, 0, []int{0, 16})
 	cfg.ForwardTime = []float64{0.01, 0.03}
 	cfg.BackwardTime = []float64{0.02, 0.06}
 	dur, err := runOne(eng, fab, OneFOneB(p, m), cfg)
@@ -252,7 +251,7 @@ func TestExecutorCommDelaysPipeline(t *testing.T) {
 	// versus free communication.
 	run := func(bytes float64) float64 {
 		eng, fab, _ := execEnv()
-		cfg := uniformCfg(2, 0.005, 0.01, []int{0, 16}) // IB node -> RoCE node
+		cfg := uniformCfg(fab, 2, 0.005, 0.01, []int{0, 16}) // IB node -> RoCE node
 		cfg.ActivationBytes = bytes
 		dur, err := runOne(eng, fab, OneFOneB(2, 8), cfg)
 		if err != nil {
@@ -271,7 +270,7 @@ func TestExecutorBackwardHook(t *testing.T) {
 	eng, fab, _ := execEnv()
 	p, m := 2, 4
 	var events []int
-	cfg := uniformCfg(p, 0.001, 0.002, []int{0, 8})
+	cfg := uniformCfg(fab, p, 0.001, 0.002, []int{0, 8})
 	cfg.OnBackwardDone = func(stage, micro int, now sim.Time) {
 		events = append(events, stage*100+micro)
 	}
@@ -288,7 +287,7 @@ func TestExecutorGPipeSlowerThanOneFOneBWithComm(t *testing.T) {
 	// same shape (and typically faster end-to-end in steady state).
 	shape := func(s *Schedule) float64 {
 		eng, fab, _ := execEnv()
-		cfg := uniformCfg(2, 0.004, 0.008, []int{0, 16})
+		cfg := uniformCfg(fab, 2, 0.004, 0.008, []int{0, 16})
 		cfg.ActivationBytes = 1e6
 		dur, err := runOne(eng, fab, s, cfg)
 		if err != nil {
@@ -309,11 +308,12 @@ func TestExecutorGPipeSlowerThanOneFOneBWithComm(t *testing.T) {
 func TestExecutorConfigErrors(t *testing.T) {
 	eng, fab, _ := execEnv()
 	sched := OneFOneB(2, 2)
+	hops := func(ranks ...int) []netsim.Route { return AppendHops(nil, fab, ranks, netsim.Ether) }
 	bad := []ExecConfig{
-		{Ranks: []int{0}, ForwardTime: []float64{1, 1}, BackwardTime: []float64{1, 1}},
-		{Ranks: []int{0, 8}, ForwardTime: []float64{1}, BackwardTime: []float64{1, 1}},
-		{Ranks: []int{0, 8}, ForwardTime: []float64{1, -1}, BackwardTime: []float64{1, 1}},
-		{Ranks: []int{0, 8}, ForwardTime: []float64{1, 1}, BackwardTime: []float64{1, 1}, ActivationBytes: -5},
+		{Hops: hops(0), ForwardTime: []float64{1, 1}, BackwardTime: []float64{1, 1}},
+		{Hops: hops(0, 8), ForwardTime: []float64{1}, BackwardTime: []float64{1, 1}},
+		{Hops: hops(0, 8), ForwardTime: []float64{1, -1}, BackwardTime: []float64{1, 1}},
+		{Hops: hops(0, 8), ForwardTime: []float64{1, 1}, BackwardTime: []float64{1, 1}, ActivationBytes: -5},
 	}
 	for i, cfg := range bad {
 		if _, err := NewExecutor(eng, fab, sched, cfg); err == nil {

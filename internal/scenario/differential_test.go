@@ -136,7 +136,7 @@ func replayUnder(t *testing.T, topo *topology.Topology, p netsim.Params, fs []pr
 	for i := range fs {
 		i, pf := i, fs[i]
 		eng.At(pf.at, func() {
-			fab.StartFlow(pf.src, pf.dst, pf.bytes, pf.class, func() { done[i] = eng.Now() })
+			fab.StartFlow(fab.Route(pf.src, pf.dst, pf.class), pf.bytes, func() { done[i] = eng.Now() })
 		})
 	}
 	eng.Run()

@@ -275,6 +275,7 @@ func (rt *Runtime) stream(ev Event) {
 	g := rt.fab.Topo.GPUsPerNode
 	src, dst := ev.Src*g, ev.Dst*g
 	rate := ev.Gbps / 8 * 1e9 // bytes/s; 0 = greedy
+	route := rt.fab.Route(src, dst, class)
 	var inflight netsim.FlowID
 	var next func()
 	next = func() {
@@ -299,7 +300,7 @@ func (rt *Runtime) stream(ev Event) {
 				return
 			}
 		}
-		inflight = rt.fab.StartFlowRateCapped(src, dst, chunk, class, rate, next)
+		inflight = rt.fab.StartFlowRateCapped(route, chunk, rate, next)
 	}
 	next()
 	if ev.Until > 0 {

@@ -33,7 +33,7 @@ func TestStreamGreedyAbortsAtUntil(t *testing.T) {
 	var start, end sim.Time
 	eng.At(until+1e-4, func() {
 		start = eng.Now()
-		fab.StartFlow(0, 8, probeBytes, netsim.RDMA, func() { end = eng.Now() })
+		fab.StartFlow(fab.Route(0, 8, netsim.RDMA), probeBytes, func() { end = eng.Now() })
 	})
 	eng.Run()
 	lone := fab.TransferTime(0, 8, probeBytes, netsim.RDMA)
@@ -63,7 +63,7 @@ func TestStreamRateCappedClampsFinalChunk(t *testing.T) {
 	var start, end sim.Time
 	eng.At(until+1e-4, func() {
 		start = eng.Now()
-		fab.StartFlow(0, 8, probeBytes, netsim.RDMA, func() { end = eng.Now() })
+		fab.StartFlow(fab.Route(0, 8, netsim.RDMA), probeBytes, func() { end = eng.Now() })
 	})
 	eng.Run()
 	lone := fab.TransferTime(0, 8, probeBytes, netsim.RDMA)
@@ -218,7 +218,7 @@ func TestScenarioSeedDrivesJitter(t *testing.T) {
 		// Start the flows after the jitter event has installed itself.
 		eng.At(0.001, func() {
 			for i := 0; i < 6; i++ {
-				fab.StartFlow(0, 8, 1e7, netsim.RDMA, func() { ends = append(ends, eng.Now()) })
+				fab.StartFlow(fab.Route(0, 8, netsim.RDMA), 1e7, func() { ends = append(ends, eng.Now()) })
 			}
 		})
 		eng.Run()

@@ -308,7 +308,7 @@ func TestBackgroundTrafficOffersScriptedRate(t *testing.T) {
 	probeBytes := 10e9
 	var probeDone float64
 	eng.At(0.1, func() {
-		fab.StartFlow(0, 8, probeBytes, netsim.RDMA, func() { probeDone = eng.Now() })
+		fab.StartFlow(fab.Route(0, 8, netsim.RDMA), probeBytes, func() { probeDone = eng.Now() })
 	})
 	end := eng.Run()
 	if got := end; got < until || got > until+0.1 {

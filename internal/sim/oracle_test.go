@@ -187,10 +187,13 @@ func (e *oracleEngine) Reset() {
 
 // scripted is the engine surface the differential test drives. Events
 // are named by labels, assigned in scheduling order, so both engines
-// under the same script give the same event the same label.
+// under the same script give the same event the same label. A posted
+// event takes a label too, but no handle: cancelling or rescheduling it
+// does nothing.
 type scripted interface {
 	at(t Time, fn func())
-	after(d float64, fn func())
+	post(t Time, fn func())
+	postAfter(d float64, fn func())
 	cancel(label int)
 	reschedule(label int, t Time) bool
 	halt()
@@ -206,11 +209,21 @@ type scripted interface {
 // typedEngine adapts the engine under test.
 type typedEngine struct {
 	eng     *Engine
-	handles []Event
+	handles []Event // the zero Event for a posted label
 }
 
-func (e *typedEngine) at(t Time, fn func())          { e.handles = append(e.handles, e.eng.At(t, fn)) }
-func (e *typedEngine) after(d float64, fn func())    { e.handles = append(e.handles, e.eng.After(d, fn)) }
+func (e *typedEngine) at(t Time, fn func()) { e.handles = append(e.handles, e.eng.At(t, fn)) }
+
+func (e *typedEngine) post(t Time, fn func()) {
+	e.eng.Post(t, fn)
+	e.handles = append(e.handles, Event{})
+}
+
+func (e *typedEngine) postAfter(d float64, fn func()) {
+	e.eng.PostAfter(d, fn)
+	e.handles = append(e.handles, Event{})
+}
+
 func (e *typedEngine) cancel(label int)              { e.eng.Cancel(e.handles[label]) }
 func (e *typedEngine) reschedule(l int, t Time) bool { return e.eng.Reschedule(e.handles[l], t) }
 func (e *typedEngine) halt()                         { e.eng.Halt() }
@@ -224,13 +237,19 @@ func (e *typedEngine) labels() int                   { return len(e.handles) }
 
 // oracleAdapter drives the oracle engine. The oracle has no Reschedule;
 // its specification is cancel-then-At with the same callback, for an
-// event that is still pending, and nothing otherwise. live tracks which
-// labels are pending, since the oracle's own handles do not survive a
-// Reset truthfully.
+// event that is still pending, and nothing otherwise. Nor has it posted
+// events: a post is an At whose label no cancel or reschedule touches.
+// live tracks which labels are pending, since the oracle's own handles
+// do not survive a Reset truthfully.
+//
+// The engine stores a −0 time as +0 (its keys compare the time's bits),
+// so the oracle is handed +0 for it: a script scheduling at −0 checks
+// that the engine orders it exactly as +0.
 type oracleAdapter struct {
 	eng     *oracleEngine
 	handles []*oracleEvent
 	live    []bool
+	posted  []bool
 }
 
 func (o *oracleAdapter) wrap(fn func()) func() {
@@ -241,28 +260,42 @@ func (o *oracleAdapter) wrap(fn func()) func() {
 	}
 }
 
-func (o *oracleAdapter) at(t Time, fn func()) {
-	o.handles = append(o.handles, o.eng.At(t, o.wrap(fn)))
-	o.live = append(o.live, true)
+// positive maps −0 to +0.
+func positive(t Time) Time {
+	if t == 0 {
+		return 0
+	}
+	return t
 }
 
-func (o *oracleAdapter) after(d float64, fn func()) {
-	o.handles = append(o.handles, o.eng.After(d, o.wrap(fn)))
+func (o *oracleAdapter) add(ev *oracleEvent, posted bool) {
+	o.handles = append(o.handles, ev)
 	o.live = append(o.live, true)
+	o.posted = append(o.posted, posted)
+}
+
+func (o *oracleAdapter) at(t Time, fn func())   { o.add(o.eng.At(positive(t), o.wrap(fn)), false) }
+func (o *oracleAdapter) post(t Time, fn func()) { o.add(o.eng.At(positive(t), o.wrap(fn)), true) }
+
+func (o *oracleAdapter) postAfter(d float64, fn func()) {
+	o.add(o.eng.After(d, o.wrap(fn)), true)
 }
 
 func (o *oracleAdapter) cancel(label int) {
+	if o.posted[label] {
+		return
+	}
 	o.handles[label].Cancel()
 	o.live[label] = false
 }
 
 func (o *oracleAdapter) reschedule(label int, t Time) bool {
-	if !o.live[label] {
+	if !o.live[label] || o.posted[label] {
 		return false
 	}
 	old := o.handles[label]
 	old.Cancel()
-	o.handles[label] = o.eng.At(t, old.Fn)
+	o.handles[label] = o.eng.At(positive(t), old.Fn)
 	return true
 }
 
@@ -284,7 +317,8 @@ func (o *oracleAdapter) reset() {
 // Script actions, at top level or inside a callback.
 const (
 	actAt = iota
-	actAfter
+	actPost
+	actPostAfter
 	actCancel
 	actCancelSelf
 	actReschedule
@@ -294,14 +328,16 @@ const (
 	actReset
 )
 
-// action is one scripted call. dt offsets At, After, Reschedule and
-// RunUntil from the current time; target picks a label when the action
-// runs (see pick); body is the callback of a scheduled event.
+// action is one scripted call. dt offsets At, Post, PostAfter,
+// Reschedule and RunUntil from the current time; negZero passes a time
+// (or PostAfter delay) of zero as −0; target picks a label when the
+// action runs (see pick); body is the callback of a scheduled event.
 type action struct {
-	kind   int
-	dt     float64
-	target int
-	body   []action
+	kind    int
+	dt      float64
+	negZero bool
+	target  int
+	body    []action
 }
 
 // pick resolves target against the n labels issued so far: odd targets
@@ -312,6 +348,15 @@ func (a action) pick(n int) int {
 		return n - 1 - a.target/2%min(n, 16)
 	}
 	return a.target / 2 % n
+}
+
+// offset returns the action's offset from the current time, t0.
+func (a action) offset(t0 Time) Time {
+	t := t0 + a.dt
+	if a.negZero && t == 0 {
+		return math.Copysign(0, -1)
+	}
+	return t
 }
 
 // driver runs actions against one engine and logs every observation.
@@ -326,7 +371,7 @@ func (d *driver) note(format string, args ...any) {
 
 func (d *driver) do(a action, self int) {
 	switch a.kind {
-	case actAt, actAfter:
+	case actAt, actPost, actPostAfter:
 		label := d.e.labels()
 		body := a.body
 		fn := func() {
@@ -335,10 +380,13 @@ func (d *driver) do(a action, self int) {
 				d.do(b, label)
 			}
 		}
-		if a.kind == actAt {
-			d.e.at(d.e.now()+a.dt, fn)
-		} else {
-			d.e.after(a.dt, fn)
+		switch a.kind {
+		case actAt:
+			d.e.at(a.offset(d.e.now()), fn)
+		case actPost:
+			d.e.post(a.offset(d.e.now()), fn)
+		default:
+			d.e.postAfter(a.offset(0), fn)
 		}
 	case actCancel:
 		if n := d.e.labels(); n > 0 {
@@ -349,12 +397,12 @@ func (d *driver) do(a action, self int) {
 	case actReschedule:
 		if n := d.e.labels(); n > 0 {
 			l := a.pick(n)
-			d.note("reschedule %d -> %v", l, d.e.reschedule(l, d.e.now()+a.dt))
+			d.note("reschedule %d -> %v", l, d.e.reschedule(l, a.offset(d.e.now())))
 		}
 	case actHalt:
 		d.e.halt()
 	case actRunUntil:
-		d.note("runUntil -> %v", d.e.runUntil(d.e.now()+a.dt))
+		d.note("runUntil -> %v", d.e.runUntil(a.offset(d.e.now())))
 	case actRun:
 		d.note("run -> %v", d.e.run())
 	case actReset:
@@ -363,35 +411,58 @@ func (d *driver) do(a action, self int) {
 	d.note("now %v fired %d pending %d", d.e.now(), d.e.fired(), d.e.pending())
 }
 
+// source draws a script's choices: a seeded *rand.Rand, or fuzz input.
+type source interface {
+	Intn(n int) int
+}
+
 // genTime draws offsets on a half-second grid. Half the draws fall
 // within two seconds, so many events tie at one instant (the current one
 // included); the rest spread over twenty, so enough events stay pending
 // that a removal from the middle of the heap must sift both ways.
-func genTime(rng *rand.Rand) float64 {
-	if rng.Intn(2) == 0 {
-		return float64(rng.Intn(5)) * 0.5
+func genTime(src source) float64 {
+	if src.Intn(2) == 0 {
+		return float64(src.Intn(5)) * 0.5
 	}
-	return float64(rng.Intn(40)) * 0.5
+	return float64(src.Intn(40)) * 0.5
 }
 
-// genBody draws a callback body: nested scheduling, cancels of any label
-// (fired, pending, cancelled, reused-slot stale, or the event itself),
-// reschedules, and the occasional Halt.
-func genBody(rng *rand.Rand, depth int) []action {
+// genSchedule draws a scheduling action: At for half of them, so most
+// cancels and reschedules find a handle, and Post or PostAfter for the
+// rest. One in eight passes a zero time as −0.
+func genSchedule(src source, body []action) action {
+	kinds := [4]int{actAt, actAt, actPost, actPostAfter}
+	return action{kind: kinds[src.Intn(4)], dt: genTime(src), negZero: src.Intn(8) == 0, body: body}
+}
+
+// genReschedule draws a reschedule; one in four moves its event to the
+// current instant, where it ties with whatever is due there.
+func genReschedule(src source) action {
+	a := action{kind: actReschedule, dt: genTime(src), target: src.Intn(1 << 20), negZero: src.Intn(8) == 0}
+	if src.Intn(4) == 0 {
+		a.dt = 0
+	}
+	return a
+}
+
+// genBody draws a callback body: nested scheduling and posting, cancels
+// of any label (fired, pending, cancelled, posted, reused-slot stale, or
+// the event itself), reschedules, and the occasional Halt.
+func genBody(src source, depth int) []action {
 	if depth >= 3 {
 		return nil
 	}
-	body := make([]action, rng.Intn(4))
+	body := make([]action, src.Intn(4))
 	for i := range body {
-		switch r := rng.Intn(20); {
+		switch r := src.Intn(20); {
 		case r < 6:
-			body[i] = action{kind: actAt + rng.Intn(2), dt: genTime(rng), body: genBody(rng, depth+1)}
+			body[i] = genSchedule(src, genBody(src, depth+1))
 		case r < 10:
-			body[i] = action{kind: actCancel, target: rng.Intn(1 << 20)}
+			body[i] = action{kind: actCancel, target: src.Intn(1 << 20)}
 		case r < 12:
 			body[i] = action{kind: actCancelSelf}
 		case r < 19:
-			body[i] = action{kind: actReschedule, dt: genTime(rng), target: rng.Intn(1 << 20)}
+			body[i] = genReschedule(src)
 		default:
 			body[i] = action{kind: actHalt}
 		}
@@ -399,16 +470,16 @@ func genBody(rng *rand.Rand, depth int) []action {
 	return body
 }
 
-func genTop(rng *rand.Rand) action {
-	switch r := rng.Intn(40); {
+func genTop(src source) action {
+	switch r := src.Intn(40); {
 	case r < 20:
-		return action{kind: actAt + rng.Intn(2), dt: genTime(rng), body: genBody(rng, 0)}
+		return genSchedule(src, genBody(src, 0))
 	case r < 25:
-		return action{kind: actCancel, target: rng.Intn(1 << 20)}
+		return action{kind: actCancel, target: src.Intn(1 << 20)}
 	case r < 31:
-		return action{kind: actReschedule, dt: genTime(rng), target: rng.Intn(1 << 20)}
+		return genReschedule(src)
 	case r < 36:
-		return action{kind: actRunUntil, dt: genTime(rng)}
+		return action{kind: actRunUntil, dt: genTime(src), negZero: src.Intn(8) == 0}
 	case r < 37:
 		return action{kind: actRun}
 	case r < 38:
@@ -418,6 +489,28 @@ func genTop(rng *rand.Rand) action {
 	}
 }
 
+// matchOracle runs top-level actions drawn from src against the engine
+// and the oracle, until steps actions ran or src reports itself spent,
+// and returns the first observation on which they disagree ("" when
+// none does).
+func matchOracle(src source, steps int, spent func() bool) string {
+	typed := &driver{e: &typedEngine{eng: NewEngine()}}
+	oracle := &driver{e: &oracleAdapter{eng: newOracleEngine()}}
+	for step := 0; step < steps && !spent(); step++ {
+		a := genTop(src)
+		typed.do(a, 0)
+		oracle.do(a, 0)
+		if len(typed.log) != len(oracle.log) {
+			return fmt.Sprintf("step %d: %d observations, oracle %d\n%s", step,
+				len(typed.log), len(oracle.log), firstDiff(typed.log, oracle.log))
+		}
+		if diff := firstDiff(typed.log, oracle.log); diff != "" {
+			return fmt.Sprintf("step %d: %s", step, diff)
+		}
+	}
+	return ""
+}
+
 // TestEngineMatchesOracle drives the typed engine and the container/heap
 // oracle with the same seeded call sequences and requires the same
 // firing order, clock, fired count, pending count and Reschedule answers
@@ -425,21 +518,44 @@ func genTop(rng *rand.Rand) action {
 func TestEngineMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		typed := &driver{e: &typedEngine{eng: NewEngine()}}
-		oracle := &driver{e: &oracleAdapter{eng: newOracleEngine()}}
-		for step := 0; step < 150; step++ {
-			a := genTop(rng)
-			typed.do(a, 0)
-			oracle.do(a, 0)
-			if len(typed.log) != len(oracle.log) {
-				t.Fatalf("seed %d step %d: %d observations, oracle %d\n%s", seed, step,
-					len(typed.log), len(oracle.log), firstDiff(typed.log, oracle.log))
-			}
-			if diff := firstDiff(typed.log, oracle.log); diff != "" {
-				t.Fatalf("seed %d step %d: %s", seed, step, diff)
-			}
+		if diff := matchOracle(rng, 150, func() bool { return false }); diff != "" {
+			t.Fatalf("seed %d %s", seed, diff)
 		}
 	}
+}
+
+// fuzzSource reads a script's choices from fuzz input: each draw takes
+// as many bytes as its range needs, and a spent input draws zeros.
+type fuzzSource struct{ b []byte }
+
+func (s *fuzzSource) Intn(n int) int {
+	v := 0
+	for span := 1; span < n; span <<= 8 {
+		v <<= 8
+		if len(s.b) > 0 {
+			v |= int(s.b[0])
+			s.b = s.b[1:]
+		}
+	}
+	return v % n
+}
+
+// FuzzEngineOrder is TestEngineMatchesOracle over scripts the fuzzer
+// writes: the input's bytes are the choices the seeded generator would
+// draw, so every script is one of the same language.
+func FuzzEngineOrder(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := make([]byte, 256)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &fuzzSource{b: data}
+		if diff := matchOracle(src, 400, func() bool { return len(src.b) == 0 }); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
 
 func firstDiff(got, want []string) string {

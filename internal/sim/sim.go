@@ -5,13 +5,26 @@
 // trainer. Time is virtual (measured in seconds as float64); events fire in
 // (time, sequence) order so that simulations are fully reproducible.
 //
-// The pending queue is a typed binary heap of (At, seq, record) entries
-// over a per-engine slab of event records. Cancel removes an entry at
-// once, Reschedule re-keys one in place, and fired or cancelled records
-// return to a free list, so a warmed engine schedules, fires and
-// reschedules without allocating. Handles carry the generation of the
-// record they were issued for; once that record fires or is cancelled
-// the handle is stale, and operations on it are no-ops.
+// Pending events live in three containers, each ordered by the same
+// unique key, the bits of the event's time followed by its sequence
+// number:
+//
+//   - Events scheduled with At take a handle. They sit in a typed binary
+//     heap of (key, slot) entries over a per-engine slab of records, so
+//     Cancel removes an entry at once and Reschedule re-keys one in place.
+//     Fired or cancelled records return to a free list. Handles carry the
+//     generation of the record they were issued for; once that record
+//     fires or is cancelled the handle is stale, and operations on it are
+//     no-ops.
+//   - Events posted with Post or PostAfter take no handle. One due later
+//     goes into a second heap whose entries carry their callback and no
+//     record, so sifting it never rewrites a record's position.
+//   - A posted event due at the current instant goes into a FIFO lane. It
+//     is appended in sequence order, at the one instant the lane can hold,
+//     so the lane is already sorted and holds nothing that can go stale.
+//
+// Every step fires the least of the three heads. A warmed engine
+// schedules, posts, fires and reschedules without allocating.
 package sim
 
 import (
@@ -23,8 +36,8 @@ import (
 // simulation.
 type Time = float64
 
-// Event is a handle to a scheduled callback, returned by At and After.
-// The zero Event refers to no event.
+// Event is a handle to a scheduled callback, returned by At. The zero
+// Event refers to no event.
 type Event struct {
 	slot int32
 	gen  uint32
@@ -40,28 +53,51 @@ type record struct {
 	gen uint32
 }
 
-// entry is one heap element. Keys live in the heap itself so sifting
-// compares without touching the records.
+// key orders events: the bits of the event's time, then its sequence
+// number. Times are never negative and −0 is stored as +0, and the bits
+// of non-negative floats order as the floats do, so comparing keys as
+// one 128-bit unsigned value is the (At, seq) order. Sequence numbers are
+// unique, so no two keys are equal.
+type key struct {
+	at, seq uint64
+}
+
+func (a key) less(b key) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// entry is one element of the handle heap. Keys live in the heap itself
+// so sifting compares without touching the records.
 type entry struct {
-	at   Time
-	seq  uint64
+	key
 	slot int32
 }
 
-func (a *entry) before(b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// posted is one handle-free event: its key and its callback.
+type posted struct {
+	key
+	fn func()
 }
+
+// Where the least pending event lives.
+const (
+	inNone = iota
+	inLane
+	inLater
+	inHeap
+)
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     Time
-	heap    []entry
-	recs    []record
-	free    []int32
+	now   Time
+	heap  []entry // events with handles
+	recs  []record
+	free  []int32
+	later []posted // posted events due after the current instant, a heap
+	lane  []posted // posted events due at the current instant, from head on
+	head  int
+
 	nextSeq uint64
 	fired   uint64
 	running bool
@@ -77,6 +113,26 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reserve sizes the engine's containers up front for the given numbers
+// of pending events with handles and of posted events due later, so a
+// simulation whose pending events stay within them grows neither. The
+// lane is left to grow: it holds the posted events of one instant.
+func (e *Engine) Reserve(handles, posts int) {
+	e.heap = grow(e.heap, handles)
+	e.recs = grow(e.recs, handles)
+	e.free = grow(e.free, handles)
+	e.later = grow(e.later, posts)
+}
+
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	out := make([]T, len(s), n)
+	copy(out, s)
+	return out
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -84,10 +140,11 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.later) + len(e.lane) - e.head }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
+// At schedules fn to run at absolute virtual time t and returns its
+// handle. Scheduling in the past panics: it would silently reorder
+// causality.
 func (e *Engine) At(t Time, fn func()) Event {
 	e.check(t)
 	var slot int32
@@ -101,15 +158,27 @@ func (e *Engine) At(t Time, fn func()) Event {
 	r := &e.recs[slot]
 	r.fn = fn
 	r.pos = int32(len(e.heap))
-	e.heap = append(e.heap, entry{at: t, seq: e.nextSeq, slot: slot})
-	e.nextSeq++
+	e.heap = append(e.heap, entry{key: e.stamp(t), slot: slot})
 	e.up(len(e.heap) - 1)
 	return Event{slot: slot, gen: r.gen}
 }
 
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) Event {
-	return e.At(e.now+d, fn)
+// Post schedules fn to run at absolute virtual time t, in the same order
+// At would, but takes no handle: a posted event can be neither cancelled
+// nor rescheduled. Posting in the past panics, as At does.
+func (e *Engine) Post(t Time, fn func()) {
+	e.check(t)
+	p := posted{key: e.stamp(t), fn: fn}
+	if t == e.now {
+		e.lane = append(e.lane, p)
+		return
+	}
+	e.pushLater(p)
+}
+
+// PostAfter posts fn to run d seconds from now.
+func (e *Engine) PostAfter(d float64, fn func()) {
+	e.Post(e.now+d, fn)
 }
 
 // Cancel removes a pending event from the queue. Cancelling an
@@ -134,9 +203,7 @@ func (e *Engine) Reschedule(ev Event, t Time) bool {
 		return false
 	}
 	i := int(e.recs[ev.slot].pos)
-	e.heap[i].at = t
-	e.heap[i].seq = e.nextSeq
-	e.nextSeq++
+	e.heap[i].key = e.stamp(t)
 	e.fix(i)
 	return true
 }
@@ -149,6 +216,17 @@ func (e *Engine) check(t Time) {
 	if math.IsNaN(t) {
 		panic("sim: scheduling event at NaN time")
 	}
+}
+
+// stamp keys a checked time with the next sequence number, storing −0
+// as +0.
+func (e *Engine) stamp(t Time) key {
+	k := key{at: math.Float64bits(t), seq: e.nextSeq}
+	if t == 0 {
+		k.at = 0
+	}
+	e.nextSeq++
+	return k
 }
 
 // live reports whether ev still names a pending event.
@@ -196,7 +274,7 @@ func (e *Engine) up(i int) {
 	en := e.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !en.before(&e.heap[p]) {
+		if !en.less(e.heap[p].key) {
 			break
 		}
 		e.move(i, e.heap[p])
@@ -214,10 +292,10 @@ func (e *Engine) down(i int) bool {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && e.heap[r].before(&e.heap[c]) {
+		if r := c + 1; r < n && e.heap[r].less(e.heap[c].key) {
 			c = r
 		}
-		if !e.heap[c].before(&en) {
+		if !e.heap[c].less(en.key) {
 			break
 		}
 		e.move(i, e.heap[c])
@@ -227,21 +305,101 @@ func (e *Engine) down(i int) bool {
 	return i > start
 }
 
-// step fires the earliest pending event, advancing the clock to its time.
-// It reports whether an event fired. The record is released before the
-// callback runs, so the callback may reuse its slot and the event's own
-// handle is already stale inside it.
-func (e *Engine) step() bool {
-	if len(e.heap) == 0 {
-		return false
+// pushLater adds a posted event to the heap of later ones.
+func (e *Engine) pushLater(p posted) {
+	h := append(e.later, p)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.less(h[parent].key) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	top := e.heap[0]
-	fn := e.recs[top.slot].fn
-	e.release(top.slot)
-	e.remove(0)
-	e.now = top.at
+	h[i] = p
+	e.later = h
+}
+
+// popLater removes the least of the later posted events: the last entry
+// takes the root and sifts down.
+func (e *Engine) popLater() {
+	h := e.later
+	last := len(h) - 1
+	p := h[last]
+	h = h[:last]
+	e.later = h
+	if last == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && h[r].less(h[c].key) {
+			c = r
+		}
+		if !h[c].less(p.key) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = p
+}
+
+// least returns the key of the earliest pending event and the container
+// holding it (inNone when nothing is pending).
+func (e *Engine) least() (key, int) {
+	k, in := key{at: math.MaxUint64, seq: math.MaxUint64}, inNone
+	if e.head < len(e.lane) {
+		k, in = e.lane[e.head].key, inLane
+	}
+	if len(e.later) > 0 && e.later[0].less(k) {
+		k, in = e.later[0].key, inLater
+	}
+	if len(e.heap) > 0 && e.heap[0].less(k) {
+		k, in = e.heap[0].key, inHeap
+	}
+	return k, in
+}
+
+// fire takes the least pending event, keyed k, out of container in,
+// advances the clock to its time and runs it. A handle's record is
+// released before the callback runs, so the callback may reuse its slot
+// and the event's own handle is already stale inside it.
+func (e *Engine) fire(k key, in int) {
+	var fn func()
+	switch in {
+	case inLane:
+		fn = e.lane[e.head].fn
+		if e.head++; e.head == len(e.lane) {
+			e.lane, e.head = e.lane[:0], 0
+		}
+	case inLater:
+		fn = e.later[0].fn
+		e.popLater()
+	default:
+		slot := e.heap[0].slot
+		fn = e.recs[slot].fn
+		e.release(slot)
+		e.remove(0)
+	}
+	e.now = math.Float64frombits(k.at)
 	e.fired++
 	fn()
+}
+
+// step fires the earliest pending event, advancing the clock to its time.
+// It reports whether an event fired.
+func (e *Engine) step() bool {
+	k, in := e.least()
+	if in == inNone {
+		return false
+	}
+	e.fire(k, in)
 	return true
 }
 
@@ -264,11 +422,12 @@ func (e *Engine) Run() Time {
 // from inside an event callback stops the loop immediately, leaving the
 // clock where the halting event fired.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.halted && len(e.heap) > 0 {
-		if e.heap[0].at > deadline {
+	for !e.halted {
+		k, in := e.least()
+		if in == inNone || math.Float64frombits(k.at) > deadline {
 			break
 		}
-		e.step()
+		e.fire(k, in)
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline
@@ -292,6 +451,10 @@ func (e *Engine) Reset() {
 		e.release(en.slot)
 	}
 	e.heap = e.heap[:0]
+	clear(e.later)
+	e.later = e.later[:0]
+	clear(e.lane)
+	e.lane, e.head = e.lane[:0], 0
 	e.now = 0
 	e.nextSeq = 0
 	e.fired = 0

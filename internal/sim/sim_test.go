@@ -50,7 +50,7 @@ func TestEngineAfterChains(t *testing.T) {
 	step = func(depth int) {
 		trace = append(trace, eng.Now())
 		if depth < 5 {
-			eng.After(1.5, func() { step(depth + 1) })
+			eng.PostAfter(1.5, func() { step(depth + 1) })
 		}
 	}
 	eng.At(0, func() { step(0) })
@@ -185,26 +185,6 @@ func TestEventCountProperty(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	var wg WaitGroup
-	fired := 0
-	wg.Add(2)
-	wg.OnZero(func() { fired++ })
-	wg.Done()
-	if fired != 0 {
-		t.Fatal("fired before count reached zero")
-	}
-	wg.Done()
-	if fired != 1 {
-		t.Fatalf("fired=%d, want 1", fired)
-	}
-	// OnZero on an already-zero group runs immediately.
-	wg.OnZero(func() { fired++ })
-	if fired != 2 {
-		t.Fatalf("fired=%d, want 2", fired)
-	}
-}
-
 func TestEngineReschedule(t *testing.T) {
 	eng := NewEngine()
 	var got []string
@@ -263,9 +243,34 @@ func TestStaleHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// A warmed engine schedules, reschedules, cancels and fires without
-// allocating: records and heap entries come back from the engine's own
-// free list and slices.
+// A reserved engine grows no container while its pending events stay
+// within the reservation.
+func TestEngineReserve(t *testing.T) {
+	fn := func() {}
+	allocs := func(reserve bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			eng := NewEngine()
+			if reserve {
+				eng.Reserve(32, 32)
+			}
+			for i := 0; i < 32; i++ {
+				eng.At(float64(i%7), fn)
+				eng.Post(float64(i%5)+0.5, fn)
+			}
+			eng.Run()
+		})
+	}
+	// The engine, then the handle heap, records, free list and later
+	// heap, each once.
+	if grown, sized := allocs(false), allocs(true); sized != 5 || grown <= sized {
+		t.Fatalf("a reserved engine allocated %v times, an unreserved one %v; want 5 and more", sized, grown)
+	}
+}
+
+// A warmed engine schedules, posts, reschedules, cancels and fires
+// without allocating: records and heap entries come back from the
+// engine's own free list and slices, and posted events from its heap of
+// later ones and its same-instant lane.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	eng := NewEngine()
 	n := 0
@@ -273,7 +278,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	loop := func() {
 		var evs [16]Event
 		for i := range evs {
-			evs[i] = eng.After(float64(i%5), fn)
+			evs[i] = eng.At(eng.Now()+float64(i%5), fn)
 		}
 		for i := 0; i < len(evs); i += 3 {
 			eng.Reschedule(evs[i], eng.Now()+7)
@@ -282,9 +287,35 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		eng.RunUntil(eng.Now() + 2)
 		eng.Run()
 	}
-	loop()
-	if allocs := testing.AllocsPerRun(100, loop); allocs != 0 {
-		t.Fatalf("warm schedule/fire/reschedule loop allocated %v times per run", allocs)
+	// Posted events chain: each posts two more, one at its own instant
+	// (the lane) and one later, until the depth runs out.
+	var chain func(depth int) func()
+	var chains [5]func()
+	chain = func(depth int) func() {
+		return func() {
+			n++
+			if depth+1 < len(chains) {
+				eng.PostAfter(0, chains[depth+1])
+				eng.PostAfter(float64(depth%3)*0.5, chains[depth+1])
+			}
+		}
+	}
+	for i := range chains {
+		chains[i] = chain(i)
+	}
+	posts := func() {
+		for i := 0; i < 8; i++ {
+			eng.Post(eng.Now()+float64(i%3), chains[0])
+			eng.PostAfter(0, fn)
+		}
+		eng.At(eng.Now()+1, fn)
+		eng.Run()
+	}
+	for name, run := range map[string]func(){"handles": loop, "posts": posts} {
+		run()
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("warm %s loop allocated %v times per run", name, allocs)
+		}
 	}
 	if n == 0 {
 		t.Fatal("no event fired")

@@ -37,8 +37,10 @@ func (d *Deadline) Lower(t float64) {
 
 // Outcome is how a simulation ran, besides its Report.
 type Outcome struct {
-	// Events counts the events the run's engine fired.
-	Events uint64
+	// Events counts the events the run's engine fired, Flows the flows
+	// its fabric started, and Rebalances the fabric's rebalance passes
+	// over a region that held a flow.
+	Events, Flows, Rebalances uint64
 
 	halted bool    // stopped once it provably lost to its deadline
 	peak   float64 // largest projected iteration end at an op completion

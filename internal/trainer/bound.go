@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 
-	"holmes/internal/comm"
 	"holmes/internal/netsim"
 )
 
@@ -114,32 +113,37 @@ func (it *Iteration) bound() *boundTerms {
 	tf, tb := it.tf, it.tb
 	fab := it.fab
 	pipes := it.world.PPGroups
+	links := fab.NumLinks()
 
+	// The terms the abort projection keeps — every pipeline's backward
+	// hops (pipeline-major), the group tails and the bytes charged to
+	// each link — share one allocation, and the scratch the bound
+	// evaluates with another, which dies once the bound is known.
+	n := len(pipes) * p
+	groups := len(it.world.DPGroups)
+	kept := make([]float64, n+groups+links)
+	hops, tails := kept[:n:n], kept[n:n+groups:n+groups]
+	scratch := make([]float64, 3*n+links)
+	start, firstB, lastB := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 	// Per-link traffic and the earliest instant any of it can be
 	// admitted.
-	vol := newLinkVolume(fab.NumLinks())
+	vol := newLinkVolume(kept[n+groups:], scratch[3*n:])
 
-	// Per-pipeline chains and hops, flattened pipeline-major, and the
-	// group tails, all in one allocation.
-	n := len(pipes) * p
-	buf := make([]float64, 4*n+len(it.world.DPGroups))
-	start, firstB, lastB, hops := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n]
-	tails := buf[4*n:]
 	pipeEnd := 0.0
 	for g, pg := range pipes {
-		r := pg.Ranks
+		routes := it.pipeRoutes(g)
 		st, fb, lb := start[g*p:(g+1)*p], firstB[g*p:(g+1)*p], lastB[g*p:(g+1)*p]
 		st[0] = it.stagger(pg)
 		for s := 0; s+1 < p; s++ {
-			fwd := fab.Route(r[s], r[s+1], pg.Class)
-			st[s+1] = st[s] + tf[s] + fwd.Latency + it.actBytes/fwd.Bandwidth
+			fwd := &routes[s]
+			st[s+1] = st[s] + tf[s] + fwd.Latency + it.actBytes/fab.RouteBandwidth(fwd)
 			vol.charge(fwd, m*it.actBytes, st[s]+tf[s])
 		}
 		lb[p-1] = st[p-1] + m*(tf[p-1]+tb[p-1])
 		fb[p-1] = st[p-1] + tf[p-1] + tb[p-1]
 		for s := p - 2; s >= 0; s-- {
-			bwd := fab.Route(r[s+1], r[s], pg.Class)
-			hop := bwd.Latency + it.actBytes/bwd.Bandwidth
+			bwd := &routes[p-1+s]
+			hop := bwd.Latency + it.actBytes/fab.RouteBandwidth(bwd)
 			hops[g*p+s] = hop
 			lb[s] = math.Max(st[s]+m*(tf[s]+tb[s]), lb[s+1]+hop+tb[s])
 			fb[s] = math.Max(st[s]+tf[s], fb[s+1]+hop) + tb[s]
@@ -150,7 +154,7 @@ func (it *Iteration) bound() *boundTerms {
 	bound := pipeEnd
 
 	// Per-group tails; every ring edge's bytes are charged as well.
-	rings := newRingScratch(fab.NumLinks())
+	rings := newRingScratch(links)
 	for row, g := range it.world.DPGroups {
 		s := it.assign.StageOf(g.Ranks[0])
 		gFirst, gLast := 0.0, 0.0
@@ -167,7 +171,7 @@ func (it *Iteration) bound() *boundTerms {
 		}
 		grad, param := it.dpBytes(s)
 		perEdge := float64(len(g.Ranks)-1) / float64(len(g.Ranks)) * (grad + param)
-		bucket, tail := it.dpTail(rings, g, func(e netsim.Route) { vol.charge(e, perEdge, rsFrom) })
+		bucket, tail := it.dpTail(rings, row, func(e *netsim.Route) { vol.charge(e, perEdge, rsFrom) })
 		tails[row] = tail
 		end := pipeEnd + tail
 		if it.opt.OverlappedOptimizer {
@@ -188,14 +192,14 @@ func (it *Iteration) bound() *boundTerms {
 	return &it.terms
 }
 
-// dpTail bounds a data-parallel group's collectives on its own links:
-// one reduce-scatter bucket, and the tail from its last bucket's
-// readiness to the group's end — that bucket, the optimizer step and the
-// parameter all-gather. Each ring edge's route goes to visit unless it
-// is nil.
-func (it *Iteration) dpTail(rs *ringScratch, g *comm.Group, visit func(netsim.Route)) (bucket, tail float64) {
-	ring := rs.load(it.fab, g, visit)
-	grad, param := it.dpBytes(it.assign.StageOf(g.Ranks[0]))
+// dpTail bounds the collectives of the data-parallel group in row on its
+// own links: one reduce-scatter bucket, and the tail from its last
+// bucket's readiness to the group's end — that bucket, the optimizer
+// step and the parameter all-gather. Each ring edge's route goes to
+// visit unless it is nil.
+func (it *Iteration) dpTail(rs *ringScratch, row int, visit func(*netsim.Route)) (bucket, tail float64) {
+	ring := rs.load(it.fab, it.ringRoutes(row), visit)
+	grad, param := it.dpBytes(it.assign.StageOf(it.world.DPGroups[row].Ranks[0]))
 	bucket = ring.seconds(grad / float64(it.buckets()))
 	return bucket, bucket + it.calib.OptimizerSeconds + ring.seconds(param)
 }
@@ -206,19 +210,18 @@ type linkVolume struct {
 	bytes, from []float64
 }
 
-func newLinkVolume(links int) linkVolume {
-	v := linkVolume{bytes: make([]float64, links), from: make([]float64, links)}
-	for i := range v.from {
-		v.from[i] = math.Inf(1)
+// newLinkVolume starts a volume on zeroed per-link arrays.
+func newLinkVolume(bytes, from []float64) linkVolume {
+	for i := range from {
+		from[i] = math.Inf(1)
 	}
-	return v
+	return linkVolume{bytes: bytes, from: from}
 }
 
 // charge adds bytes to every link of a route whose transfer is sent no
 // earlier than from; it occupies the links a latency later.
-func (v linkVolume) charge(r netsim.Route, bytes, from float64) {
-	for _, l := range r.Links[:r.N] {
-		id := l.ID()
+func (v linkVolume) charge(r *netsim.Route, bytes, from float64) {
+	for _, id := range r.Links() {
 		v.bytes[id] += bytes
 		v.from[id] = math.Min(v.from[id], from+r.Latency)
 	}
@@ -252,27 +255,26 @@ func newRingScratch(links int) *ringScratch {
 	return &ringScratch{edges: make([]int, links)}
 }
 
-// load builds the ring cost model of a group on a fabric, handing each
-// ring edge's route to visit when it is not nil.
-func (rs *ringScratch) load(fab *netsim.Fabric, g *comm.Group, visit func(netsim.Route)) ringLoad {
-	d := len(g.Ranks)
+// load builds the ring cost model of a group from its ring edges,
+// handing each edge's route to visit when it is not nil.
+func (rs *ringScratch) load(fab *netsim.Fabric, ring []netsim.Route, visit func(*netsim.Route)) ringLoad {
+	d := len(ring)
 	out := ringLoad{d: d, lat: math.Inf(1)}
 	if d <= 1 {
 		return out
 	}
-	for i, src := range g.Ranks {
-		e := fab.Route(src, g.Ranks[(i+1)%d], g.Class)
+	for i := range ring {
+		e := &ring[i]
 		if visit != nil {
 			visit(e)
 		}
 		out.lat = math.Min(out.lat, e.Latency)
 		// A flow never outruns its path's slowest link or its own rate
 		// cap, whatever the sharing.
-		out.perByte = math.Max(out.perByte, 1/e.Bandwidth)
-		for _, l := range e.Links[:e.N] {
-			id := l.ID()
+		out.perByte = math.Max(out.perByte, 1/fab.RouteBandwidth(e))
+		for _, id := range e.Links() {
 			if rs.edges[id] == 0 {
-				rs.touched = append(rs.touched, id)
+				rs.touched = append(rs.touched, int(id))
 			}
 			rs.edges[id]++
 		}

@@ -105,11 +105,12 @@ func Simulate(cfg Config) (Report, error) {
 }
 
 // Iteration is one training iteration prepared for its event run: the
-// communicators, the pristine fabric, the partition and the per-stage
-// compute times. LowerBound evaluates it in closed form and Run runs its
-// events, so the bound and the simulation share one placement and one
-// partition, and a bounded run's abort projection reuses the terms the
-// bound computed.
+// communicators, the pristine fabric with every route the iteration's
+// flows start on, the partition and the per-stage compute times.
+// LowerBound evaluates it in closed form and Run runs its events, so the
+// bound and the simulation share one placement, one set of routes and
+// one partition, and a bounded run's abort projection reuses the terms
+// the bound computed.
 type Iteration struct {
 	cfg    Config
 	opt    Options
@@ -119,9 +120,13 @@ type Iteration struct {
 	world  *comm.World
 	m      int // micro-batches per pipeline
 
-	eng  *sim.Engine
-	fab  *netsim.Fabric // pristine: no scenario bound yet
-	part partition.Result
+	eng *sim.Engine
+	fab *netsim.Fabric // pristine: no scenario bound yet
+	// routes holds every route the iteration's flows start on, resolved
+	// once on the pristine fabric: each pipeline's hops (pipeRoutes),
+	// then each data-parallel group's ring edges (ringRoutes).
+	routes []netsim.Route
+	part   partition.Result
 	// tf and tb are each stage's forward and backward seconds per
 	// micro-batch; actBytes is one inter-stage hop's payload.
 	tf, tb   []float64
@@ -183,7 +188,13 @@ func Prepare(cfg Config) (*Iteration, error) {
 
 	eng := sim.NewEngine()
 	fab := newFabric(eng, cfg.Topo, calib.Net)
-	dpPerLayer := stageDPPerLayer(cfg, calib, assign, world, fab)
+	it := &Iteration{
+		cfg: cfg, opt: opt, calib: calib,
+		deg: deg, assign: assign, world: world, m: m,
+		eng: eng, fab: fab,
+		routes: resolveRoutes(fab, world, p),
+	}
+	dpPerLayer := it.stageDPPerLayer()
 	part, err := makePartition(cfg, opt, calib, assign, m, dpPerLayer)
 	if err != nil {
 		return nil, err
@@ -241,15 +252,42 @@ func Prepare(cfg Config) (*Iteration, error) {
 	if pipesPerNode < 1 {
 		pipesPerNode = 1
 	}
-	return &Iteration{
-		cfg: cfg, opt: opt, calib: calib,
-		deg: deg, assign: assign, world: world, m: m,
-		eng: eng, fab: fab, part: part,
-		tf: tf, tb: tb,
-		actBytes:     cfg.Spec.ActivationMessageBytes() / float64(t),
-		beat:         beat,
-		pipesPerNode: pipesPerNode,
-	}, nil
+	it.part, it.tf, it.tb = part, tf, tb
+	it.actBytes = cfg.Spec.ActivationMessageBytes() / float64(t)
+	it.beat, it.pipesPerNode = beat, pipesPerNode
+	return it, nil
+}
+
+// resolveRoutes resolves, in one table, every pipeline group's hops and
+// then every data-parallel group's ring edges, on the pristine fabric.
+func resolveRoutes(fab *netsim.Fabric, world *comm.World, p int) []netsim.Route {
+	n := len(world.PPGroups) * 2 * (p - 1)
+	for _, g := range world.DPGroups {
+		n += len(g.Ranks)
+	}
+	routes := make([]netsim.Route, 0, n)
+	for _, pg := range world.PPGroups {
+		routes = pipeline.AppendHops(routes, fab, pg.Ranks, pg.Class)
+	}
+	for _, g := range world.DPGroups {
+		routes = collective.AppendEdges(routes, fab, g.Ranks, g.Class)
+	}
+	return routes
+}
+
+// pipeRoutes returns pipeline group g's hops, in pipeline.AppendHops's
+// layout: the forward hop over boundary s at s, the backward one at
+// p−1+s.
+func (it *Iteration) pipeRoutes(g int) []netsim.Route {
+	n := 2 * (it.deg.P - 1)
+	return it.routes[g*n : (g+1)*n : (g+1)*n]
+}
+
+// ringRoutes returns the ring edges of the data-parallel group in row,
+// in ring order. Every data-parallel group holds d ranks.
+func (it *Iteration) ringRoutes(row int) []netsim.Route {
+	from := len(it.world.PPGroups)*2*(it.deg.P-1) + row*it.deg.D
+	return it.routes[from : from+it.deg.D : from+it.deg.D]
 }
 
 // stagger is the instant a pipeline group's first stage starts.
@@ -298,6 +336,10 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 	if dl != nil {
 		proj = it.newProjection(dl)
 	}
+	// Size the engine's containers once: a completion per flow in
+	// flight, for about as many flows as the iteration has routes, and
+	// an op completion per stage besides an admission per flow.
+	eng.Reserve(len(it.routes), len(it.world.PPGroups)*p+len(it.routes))
 
 	// Bind the scenario before the pipelines so that, at equal instants,
 	// scripted events apply ahead of training events — deterministically.
@@ -322,11 +364,10 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 	for g, pg := range it.world.PPGroups {
 		pg := pg
 		cfgExec := pipeline.ExecConfig{
-			Ranks:           pg.Ranks,
+			Hops:            it.pipeRoutes(g),
 			ForwardTime:     tf,
 			BackwardTime:    tb,
 			ActivationBytes: it.actBytes,
-			Class:           pg.Class,
 			OnBackwardDone: func(stage, micro int, now sim.Time) {
 				st.backwardDone(pg.Ranks[stage], micro)
 			},
@@ -350,7 +391,7 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 		if err != nil {
 			return Report{}, Outcome{}, err
 		}
-		eng.At(it.stagger(pg), ex.Start)
+		eng.Post(it.stagger(pg), ex.Start)
 	}
 	deadline := math.Inf(1)
 	if dl != nil {
@@ -366,7 +407,7 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 		// bit-identical.
 		eng.RunUntil(deadline)
 	}
-	out := Outcome{Events: eng.Fired()}
+	out := Outcome{Events: eng.Fired(), Flows: fab.FlowsStarted(), Rebalances: fab.Rebalances()}
 	if proj != nil {
 		out.peak = proj.peak
 		if eng.Halted() || (!st.finished() && eng.Pending() > 0) {
@@ -479,23 +520,23 @@ func tpRingSeconds(cfg Config, calib Calibration, assign *parallel.Assignment, s
 // stageDPPerLayer estimates, for every pipeline stage, the gradient
 // reduce-scatter + parameter all-gather seconds one layer costs the
 // stage's data-parallel groups on their selected fabric (the slowest ring
-// edge governs a ring collective). It reads the uncontended pair
-// bandwidths of fab, which must not yet carry any scenario change.
-func stageDPPerLayer(cfg Config, calib Calibration, assign *parallel.Assignment, world *comm.World, fab *netsim.Fabric) []float64 {
+// edge governs a ring collective). It reads the uncontended bandwidths of
+// the ring edges, resolved before any scenario change.
+func (it *Iteration) stageDPPerLayer() []float64 {
+	assign := it.assign
 	out := make([]float64, assign.P)
 	for s := 0; s < assign.P; s++ {
-		g := world.DPGroups[assign.DPRow(assign.StageRanks(s)[0])]
-		d := len(g.Ranks)
+		edges := it.ringRoutes(assign.DPRow(assign.StageRanks(s)[0]))
+		d := len(edges)
 		if d == 1 {
 			continue
 		}
-		bytes := float64(cfg.Spec.ParamsPerLayer()) / float64(assign.T) *
-			(calib.GradBytesPerParam + calib.ParamBytesPerParam)
+		bytes := float64(it.cfg.Spec.ParamsPerLayer()) / float64(assign.T) *
+			(it.calib.GradBytesPerParam + it.calib.ParamBytesPerParam)
 		perEdge := float64(d-1) / float64(d) * bytes
 		worst := 0.0
-		for i := range g.Ranks {
-			src, dst := g.Ranks[i], g.Ranks[(i+1)%d]
-			if bw := fab.PairBandwidth(src, dst, g.Class); bw > 0 {
+		for i := range edges {
+			if bw := it.fab.RouteBandwidth(&edges[i]); bw > 0 {
 				if t := perEdge / bw; t > worst {
 					worst = t
 				}
@@ -576,11 +617,11 @@ func newIterState(it *Iteration, dl *Deadline) *iterState {
 		dl:        dl,
 	}
 	buckets := it.buckets()
-	for _, g := range it.world.DPGroups {
+	for row, g := range it.world.DPGroups {
 		grad, param := it.dpBytes(it.assign.StageOf(g.Ranks[0]))
 		gs := &dpGroupState{
 			group:      g,
-			ring:       collective.NewRing(it.eng, it.fab, g.Ranks, g.Class),
+			ring:       collective.NewRing(it.eng, it.fab, it.ringRoutes(row)),
 			gradBytes:  grad,
 			paramBytes: param,
 			buckets:    buckets,
@@ -639,7 +680,7 @@ func (st *iterState) bucketDone(gs *dpGroupState) {
 	gs.nextBucket++
 	if gs.nextBucket == gs.buckets {
 		gs.rsEnd = st.eng.Now()
-		st.eng.After(st.calib.OptimizerSeconds, gs.stepped)
+		st.eng.PostAfter(st.calib.OptimizerSeconds, gs.stepped)
 		return
 	}
 	st.pumpRS(gs)
