@@ -140,6 +140,41 @@ func BenchmarkScenarioImpaired(b *testing.B) {
 	b.ReportMetric(float64(out.Rebalances), "rebalances/op")
 }
 
+// BenchmarkTwinCells runs three scenario-free PG1 hybrid cells on 8
+// nodes, (t, p) = (8, 2), (4, 2) and (2, 2): the cells whose tensor
+// twins one executor and one ring simulate once, eight at t = 8, two at
+// t = 4 and none at t = 2 (DESIGN.md decision 18). It runs no search, so
+// the work it reports — events fired, flows started and rebalance
+// passes per op, summed over the three — repeats exactly. Gated against
+// BENCH_baseline.json in CI, the counters exactly.
+func BenchmarkTwinCells(b *testing.B) {
+	topo := topology.HybridEnv(8)
+	spec := model.Group(1).Spec
+	var out trainer.Outcome
+	for i := 0; i < b.N; i++ {
+		out = trainer.Outcome{}
+		for _, tile := range []int{8, 4, 2} {
+			it, err := trainer.Prepare(trainer.Config{
+				Topo: topo, Spec: spec, TensorSize: tile, PipelineSize: 2,
+				Framework: trainer.Holmes,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, o, err := it.Run(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out.Events += o.Events
+			out.Flows += o.Flows
+			out.Rebalances += o.Rebalances
+		}
+	}
+	b.ReportMetric(float64(out.Events), "events/op")
+	b.ReportMetric(float64(out.Flows), "flows/op")
+	b.ReportMetric(float64(out.Rebalances), "rebalances/op")
+}
+
 // --- Ablation benches beyond the paper ---
 
 // BenchmarkAblationAlpha sweeps the self-adapting partition's α

@@ -20,24 +20,28 @@ import (
 
 // Ring runs fluid collectives over one fixed group, one at a time. Each
 // collective places one flow per directed ring edge and fires its onDone
-// when the slowest completes. The edges count down on a callback bound
-// once, so a warmed ring starts collective after collective without
-// allocating; the trainer keeps one per data-parallel group, whose
-// gradient buckets and parameter all-gather run strictly in sequence.
+// when the slowest completes. A ring of weight w stands for w identical
+// groups on the same edges, each of its flows w flows (netsim's
+// StartFlows). The edges count down on a callback bound once, so a
+// warmed ring starts collective after collective without allocating;
+// the trainer keeps one per data-parallel group, whose gradient buckets
+// and parameter all-gather run strictly in sequence.
 type Ring struct {
 	eng   *sim.Engine
 	fab   *netsim.Fabric
 	edges []netsim.Route // ring order, one per rank (AppendEdges)
+	w     int            // the identical groups the ring stands for
 
 	left     int    // edges of the running collective still in flight
 	onDone   func() // the running collective's completion
 	edgeDone func() // bound once: counts one edge down
 }
 
-// NewRing prepares a ring over a group's edges, as AppendEdges resolves
-// them. The ring reads the edges and does not copy them.
-func NewRing(eng *sim.Engine, fab *netsim.Fabric, edges []netsim.Route) *Ring {
-	g := &Ring{eng: eng, fab: fab, edges: edges}
+// NewRing prepares a ring of weight w over a group's edges, as
+// AppendEdges resolves them. The ring reads the edges and does not copy
+// them.
+func NewRing(eng *sim.Engine, fab *netsim.Fabric, edges []netsim.Route, w int) *Ring {
+	g := &Ring{eng: eng, fab: fab, edges: edges, w: w}
 	g.edgeDone = g.edge
 	return g
 }
@@ -57,7 +61,7 @@ func (g *Ring) run(perEdgeBytes float64, onDone func()) {
 	}
 	g.left, g.onDone = n, onDone
 	for i := range g.edges {
-		g.fab.StartFlow(g.edges[i], perEdgeBytes, g.edgeDone)
+		g.fab.StartFlows(g.edges[i], g.w, perEdgeBytes, 0, g.edgeDone)
 	}
 }
 

@@ -19,7 +19,7 @@ func groupOfNodeLeads(topo *topology.Topology, nodes int) []int {
 
 // newRing prepares a ring over ranks on a class.
 func newRing(eng *sim.Engine, fab *netsim.Fabric, ranks []int, class netsim.Class) *Ring {
-	return NewRing(eng, fab, AppendEdges(nil, fab, ranks, class))
+	return NewRing(eng, fab, AppendEdges(nil, fab, ranks, class), 1)
 }
 
 // allReduce runs a ring all-reduce of a bytes payload as one fluid

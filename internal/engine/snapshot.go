@@ -48,9 +48,10 @@ type lruPair[K comparable, V any] struct {
 // wave-mates' completed times, never when the threads ran, so the
 // counters are deterministic at a fixed wave width. Events sums the
 // events fired by every simulation a search ran — completed, failed or
-// aborted, the memo's replay included; the number of events an aborted
-// cell fires before it stops may vary with the threads' timing at wave
-// widths above 1. MemoHits counts whole searches the winner memo
+// aborted, the memo's replay included; a simulation that folds lockstep
+// twins fires, and counts, one twin's events for its class (see
+// trainer.Outcome). The number of events an aborted cell fires before
+// it stops may vary with the threads' timing at wave widths above 1. MemoHits counts whole searches the winner memo
 // answered.
 type SearchStats struct {
 	Searches  uint64 `json:"searches"`

@@ -20,12 +20,15 @@
 // A flow starts on a Route resolved once per (src, dst, class): its
 // effective class, its links and its pristine α, so a start derives no
 // class, path or latency of its own and only folds in the impairments in
-// force at that instant. Flow records live in a per-fabric slab with a
-// free list, each with its event callback bound once, so a warmed fabric
-// starts, admits, finishes and aborts flows without allocating. A record
-// returns to the free list once it can fire nothing more; StartFlow hands
-// out a FlowID carrying the record's generation, so a handle outliving
-// its flow is stale and AbortFlow ignores it.
+// force at that instant. One record may stand for w identical flows
+// (StartFlows): every rate, completion instant and admitted byte is then
+// the arithmetic of w separate flows, at the cost of one. Flow records
+// live in a per-fabric slab with a free list, each with its event
+// callback bound once, so a warmed fabric starts, admits, finishes and
+// aborts flows without allocating. A record returns to the free list
+// once it can fire nothing more; StartFlow hands out a FlowID carrying
+// the record's generation, so a handle outliving its flow is stale and
+// AbortFlow ignores it.
 package netsim
 
 import (
@@ -136,6 +139,7 @@ type Link struct {
 	kind  linkKind
 	a, b  int     // node index; a trunk's cluster pair
 	flows []*flow // active flows, swap-removed on departure
+	units int     // the flows they stand for: their weights summed
 	// admitted sums the bytes of every flow the link has admitted.
 	admitted float64
 
@@ -186,9 +190,9 @@ func (l *Link) ID() int { return l.id }
 // its capacity: a branch-and-bound projection reads the counter.
 func (l *Link) Admitted() float64 { return l.admitted }
 
-// FlowID is a handle to a flow, returned by StartFlow and
-// StartFlowRateCapped. The zero FlowID refers to no flow, and a handle
-// goes stale once its flow finishes or is aborted.
+// FlowID is a handle to a flow, returned by StartFlow and StartFlows.
+// The zero FlowID refers to no flow, and a handle goes stale once its
+// flow finishes or is aborted.
 type FlowID struct {
 	slot int32
 	gen  uint32
@@ -203,6 +207,7 @@ type flow struct {
 	path      [maxPathLinks]*Link
 	pathPos   [maxPathLinks]int // this flow's index in each path link's flows
 	nPath     int
+	w         int // the identical flows the record stands for
 	remaining float64
 	rate      float64
 	cap       float64 // per-flow rate ceiling (Inf when uncapped)
@@ -499,25 +504,38 @@ func (f *Fabric) effectivePath(src, dst int, class Class) ([maxPathLinks]*Link, 
 // fires (in virtual time) when the last byte arrives. A zero-byte flow
 // completes after just the latency term.
 func (f *Fabric) StartFlow(r Route, bytes float64, onDone func()) FlowID {
-	return f.StartFlowRateCapped(r, bytes, 0, onDone)
+	return f.StartFlows(r, 1, bytes, 0, onDone)
 }
 
-// StartFlowRateCapped is StartFlow with an explicit per-flow rate ceiling
-// in bytes/s on top of any technology-wide cap: the flow offers at most
-// rateCap of load but still shares max-min fairly under congestion.
-// Background-traffic injection (internal/scenario) uses it to model a
-// tenant streaming at a fixed rate. rateCap <= 0 means uncapped.
-func (f *Fabric) StartFlowRateCapped(r Route, bytes float64, rateCap float64, onDone func()) FlowID {
+// StartFlows is every flow's start: w identical transfers of bytes each
+// on a route, held as one record that fires onDone once, when all of
+// them arrive. Every link of the route carries w units of the record in
+// the max-min fill, so each rate, completion instant and admitted byte
+// is what w separate flows started at this instant would get; the
+// trainer starts the flows of w lockstep twin pipelines this way. The
+// fold assumes the w flows identical, so it draws one jitter sample for
+// all of them: weight flows only where no jitter is installed.
+//
+// rateCap is a per-flow rate ceiling in bytes/s on top of any
+// technology-wide cap: the flow offers at most rateCap of load but still
+// shares max-min fairly under congestion. Background-traffic injection
+// (internal/scenario) uses it to model a tenant streaming at a fixed
+// rate. rateCap <= 0 means uncapped.
+func (f *Fabric) StartFlows(r Route, w int, bytes, rateCap float64, onDone func()) FlowID {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("netsim: bad flow size %v", bytes))
 	}
-	f.started++
+	if w < 1 {
+		panic(fmt.Sprintf("netsim: bad flow multiplicity %d", w))
+	}
+	f.started += uint64(w)
 	fl := f.newFlow()
 	fl.class = r.Class()
 	for i, id := range r.Links() {
 		fl.path[i] = f.links[id]
 	}
 	fl.nPath = int(r.n)
+	fl.w = w
 	fl.remaining, fl.onDone = bytes, onDone
 	fl.cap = math.Inf(1)
 	if fl.class == Ether && f.Params.EthPerFlowBytesPerSec > 0 {
@@ -544,7 +562,8 @@ func (f *Fabric) StartFlowRateCapped(r Route, bytes float64, rateCap float64, on
 	return FlowID{slot: fl.slot, gen: fl.gen}
 }
 
-// FlowsStarted reports how many flows the fabric has started.
+// FlowsStarted reports how many flows the fabric has started, a record
+// of weight w counting w.
 func (f *Fabric) FlowsStarted() uint64 { return f.started }
 
 // Rebalances reports how many rebalance passes the fabric has run over a
@@ -623,12 +642,17 @@ func (f *Fabric) admit(fl *flow) {
 	}
 	fl.updatedAt = f.eng.Now()
 	fl.admitted = true
-	f.inFlight++
+	f.inFlight += fl.w
 	for i := 0; i < fl.nPath; i++ {
 		l := fl.path[i]
 		fl.pathPos[i] = len(l.flows)
 		l.flows = append(l.flows, fl)
-		l.admitted += fl.remaining
+		l.units += fl.w
+		// One addition per flow the record stands for, as w admissions
+		// in a row would sum.
+		for k := 0; k < fl.w; k++ {
+			l.admitted += fl.remaining
+		}
 	}
 	f.scheduleRebalance(fl)
 }
@@ -648,9 +672,10 @@ func (f *Fabric) retire(fl *flow) {
 	f.disarm(fl)
 	if fl.admitted {
 		for i := 0; i < fl.nPath; i++ {
+			fl.path[i].units -= fl.w
 			f.unlink(fl.path[i], fl.pathPos[i])
 		}
-		f.inFlight--
+		f.inFlight -= fl.w
 		f.scheduleRebalance(fl)
 	}
 	f.releaseFlow(fl)
@@ -796,10 +821,11 @@ func sortLinksByID(ls []*Link) {
 // their per-flow cap when that is lower) until every flow has a rate.
 // capped says whether any flow of the region has a finite cap; when none
 // has, no flow can freeze at its cap, and the scan for them is skipped.
+// A link counts a record of weight w as w flows.
 func (f *Fabric) fill(links []*Link, flows []*flow, capped bool) {
 	for _, l := range links {
 		l.residual = l.Capacity
-		l.nUnfrozen = len(l.flows)
+		l.nUnfrozen = l.units
 	}
 	left := len(flows)
 	for left > 0 {
@@ -852,16 +878,22 @@ func (f *Fabric) fill(links []*Link, flows []*flow, capped bool) {
 	}
 }
 
+// freeze fixes a flow's rate and charges it to every link on its path:
+// once per flow the record stands for, each subtraction clamped, as w
+// separate flows frozen in a row would be charged (never w·rate in one
+// step, which rounds differently).
 func (f *Fabric) freeze(fl *flow, rate float64) {
 	fl.frozen = true
 	fl.rate = rate
 	for i := 0; i < fl.nPath; i++ {
 		l := fl.path[i]
-		l.residual -= rate
-		if l.residual < 0 {
-			l.residual = 0
+		for k := 0; k < fl.w; k++ {
+			l.residual -= rate
+			if l.residual < 0 {
+				l.residual = 0
+			}
 		}
-		l.nUnfrozen--
+		l.nUnfrozen -= fl.w
 	}
 }
 
@@ -902,7 +934,8 @@ func (f *Fabric) reschedule(flows []*flow) {
 	}
 }
 
-// InFlight reports the number of active flows.
+// InFlight reports the number of active flows, a record of weight w
+// counting w.
 func (f *Fabric) InFlight() int { return f.inFlight }
 
 // TransferTime returns the contention-free α–β estimate for moving the

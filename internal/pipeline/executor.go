@@ -36,6 +36,11 @@ type ExecConfig struct {
 	// the forward activation and the backward gradient, which are the same
 	// size for transformer pipelines).
 	ActivationBytes float64
+	// Weight is how many identical pipelines the executor stands for:
+	// groups on the same nodes and routes that start together replay one
+	// another, so one executor runs them all, each transfer a flow of this
+	// multiplicity (netsim.Fabric.StartFlows). Zero means one.
+	Weight int
 	// OnBackwardDone, if set, fires when a stage finishes a micro-batch's
 	// backward pass — the hook the overlapped distributed optimizer uses to
 	// start gradient reduce-scatter buckets during the pipeline.
@@ -105,6 +110,10 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 	if cfg.ActivationBytes < 0 {
 		return nil, fmt.Errorf("pipeline: negative activation size")
 	}
+	if cfg.Weight < 0 {
+		return nil, fmt.Errorf("pipeline: negative weight %d", cfg.Weight)
+	}
+	cfg.Weight = max(cfg.Weight, 1)
 	e := &Executor{
 		eng: eng, fab: fab, sched: sched, cfg: cfg,
 		executed: make([][]bool, p),
@@ -297,7 +306,7 @@ func (e *Executor) sendTo(from, to, micro int, fwd bool) {
 	if !fwd {
 		i = e.sched.Stages - 1 + to
 	}
-	e.fab.StartFlow(e.cfg.Hops[i], e.cfg.ActivationBytes, h.arrive)
+	e.fab.StartFlows(e.cfg.Hops[i], e.cfg.Weight, e.cfg.ActivationBytes, 0, h.arrive)
 }
 
 // arrived lands the transfer in slot at its stage, frees the slot, and

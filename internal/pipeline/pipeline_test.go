@@ -314,6 +314,7 @@ func TestExecutorConfigErrors(t *testing.T) {
 		{Hops: hops(0, 8), ForwardTime: []float64{1}, BackwardTime: []float64{1, 1}},
 		{Hops: hops(0, 8), ForwardTime: []float64{1, -1}, BackwardTime: []float64{1, 1}},
 		{Hops: hops(0, 8), ForwardTime: []float64{1, 1}, BackwardTime: []float64{1, 1}, ActivationBytes: -5},
+		{Hops: hops(0, 8), ForwardTime: []float64{1, 1}, BackwardTime: []float64{1, 1}, Weight: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewExecutor(eng, fab, sched, cfg); err == nil {

@@ -300,7 +300,7 @@ func (rt *Runtime) stream(ev Event) {
 				return
 			}
 		}
-		inflight = rt.fab.StartFlowRateCapped(route, chunk, rate, next)
+		inflight = rt.fab.StartFlows(route, 1, chunk, rate, next)
 	}
 	next()
 	if ev.Until > 0 {

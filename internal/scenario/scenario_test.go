@@ -291,7 +291,7 @@ func TestBackgroundTrafficRespectsUntil(t *testing.T) {
 
 // A rate-capped stream must offer only its scripted load: a probe flow
 // sharing the link keeps (link − rate) bandwidth, not a greedy fair
-// half. This is the observable contract of StartFlowRateCapped.
+// half. This is the observable contract of StartFlows' rate cap.
 func TestBackgroundTrafficOffersScriptedRate(t *testing.T) {
 	topo := topology.IBEnv(2)
 	eng := sim.NewEngine()

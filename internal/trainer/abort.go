@@ -39,7 +39,10 @@ func (d *Deadline) Lower(t float64) {
 type Outcome struct {
 	// Events counts the events the run's engine fired, Flows the flows
 	// its fabric started, and Rebalances the fabric's rebalance passes
-	// over a region that held a flow.
+	// over a region that held a flow. A run that folds lockstep twins
+	// (Iteration.twins) fires one twin's events for its whole class, while
+	// Flows counts every flow it models, so Flows and Rebalances read as
+	// the unfolded run's and only Events falls.
 	Events, Flows, Rebalances uint64
 
 	halted bool    // stopped once it provably lost to its deadline
@@ -87,7 +90,7 @@ type projection struct {
 	overlapped bool
 	peak       float64
 
-	// chains holds every pipeline's table, pipeline-major (see
+	// chains holds every simulated pipeline's table, pipeline-major (see
 	// newProjection).
 	chains []float64
 
@@ -106,9 +109,10 @@ type charged struct {
 	bytes float64
 }
 
-// newProjection prepares a bounded run's projection. Every pipeline's
-// chain table is carved from one allocation; pipeline g's is
-// chains[g·p : (g+1)·p]:
+// newProjection prepares a bounded run's projection. Every simulated
+// pipeline's chain table is carved from one allocation, the c-th
+// simulated pipeline's at chains[c·p : (c+1)·p] (a twin's table is its
+// representative's):
 //
 //   - scenario-free, overlapped optimizer: chain[s] is the largest, over
 //     stages j ≤ s, of Σ_{j≤k<s}(hop_k + tb_k) plus the tail of stage j's
@@ -119,19 +123,24 @@ type charged struct {
 func (it *Iteration) newProjection(dl *Deadline) *projection {
 	p := it.deg.P
 	b := it.bound()
-	pipes := it.world.PPGroups
+	simulated, _ := it.simulated()
 	pr := &projection{
 		eng: it.eng, dl: dl, tf: it.tf, tb: it.tb,
 		pristine:   it.cfg.Scenario.Empty(),
 		overlapped: it.opt.OverlappedOptimizer,
-		chains:     make([]float64, len(pipes)*p),
+		chains:     make([]float64, simulated*p),
 	}
 	maxTail := 0.0
 	for _, t := range b.tails {
 		maxTail = math.Max(maxTail, t)
 	}
-	for g, pg := range pipes {
-		c := pr.chains[g*p : (g+1)*p]
+	next := 0
+	for g, pg := range it.world.PPGroups {
+		if it.twins(g%it.deg.T) == 0 {
+			continue
+		}
+		c := pr.chains[next*p : (next+1)*p]
+		next++
 		hops := b.hops[g*p : (g+1)*p]
 		tail := func(s int) float64 { return b.tails[it.assign.DPRow(pg.Ranks[s])] }
 		for s := range c {

@@ -134,6 +134,9 @@ type Iteration struct {
 	// beat and pipesPerNode set each pipeline's start stagger.
 	beat         float64
 	pipesPerNode int
+	// fold runs one executor and one ring per class of lockstep twins
+	// (see twins): on scenario-free runs outside the engine's oracle mode.
+	fold bool
 
 	// terms is the bound and its terms, once LowerBound or a bounded
 	// run has evaluated them (bounded).
@@ -255,6 +258,10 @@ func Prepare(cfg Config) (*Iteration, error) {
 	it.part, it.tf, it.tb = part, tf, tb
 	it.actBytes = cfg.Spec.ActivationMessageBytes() / float64(t)
 	it.beat, it.pipesPerNode = beat, pipesPerNode
+	// A scenario draws jitter per flow and brings rate caps other than
+	// the Ethernet stream cap, so twins stop being identical; the oracle
+	// runs every twin, so the fold is checked against it.
+	it.fold = cfg.Scenario.Empty() && !calib.Net.FullRecompute
 	return it, nil
 }
 
@@ -293,6 +300,42 @@ func (it *Iteration) ringRoutes(row int) []netsim.Route {
 // stagger is the instant a pipeline group's first stage starts.
 func (it *Iteration) stagger(pg *comm.Group) float64 {
 	return it.beat * float64(pg.Index%it.pipesPerNode) / float64(it.pipesPerNode)
+}
+
+// twins returns how many lockstep twins the pipeline group, or the
+// data-parallel group, with tensor index r stands for in a run: 0 when a
+// twin of lower index stands for it, and 1 on a run that does not fold.
+// Pipeline g = k·t + r has tensor index r = g mod t.
+//
+// Tensor group k keeps its t ranks on one node at every stage (Eq. 1–2,
+// with nodes of t·pipesPerNode consecutive ranks), so pipelines k·t to
+// k·t+t−1 cross the same nodes, and those of one stagger slot
+// (g mod pipesPerNode) also start together and run the same compute: they
+// replay one another bit for bit. Such a class holds the tensor indices
+// r, r+pipesPerNode, … below t, and its lowest, r < pipesPerNode, stands
+// for all of them. A data-parallel group holds one stage's ranks of one
+// tensor index, one from each tensor group, and its twins are the groups
+// of the stage whose tensor indices fall in its class.
+func (it *Iteration) twins(r int) int {
+	switch {
+	case !it.fold:
+		return 1
+	case r >= it.pipesPerNode:
+		return 0
+	}
+	return (it.deg.T - r + it.pipesPerNode - 1) / it.pipesPerNode
+}
+
+// simulated returns how many pipeline groups and data-parallel groups a
+// run simulates: every one, or one per class of twins.
+func (it *Iteration) simulated() (pipes, groups int) {
+	n := 0
+	for r := 0; r < it.deg.T; r++ {
+		if it.twins(r) > 0 {
+			n++
+		}
+	}
+	return n * it.deg.D, n * it.deg.P
 }
 
 // dpBytes returns the gradient and parameter payloads each
@@ -337,9 +380,12 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 		proj = it.newProjection(dl)
 	}
 	// Size the engine's containers once: a completion per flow in
-	// flight, for about as many flows as the iteration has routes, and
-	// an op completion per stage besides an admission per flow.
-	eng.Reserve(len(it.routes), len(it.world.PPGroups)*p+len(it.routes))
+	// flight, for about as many flows as the simulated groups have
+	// routes, and an op completion per stage besides an admission per
+	// flow.
+	pipes, groups := it.simulated()
+	routes := pipes*2*(p-1) + groups*it.deg.D
+	eng.Reserve(routes, pipes*p+routes)
 
 	// Bind the scenario before the pipelines so that, at equal instants,
 	// scripted events apply ahead of training events — deterministically.
@@ -359,15 +405,20 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 		sched = pipeline.GPipe(p, it.m)
 	}
 
-	// Launch all t·d pipeline groups concurrently on the shared fabric,
-	// each at its stagger.
+	// Launch the t·d pipeline groups concurrently on the shared fabric,
+	// each at its stagger, one executor per class of twins.
+	c := 0 // the simulated pipelines launched so far
 	for g, pg := range it.world.PPGroups {
-		pg := pg
+		w := it.twins(g % it.deg.T)
+		if w == 0 {
+			continue
+		}
 		cfgExec := pipeline.ExecConfig{
 			Hops:            it.pipeRoutes(g),
 			ForwardTime:     tf,
 			BackwardTime:    tb,
 			ActivationBytes: it.actBytes,
+			Weight:          w,
 			OnBackwardDone: func(stage, micro int, now sim.Time) {
 				st.backwardDone(pg.Ranks[stage], micro)
 			},
@@ -382,7 +433,7 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 			// simulator's sequential additions: a candidate inside the
 			// slack simulates on and stops at the clock checks instead, so
 			// the search outcome is unchanged either way.
-			chain := proj.chains[g*p : (g+1)*p]
+			chain := proj.chains[c*p : (c+1)*p]
 			cfgExec.OnOpDone = func(s, remF, remB int, now sim.Time) {
 				proj.opDone(chain, s, remF, remB, now)
 			}
@@ -392,6 +443,7 @@ func (it *Iteration) Run(dl *Deadline) (Report, Outcome, error) {
 			return Report{}, Outcome{}, err
 		}
 		eng.Post(it.stagger(pg), ex.Start)
+		c++
 	}
 	deadline := math.Inf(1)
 	if dl != nil {
@@ -573,8 +625,10 @@ type iterState struct {
 	opt    Options
 	calib  Calibration
 
-	// Per DP group row: gradient payload, bucket progress, timings.
+	// Per DP group row: gradient payload, bucket progress, timings; nil
+	// for a row a twin stands for. live counts the simulated rows.
 	groups []*dpGroupState
+	live   int
 
 	pipesLeft int
 	pipeEnd   sim.Time
@@ -610,18 +664,26 @@ type dpGroupState struct {
 }
 
 func newIterState(it *Iteration, dl *Deadline) *iterState {
+	pipes, groups := it.simulated()
 	st := &iterState{
 		eng: it.eng, assign: it.assign,
 		opt: it.opt, calib: it.calib,
-		pipesLeft: len(it.world.PPGroups),
+		groups:    make([]*dpGroupState, len(it.world.DPGroups)),
+		live:      groups,
+		pipesLeft: pipes,
 		dl:        dl,
 	}
 	buckets := it.buckets()
 	for row, g := range it.world.DPGroups {
+		// Row s·t+r holds stage s's ranks of tensor index r.
+		w := it.twins(row % it.deg.T)
+		if w == 0 {
+			continue
+		}
 		grad, param := it.dpBytes(it.assign.StageOf(g.Ranks[0]))
 		gs := &dpGroupState{
 			group:      g,
-			ring:       collective.NewRing(it.eng, it.fab, it.ringRoutes(row)),
+			ring:       collective.NewRing(it.eng, it.fab, it.ringRoutes(row), w),
 			gradBytes:  grad,
 			paramBytes: param,
 			buckets:    buckets,
@@ -634,7 +696,7 @@ func newIterState(it *Iteration, dl *Deadline) *iterState {
 			gs.done = true
 			st.groupDone()
 		}
-		st.groups = append(st.groups, gs)
+		st.groups[row] = gs
 	}
 	return st
 }
@@ -704,8 +766,10 @@ func (st *iterState) pipelineDone(now sim.Time) {
 	if st.pipesLeft == 0 && !st.opt.OverlappedOptimizer {
 		// Post-flush gradient synchronization: every group reduces now.
 		for _, gs := range st.groups {
-			gs.readyBucket = gs.buckets
-			st.pumpRS(gs)
+			if gs != nil {
+				gs.readyBucket = gs.buckets
+				st.pumpRS(gs)
+			}
 		}
 	}
 	st.maybeFinish()
@@ -713,7 +777,7 @@ func (st *iterState) pipelineDone(now sim.Time) {
 
 func (st *iterState) groupDone() {
 	st.doneCount++
-	if st.doneCount == len(st.groups) && st.eng.Now() > st.endTime {
+	if st.doneCount == st.live && st.eng.Now() > st.endTime {
 		st.endTime = st.eng.Now()
 	}
 	st.maybeFinish()
@@ -728,12 +792,15 @@ func (st *iterState) maybeFinish() {
 }
 
 func (st *iterState) finished() bool {
-	return st.doneCount == len(st.groups) && st.pipesLeft == 0
+	return st.doneCount == st.live && st.pipesLeft == 0
 }
 
 func (st *iterState) maxRSTime() float64 {
 	worst := 0.0
 	for _, gs := range st.groups {
+		if gs == nil {
+			continue
+		}
 		if d := gs.rsEnd - gs.rsStart; gs.rsStarted && d > worst {
 			worst = d
 		}
